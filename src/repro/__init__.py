@@ -40,7 +40,7 @@ from repro.errors import (
     ReproError,
 )
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "CalibrationError",

@@ -20,22 +20,24 @@ Commands
 ``run-spec <file.json>``
     Run a declarative experiment spec (see ``examples/specs/`` and
     :mod:`repro.experiments.spec`).
-``service``
-    Run the trusted-time service workload (:mod:`repro.service`): session
+``service``, ``membership``, ``faults``
+    Presets over ``run-spec``: each turns its flags into a spec dict, runs
+    it as one fleet ``spec`` task, and prints the rendering (``--json
+    FILE``: the JSON report) of its own plane. ``service`` runs the
+    trusted-time service workload (:mod:`repro.service`) — session
     populations against per-node front-ends with Marzullo quorum clients,
-    benign or under an attack, reporting client-visible SLO metrics
-    (p50/p99/p99.9 timestamp error, lease violations, shed/timeout rates).
-    ``--json FILE`` writes the deterministic ``ServiceReport``.
-``membership``
-    Run the epoch membership/quarantine control plane
-    (:mod:`repro.membership`) against a scenario — benign, rolling churn,
-    F+, the F− propagation cascade, or a TA blackhole — and print the
-    verdict journal (suspect/quarantine/evict/probation transitions and
-    per-node peak divergence). ``--mode enforce`` also rotates the
-    per-epoch group key so quarantined nodes are cryptographically cut
-    off. The flag ``--membership {off,observe,enforce}`` on ``run``,
-    ``sweep``, ``run-spec``, ``batch``, ``service`` and ``reproduce``
-    attaches the same engine to those runs.
+    benign or under an attack — and reports client-visible SLOs.
+    ``membership`` runs the epoch membership/quarantine control plane
+    (:mod:`repro.membership`) against a scenario and prints its verdict
+    journal; ``--mode enforce`` also rotates the per-epoch group key so
+    quarantined nodes are cryptographically cut off. ``faults`` runs a
+    deterministic fault-injection scenario (:mod:`repro.faults`) and
+    reports recovery/MTTR.
+``--oracle`` / ``--membership``
+    Attach the invariant oracle (``warn``/``strict``) or the membership
+    engine (``observe``/``enforce``) to any run: ``run``, ``sweep``,
+    ``run-spec``, ``batch``, ``reproduce`` and the presets (see
+    :mod:`repro.oracle.policy`).
 ``hunt``
     Coverage-guided search for attack schedules (:mod:`repro.hunt`):
     evolve genomes of timed attack primitives through the fleet, keep a
@@ -124,6 +126,21 @@ def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
     _add_membership_argument(parser)
 
 
+def _add_preset_parser(sub, name: str, summary: str, *, nodes: int, seed: int, duration_s: float):
+    """A preset subcommand with the flags every preset shares."""
+    parser = sub.add_parser(name, help=summary)
+    parser.add_argument("--nodes", type=int, default=nodes, help=f"cluster size (default {nodes})")
+    parser.add_argument("--seed", type=int, default=seed, help="experiment seed")
+    parser.add_argument(
+        "--duration-s", type=float, default=duration_s, help="simulated run length (seconds)"
+    )
+    parser.add_argument(
+        "--json", metavar="FILE", default=None, help=f"write the {name} report as JSON to FILE"
+    )
+    _add_fleet_arguments(parser)
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -164,8 +181,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_oracle_argument(run_spec)
     _add_membership_argument(run_spec)
 
-    service = sub.add_parser(
-        "service", help="run the trusted-time service workload and report SLOs"
+    service = _add_preset_parser(
+        sub,
+        "service",
+        "run the trusted-time service workload and report SLOs",
+        nodes=3,
+        seed=11,
+        duration_s=30.0,
     )
     service.add_argument(
         "--sessions", type=int, default=1_000_000, help="client sessions (default 1M)"
@@ -189,11 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--quorum", type=int, default=3, help="nodes per quorum fan-out (1 = single-node client)"
     )
     service.add_argument(
-        "--duration-s", type=float, default=30.0, help="simulated run length (seconds)"
-    )
-    service.add_argument("--nodes", type=int, default=3, help="cluster size")
-    service.add_argument("--seed", type=int, default=11, help="experiment seed")
-    service.add_argument(
         "--attack",
         choices=("benign", "fplus", "fminus", "fminus-propagation", "ta-blackhole"),
         default="benign",
@@ -203,14 +220,14 @@ def _build_parser() -> argparse.ArgumentParser:
             "'fminus-propagation' lets the cascade spread on the original"
         ),
     )
-    service.add_argument(
-        "--json", metavar="FILE", default=None, help="write the ServiceReport as JSON to FILE"
-    )
-    _add_fleet_arguments(service)
 
-    membership = sub.add_parser(
+    membership = _add_preset_parser(
+        sub,
         "membership",
-        help="run the membership/quarantine control plane and report verdicts",
+        "run the membership/quarantine control plane and report verdicts",
+        nodes=5,
+        seed=6,
+        duration_s=30.0,
     )
     membership.add_argument(
         "--attack",
@@ -231,25 +248,17 @@ def _build_parser() -> argparse.ArgumentParser:
             "rotates the epoch key to cut quarantined nodes off (default)"
         ),
     )
-    membership.add_argument("--nodes", type=int, default=5, help="cluster size (default 5)")
-    membership.add_argument("--seed", type=int, default=6, help="experiment seed")
-    membership.add_argument(
-        "--duration-s", type=float, default=30.0, help="simulated run length (seconds)"
-    )
     membership.add_argument(
         "--epoch-s", type=float, default=1.0, help="membership epoch length (seconds)"
     )
-    membership.add_argument(
-        "--json",
-        metavar="FILE",
-        default=None,
-        help="write the membership report (verdicts, events, churn) as JSON to FILE",
-    )
-    _add_fleet_arguments(membership)
 
-    faults = sub.add_parser(
+    faults = _add_preset_parser(
+        sub,
         "faults",
-        help="run a deterministic fault-injection scenario and report recovery/MTTR",
+        "run a deterministic fault-injection scenario and report recovery/MTTR",
+        nodes=3,
+        seed=13,
+        duration_s=60.0,
     )
     faults.add_argument(
         "--scenario",
@@ -260,11 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "is the mixed robustness headline, 'no-retry' is the bounded-retry "
             "baseline that parks dark and fails the recovery invariant"
         ),
-    )
-    faults.add_argument("--nodes", type=int, default=3, help="cluster size (default 3)")
-    faults.add_argument("--seed", type=int, default=13, help="experiment seed")
-    faults.add_argument(
-        "--duration-s", type=float, default=60.0, help="simulated run length (seconds)"
     )
     faults.add_argument(
         "--deadline-s",
@@ -281,13 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--quorum", type=int, default=3, help="service quorum fan-out (with --sessions)"
     )
-    faults.add_argument(
-        "--json",
-        metavar="FILE",
-        default=None,
-        help="write the recovery/MTTR report (plus service SLOs) as JSON to FILE",
-    )
-    _add_fleet_arguments(faults)
 
     hunt = sub.add_parser("hunt", help="coverage-guided search for attack schedules")
     hunt.add_argument("--seed", type=int, default=7, help="search seed (default 7)")
@@ -356,112 +353,68 @@ def _finish_fleet(args, telemetry) -> None:
         print(f"wrote telemetry JSONL to {path}", file=sys.stderr)
 
 
-def _oracle_run(mode: str, fn: Callable):
-    """Run ``fn()`` under oracle ``mode``; returns ``(value, exit_code)``.
+def _plane_overrides(args) -> dict:
+    """The ``--oracle``/``--membership`` modes a fleet task carries.
 
-    The serial-path counterpart of the fleet's per-task oracle handling
-    (see :func:`repro.fleet.tasks.execute_task`): the policy is installed
-    for the duration of the call, every oracle that clusters built along
-    the way gets finalized, and reports go to stderr so stdout stays
-    byte-identical to an oracle-off run. ``exit_code`` is 1 when strict
-    mode saw violations outside the expected set (``value`` is ``None``
-    if the run aborted), else 0.
+    ``off`` is left out, so plane-free tasks keep the content hashes — and
+    thus the cached results — of runs made without the flags.
     """
-    if mode == "off":
-        return fn(), 0
+    return {
+        plane: getattr(args, plane)
+        for plane in ("oracle", "membership")
+        if getattr(args, plane) != "off"
+    }
 
-    from repro.errors import OracleViolationError
-    from repro.oracle import drain_created_oracles, oracle_policy
 
-    failure: Optional[OracleViolationError] = None
-    value = None
-    with oracle_policy(mode):
-        drain_created_oracles()
-        try:
-            value = fn()
-        except OracleViolationError as exc:
-            # Experiment.run raises as soon as one run's violations leave
-            # the expected set; oracles of earlier runs still get reported.
-            failure = exc
-        finally:
-            oracles = drain_created_oracles()
+def _serial_run(args, fn: Callable):
+    """Run ``fn()`` in-process under the ``--oracle``/``--membership`` planes.
 
-    unexpected = 0
-    for oracle in oracles:
-        oracle.finalize()
+    Returns ``(run, exit_code)`` (see :func:`repro.oracle.policy.run_planes`).
+    Oracle reports go to stderr so stdout stays byte-identical to a
+    plane-free run. ``exit_code`` is 1 when the oracle failed the run
+    (``run.value`` is ``None`` if it aborted), else 0.
+    """
+    from repro.oracle.policy import run_planes
+
+    run = run_planes(fn, oracle=args.oracle, membership=args.membership)
+    for oracle in run.oracles:
         if oracle.violations:
             print(oracle.render_report(), file=sys.stderr)
-        unexpected += len(oracle.unexpected_violations())
-    if failure is not None:
-        print(f"oracle: {failure}", file=sys.stderr)
-        return None, 1
-    if unexpected and mode == "strict":
-        print(f"oracle: {unexpected} unexpected violation(s) in strict mode", file=sys.stderr)
-        return value, 1
-    return value, 0
+    if run.failure is not None:
+        print(f"oracle: {run.failure}", file=sys.stderr)
+    return run, int(run.failure is not None)
 
 
-def _apply_oracle_override(tasks: list, mode: str) -> list:
-    """Stamp the oracle mode into each fleet task's overrides.
+#: What ``run-spec`` and ``batch`` print of a spec run: the drift table,
+#: then the renderings of these planes when attached.
+_SPEC_SECTIONS = ("table", "service", "membership")
 
-    ``off`` leaves tasks untouched so their content hashes — and thus any
-    cached results from oracle-free runs — stay valid.
+
+def _render_sections(value: dict, sections: tuple) -> str:
+    """The named sections a ``spec`` task value has, blank-line separated."""
+    texts = {name: plane["rendered"] for name, plane in value["planes"].items()}
+    texts["table"] = value["rendered"]
+    return "\n\n".join(texts[name] for name in sections if name in texts)
+
+
+def _spec_task(raw: dict, args):
+    """The fleet ``spec`` task running spec dict ``raw`` under the plane flags.
+
+    The spec is validated here, so typos and bad flags fail before any
+    worker runs.
     """
-    if mode != "off":
-        for task in tasks:
-            task.overrides["oracle"] = mode
-    return tasks
+    from repro.experiments.spec import ExperimentSpec
+    from repro.fleet import RunTask
 
-
-def _membership_run(mode: str, fn: Callable):
-    """Run ``fn()`` under membership ``mode``; returns ``(value, reports)``.
-
-    The serial-path counterpart of the fleet's per-task membership
-    handling: the policy is installed for the duration of the call, and
-    every controller that clusters built along the way is drained so its
-    report can be printed. Controllers a spec's ``membership`` block
-    retired (by replacing them) are dropped — only live engines report.
-    """
-    if mode == "off":
-        return fn(), []
-
-    from repro.membership import drain_created_controllers, membership_policy
-
-    with membership_policy(mode):
-        drain_created_controllers()
-        try:
-            value = fn()
-        finally:
-            controllers = drain_created_controllers()
-    reports = [
-        controller.report() for controller in controllers if not controller.retired
-    ]
-    return value, reports
-
-
-def _print_membership_reports(reports) -> None:
-    """Render membership reports (a dict or list of dicts) to stdout."""
-    from repro.membership import render_report
-
-    if not reports:
-        return
-    if isinstance(reports, dict):
-        reports = [reports]
-    for report in reports:
-        print()
-        print(render_report(report))
-
-
-def _apply_membership_override(tasks: list, mode: str) -> list:
-    """Stamp the membership mode into each fleet task's overrides.
-
-    Mirrors :func:`_apply_oracle_override`: ``off`` leaves tasks (and
-    their content hashes) untouched.
-    """
-    if mode != "off":
-        for task in tasks:
-            task.overrides["membership"] = mode
-    return tasks
+    spec = ExperimentSpec.from_dict(raw)
+    return RunTask(
+        kind="spec",
+        name=spec.name,
+        seed=spec.seed,
+        duration_ns=spec.duration_ns,
+        payload={"spec": raw},
+        overrides=_plane_overrides(args),
+    )
 
 
 def _sweep_tasks(name: str, seed: Optional[int]) -> list:
@@ -486,8 +439,8 @@ def _run_sweep(args) -> int:
     tasks = _sweep_tasks(args.sweep_name, args.seed)
     if args.limit is not None:
         tasks = tasks[: args.limit]
-    _apply_oracle_override(tasks, args.oracle)
-    _apply_membership_override(tasks, args.membership)
+    for task in tasks:
+        task.overrides.update(_plane_overrides(args))
     pool, cache, telemetry = _fleet_pieces(args)
     try:
         points = sweeps.run_point_tasks(tasks, pool=pool, cache=cache, telemetry=telemetry)
@@ -520,8 +473,6 @@ def _run_batch(args) -> int:
 
     from repro.analysis.report import format_table
     from repro.errors import ConfigurationError
-    from repro.experiments.spec import ExperimentSpec
-    from repro.fleet import RunTask
 
     invalid = _validate_fleet_flags(args)
     if invalid is not None:
@@ -534,29 +485,16 @@ def _run_batch(args) -> int:
     tasks = []
     for path in spec_paths:
         try:
-            raw = json.loads(path.read_text())
-            spec = ExperimentSpec.from_dict(raw)  # fail on typos before any worker runs
+            tasks.append(_spec_task(json.loads(path.read_text()), args))
         except (json.JSONDecodeError, ConfigurationError, TypeError) as exc:
             print(f"invalid spec {path}: {exc}", file=sys.stderr)
             return 1
-        tasks.append(
-            RunTask(
-                kind="spec",
-                name=spec.name,
-                seed=spec.seed,
-                duration_ns=spec.duration_ns,
-                payload={"spec": raw},
-            )
-        )
-    _apply_oracle_override(tasks, args.oracle)
-    _apply_membership_override(tasks, args.membership)
     pool, cache, telemetry = _fleet_pieces(args)
     results = pool.run(tasks, cache=cache, telemetry=telemetry)
     for result in results:
         print()
         if result.ok:
-            print(result.value["rendered"])
-            _print_membership_reports(result.value.get("membership"))
+            print(_render_sections(result.value, _SPEC_SECTIONS))
         else:
             print(f"spec {result.name!r} FAILED: {result.error}")
     rows = [
@@ -581,11 +519,14 @@ def _run_reproduce_fleet(args) -> int:
     if invalid is not None:
         return invalid
     tasks = [
-        RunTask(kind="experiment", name=name, payload={"experiment": name})
+        RunTask(
+            kind="experiment",
+            name=name,
+            payload={"experiment": name},
+            overrides=_plane_overrides(args),
+        )
         for name in _EXPERIMENTS
     ]
-    _apply_oracle_override(tasks, args.oracle)
-    _apply_membership_override(tasks, args.membership)
     pool, cache, telemetry = _fleet_pieces(args)
     results = pool.run(tasks, cache=cache, telemetry=telemetry)
     failed = False
@@ -617,34 +558,39 @@ def _run_experiment(name: str, seed: Optional[int], duration_s: Optional[float])
     return runner(duration_ns=duration_ns, **kwargs)
 
 
-def _print_result(name: str, result) -> None:
-    if hasattr(result, "render"):
-        try:
-            print(result.render())
-            return
-        except TypeError:
-            pass
-    description = _EXPERIMENTS[name][0]
-    print(result.render(description))
+def _render_result(name: str, result) -> str:
+    """An experiment's tables; results that need a title get its description."""
+    try:
+        return result.render()
+    except TypeError:
+        return result.render(_EXPERIMENTS[name][0])
+
+
+def _preset_spec(args, name: str, attack: str = "benign", **blocks) -> dict:
+    """The spec dict a preset starts from: every node Triad-like, plus ``blocks``.
+
+    ``attack`` ``fplus``/``fminus`` puts a 100 ms F+/F− attacker on node 3
+    (paper numbering: the compromised one); ``ta-blackhole`` cuts the TA.
+    """
+    victim = min(3, args.nodes)
+    attacks = {
+        "fplus": [{"type": "fplus", "victim": victim, "delay_ms": 100}],
+        "fminus": [{"type": "fminus", "victim": victim, "delay_ms": 100}],
+        "ta-blackhole": [{"type": "ta-blackhole"}],
+    }.get(attack, [])
+    return {
+        "name": name,
+        "seed": args.seed,
+        "duration_s": args.duration_s,
+        "nodes": args.nodes,
+        "environments": {str(i): "triad-like" for i in range(1, args.nodes + 1)},
+        "attacks": attacks,
+        **blocks,
+    }
 
 
 def _service_spec_dict(args) -> dict:
     """Compile the ``service`` subcommand flags into a spec dict."""
-    nodes = args.nodes
-    victim = min(3, nodes)  # paper numbering: node 3 is the compromised one
-    attacks: list[dict] = []
-    protocol = "original"
-    if args.attack == "fplus":
-        attacks = [{"type": "fplus", "victim": victim, "delay_ms": 100}]
-    elif args.attack == "fminus":
-        # Hardened protocol: the F− poison stays pinned to the victim, so
-        # the run measures quorum containment of a single bad source.
-        attacks = [{"type": "fminus", "victim": victim, "delay_ms": 100}]
-        protocol = "hardened"
-    elif args.attack == "fminus-propagation":
-        attacks = [{"type": "fminus", "victim": victim, "delay_ms": 100}]
-    elif args.attack == "ta-blackhole":
-        attacks = [{"type": "ta-blackhole"}]
     service: dict = {
         "sessions": args.sessions,
         "arrival": args.arrival,
@@ -653,59 +599,16 @@ def _service_spec_dict(args) -> dict:
     }
     if args.rate_rps is not None:
         service["rate_rps"] = args.rate_rps
-    return {
-        "name": f"service-{args.attack}",
-        "seed": args.seed,
-        "duration_s": args.duration_s,
-        "protocol": protocol,
-        "nodes": nodes,
-        "environments": {str(i): "triad-like" for i in range(1, nodes + 1)},
-        "attacks": attacks,
-        "service": service,
-    }
-
-
-def _run_service_command(args) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.errors import ConfigurationError
-    from repro.experiments.spec import ExperimentSpec
-    from repro.fleet import RunTask
-
-    invalid = _validate_fleet_flags(args)
-    if invalid is not None:
-        return invalid
-    raw = _service_spec_dict(args)
-    try:
-        spec = ExperimentSpec.from_dict(raw)  # fail on bad flags before any worker runs
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    task = RunTask(
-        kind="service",
-        name=spec.name,
-        seed=spec.seed,
-        duration_ns=spec.duration_ns,
-        payload={"spec": raw},
+    # 'fminus' runs the hardened protocol: the F− poison stays pinned to
+    # the victim, so the run measures quorum containment of one bad
+    # source; 'fminus-propagation' lets the cascade spread on the original.
+    return _preset_spec(
+        args,
+        f"service-{args.attack}",
+        args.attack.removesuffix("-propagation"),
+        protocol="hardened" if args.attack == "fminus" else "original",
+        service=service,
     )
-    _apply_oracle_override([task], args.oracle)
-    _apply_membership_override([task], args.membership)
-    pool, cache, telemetry = _fleet_pieces(args)
-    result = pool.run([task], cache=cache, telemetry=telemetry)[0]
-    if not result.ok:
-        print(f"service run FAILED: {result.error}", file=sys.stderr)
-        return 1
-    print(result.value["rendered"])
-    _print_membership_reports(result.value.get("membership"))
-    _finish_fleet(args, telemetry)
-    if args.json:
-        path = Path(args.json)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result.value["report"], indent=2, sort_keys=True) + "\n")
-        print(f"wrote service report JSON to {path}")
-    return 0
 
 
 def _membership_churn_schedule(nodes: int, duration_s: float) -> dict:
@@ -729,92 +632,42 @@ def _membership_churn_schedule(nodes: int, duration_s: float) -> dict:
 
 def _membership_spec_dict(args) -> dict:
     """Compile the ``membership`` subcommand flags into a spec dict."""
+    from repro.errors import ConfigurationError
+
     nodes = args.nodes
-    victim = min(3, nodes)  # paper numbering: node 3 is the compromised one
-    attacks: list[dict] = []
-    if args.attack == "fplus":
-        attacks = [{"type": "fplus", "victim": victim, "delay_ms": 100}]
-    elif args.attack == "fminus-propagation":
+    if args.attack == "churn" and nodes < 4:
+        raise ConfigurationError(
+            f"--attack churn needs --nodes >= 4 (nodes 1-3 stay resident), got {nodes}"
+        )
+    raw = _preset_spec(
+        args,
+        f"membership-{args.attack}",
+        args.attack.removesuffix("-propagation"),
+        membership={"mode": args.mode, "epoch_s": args.epoch_s},
+    )
+    if args.attack == "fminus-propagation":
         # Mirror the fig6 timeline: honest AEX streams (the peer-untaint
         # adoption vector) come online at t=3s, after the attacker has
         # skewed the victim's initial calibration — the containment race
         # the headline experiment pins (see docs/membership.md).
-        attacks = [
-            {"type": "fminus", "victim": victim, "delay_ms": 100},
-            {
-                "type": "aex-onset",
-                "nodes": [i for i in range(1, nodes + 1) if i != victim],
-                "at_s": 3,
-            },
-        ]
-    elif args.attack == "ta-blackhole":
-        attacks = [{"type": "ta-blackhole"}]
-    raw = {
-        "name": f"membership-{args.attack}",
-        "seed": args.seed,
-        "duration_s": args.duration_s,
-        "nodes": nodes,
-        "environments": {str(i): "triad-like" for i in range(1, nodes + 1)},
-        "attacks": attacks,
-        "membership": {"mode": args.mode, "epoch_s": args.epoch_s},
-    }
+        victim = min(3, nodes)
+        honest = [i for i in range(1, nodes + 1) if i != victim]
+        raw["attacks"].append({"type": "aex-onset", "nodes": honest, "at_s": 3})
     if args.attack == "churn":
         raw["churn"] = _membership_churn_schedule(nodes, args.duration_s)
     return raw
 
 
-def _run_membership_command(args) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.errors import ConfigurationError
-    from repro.experiments.spec import ExperimentSpec
-    from repro.fleet import RunTask
-
-    invalid = _validate_fleet_flags(args)
-    if invalid is not None:
-        return invalid
-    if args.attack == "churn" and args.nodes < 4:
-        print(
-            f"error: --attack churn needs --nodes >= 4 (nodes 1-3 stay "
-            f"resident), got {args.nodes}",
-            file=sys.stderr,
-        )
-        return 2
-    raw = _membership_spec_dict(args)
-    try:
-        spec = ExperimentSpec.from_dict(raw)  # fail on bad flags before any worker runs
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    task = RunTask(
-        kind="membership",
-        name=spec.name,
-        seed=spec.seed,
-        duration_ns=spec.duration_ns,
-        payload={"spec": raw},
-    )
-    _apply_oracle_override([task], args.oracle)
-    _apply_membership_override([task], args.membership)
-    pool, cache, telemetry = _fleet_pieces(args)
-    result = pool.run([task], cache=cache, telemetry=telemetry)[0]
-    if not result.ok:
-        print(f"membership run FAILED: {result.error}", file=sys.stderr)
-        return 1
-    print(result.value["rendered"])
-    _finish_fleet(args, telemetry)
-    if args.json:
-        path = Path(args.json)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result.value["report"], indent=2, sort_keys=True) + "\n")
-        print(f"wrote membership report JSON to {path}")
-    return 0
-
-
 def _faults_spec_dict(args) -> dict:
     """Compile the ``faults`` subcommand flags into a spec dict."""
+    from repro.errors import ConfigurationError
+
     nodes = args.nodes
+    if args.scenario in ("crash-outage-partition", "no-retry") and nodes < 3:
+        raise ConfigurationError(
+            f"--scenario {args.scenario} needs --nodes >= 3 (it crashes node 2 "
+            f"and partitions node 3), got {nodes}"
+        )
     crash_victim = min(2, nodes)
     isolated = min(3, nodes)
     # Exponential backoff with jitter is the recovery policy under test;
@@ -850,18 +703,11 @@ def _faults_spec_dict(args) -> dict:
         ]
         if args.scenario == "no-retry":
             retry = {"attempt_budget": 2}
-    raw = {
-        "name": f"faults-{args.scenario}",
-        "seed": args.seed,
-        "duration_s": args.duration_s,
-        "nodes": nodes,
-        "environments": {str(i): "triad-like" for i in range(1, nodes + 1)},
-        "faults": {
-            "schedule": schedule,
-            "recovery_deadline_s": args.deadline_s,
-            "retry": retry,
-        },
-    }
+    raw = _preset_spec(
+        args,
+        f"faults-{args.scenario}",
+        faults={"schedule": schedule, "recovery_deadline_s": args.deadline_s, "retry": retry},
+    )
     if args.sessions > 0:
         raw["service"] = {
             "sessions": args.sessions,
@@ -872,52 +718,45 @@ def _faults_spec_dict(args) -> dict:
     return raw
 
 
-def _run_faults_command(args) -> int:
+#: Preset subcommand -> (spec-dict builder, planes it prints in order).
+#: The first plane is the preset's own: ``--json`` writes its report.
+_PRESETS: dict[str, tuple[Callable, tuple[str, ...]]] = {
+    "service": (_service_spec_dict, ("service", "membership")),
+    "membership": (_membership_spec_dict, ("membership",)),
+    "faults": (_faults_spec_dict, ("faults", "service")),
+}
+
+
+def _run_preset(args) -> int:
+    """Run a preset subcommand: its flags become a spec, run as a ``spec`` task."""
     import json
     from pathlib import Path
 
     from repro.errors import ConfigurationError
-    from repro.experiments.spec import ExperimentSpec
-    from repro.fleet import RunTask
 
     invalid = _validate_fleet_flags(args)
     if invalid is not None:
         return invalid
-    if args.scenario in ("crash-outage-partition", "no-retry") and args.nodes < 3:
-        print(
-            f"error: --scenario {args.scenario} needs --nodes >= 3 (it crashes "
-            f"node 2 and partitions node 3), got {args.nodes}",
-            file=sys.stderr,
-        )
-        return 2
-    raw = _faults_spec_dict(args)
+    spec_dict, planes = _PRESETS[args.command]
     try:
-        spec = ExperimentSpec.from_dict(raw)  # fail on bad flags before any worker runs
+        task = _spec_task(spec_dict(args), args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    task = RunTask(
-        kind="faults",
-        name=spec.name,
-        seed=spec.seed,
-        duration_ns=spec.duration_ns,
-        payload={"spec": raw},
-    )
-    _apply_oracle_override([task], args.oracle)
-    _apply_membership_override([task], args.membership)
     pool, cache, telemetry = _fleet_pieces(args)
     result = pool.run([task], cache=cache, telemetry=telemetry)[0]
     if not result.ok:
-        print(f"faults run FAILED: {result.error}", file=sys.stderr)
+        print(f"{args.command} run FAILED: {result.error}", file=sys.stderr)
         return 1
-    print(result.value["rendered"])
+    print(_render_sections(result.value, planes))
     _finish_fleet(args, telemetry)
     if args.json:
+        report = result.value["planes"][args.command]["report"]
         path = Path(args.json)
         if path.parent != Path(""):
             path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result.value["report"], indent=2, sort_keys=True) + "\n")
-        print(f"wrote faults report JSON to {path}")
+        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {args.command} report JSON to {path}")
     return 0
 
 
@@ -966,18 +805,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
 
     if args.command == "run":
-        bundle, oracle_exit = _oracle_run(
-            args.oracle,
-            lambda: _membership_run(
-                args.membership,
-                lambda: _run_experiment(args.experiment, args.seed, args.duration_s),
-            ),
+        run, code = _serial_run(
+            args, lambda: _run_experiment(args.experiment, args.seed, args.duration_s)
         )
-        if bundle is None:
-            return oracle_exit
-        result, membership_reports = bundle
-        _print_result(args.experiment, result)
-        _print_membership_reports(membership_reports)
+        if run.value is None:
+            return code
+        result = run.value
+        print(_render_result(args.experiment, result))
+        if run.controllers:
+            from repro.membership import render_report
+
+            for controller in run.controllers:
+                print()
+                print(render_report(controller.report()))
         if args.export:
             from repro.analysis.export import export_experiment
 
@@ -986,7 +826,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             else:
                 paths = export_experiment(result, args.export)
                 print(f"\nwrote {len(paths)} CSV files to {args.export}/")
-        return oracle_exit
+        return code
 
     if args.command == "sweep":
         return _run_sweep(args)
@@ -995,41 +835,24 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _run_batch(args)
 
     if args.command == "run-spec":
-        from repro.experiments.figures import DriftFigureResult
         from repro.experiments.spec import ExperimentSpec
 
         spec = ExperimentSpec.load(args.spec_path)
-        bundle, oracle_exit = _oracle_run(
-            args.oracle, lambda: _membership_run(args.membership, spec.run)
-        )
-        if bundle is None:
-            return oracle_exit
-        experiment, membership_reports = bundle
-        result = DriftFigureResult(experiment=experiment, duration_ns=spec.duration_ns)
-        print(result.render(f"spec: {spec.name} ({spec.protocol}, {spec.duration_s:.0f}s)"))
-        if experiment.service is not None:
-            print()
-            print(experiment.service.report().render())
-        if experiment.membership is not None and not membership_reports:
-            # Spec-block engines are not policy-created, so they are not in
-            # the drained reports; print them directly.
-            _print_membership_reports(experiment.membership.report())
-        _print_membership_reports(membership_reports)
+        run, code = _serial_run(args, spec.run)
+        if run.value is None:
+            return code
+        print(_render_sections(spec.outcome(run.value), _SPEC_SECTIONS))
         if args.export:
             from repro.analysis.export import export_experiment
+            from repro.experiments.figures import DriftFigureResult
 
+            result = DriftFigureResult(experiment=run.value, duration_ns=spec.duration_ns)
             paths = export_experiment(result, args.export)
             print(f"\nwrote {len(paths)} CSV files to {args.export}/")
-        return oracle_exit
+        return code
 
-    if args.command == "service":
-        return _run_service_command(args)
-
-    if args.command == "membership":
-        return _run_membership_command(args)
-
-    if args.command == "faults":
-        return _run_faults_command(args)
+    if args.command in _PRESETS:
+        return _run_preset(args)
 
     if args.command == "hunt":
         return _run_hunt(args)
@@ -1057,13 +880,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             else:  # installed without the examples tree: run the essentials
                 for name in ("fig1", "inc", "fig2", "fig6", "ablation"):
                     print(f"\n=== {name} ===")
-                    _print_result(name, _run_experiment(name, None, None))
+                    print(_render_result(name, _run_experiment(name, None, None)))
             return True
 
-        _done, oracle_exit = _oracle_run(
-            args.oracle, lambda: _membership_run(args.membership, reproduce_serial)
-        )
-        return oracle_exit
+        return _serial_run(args, reproduce_serial)[1]
 
     return 1  # pragma: no cover - argparse enforces valid commands
 

@@ -219,23 +219,15 @@ class TriadCluster:
         #: crash/restart per node, down/up per TA, partition/heal per
         #: partition name (written by :mod:`repro.faults`).
         self.fault_events: list[tuple[int, str, str]] = []
-        #: Invariant oracle watching this deployment, per the process-wide
-        #: policy (None unless a policy is installed). Attaching here makes
-        #: coverage universal: every code path that wires a cluster — CLI
-        #: runs, sweeps, specs, fleet workers — is watched automatically.
-        #: (Imported lazily: repro.core.__init__ pulls this module in, so a
-        #: top-level import of repro.oracle.policy would be circular.)
-        from repro.oracle.policy import attach_from_policy
+        #: Invariant oracle and membership controller watching this
+        #: deployment, per the plane policy in scope (None when off).
+        #: Attaching here makes coverage universal: every code path that
+        #: wires a cluster — CLI runs, sweeps, specs, fleet workers — is
+        #: watched automatically. (Imported lazily: repro.core.__init__
+        #: pulls this module in, so a top-level import would be circular.)
+        from repro.oracle.policy import current_policy
 
-        self.oracle = attach_from_policy(sim, self.nodes)
-
-        #: Membership controller watching this deployment, per the
-        #: process-wide membership policy (None unless one is installed).
-        #: Same universal-coverage rationale (and same lazy-import cycle)
-        #: as the oracle attach above.
-        from repro.membership.policy import attach_from_policy as attach_membership
-
-        self.membership = attach_membership(self)
+        self.oracle, self.membership = current_policy().attach(self)
 
     # -- cluster churn -------------------------------------------------------
 

@@ -196,15 +196,17 @@ class DriftFigureResult:
 
     def render(self, title: str) -> str:
         rows = []
+        availability = self.availability()
         for i, node in enumerate(self.experiment.cluster.nodes, start=1):
             series = self.drift(i)
             final = series.final_drift_ns() / 1e6 if series.samples else float("nan")
+            frequency_hz = node.stats.latest_frequency_hz  # None: never calibrated
             rows.append(
                 [
                     node.name,
-                    f"{self.experiment.frequency_mhz(i):.3f}",
+                    "-" if frequency_hz is None else f"{frequency_hz / 1e6:.3f}",
                     f"{final:.3f}",
-                    f"{self.availability()[node.name] * 100:.2f}%",
+                    f"{availability[node.name] * 100:.2f}%",
                     node.stats.aex_count,
                     node.stats.ta_references,
                     node.stats.peer_untaints,

@@ -15,10 +15,10 @@ from typing import TYPE_CHECKING, Optional
 from repro.analysis.metrics import DriftRecorder, DriftSeries
 from repro.core.cluster import TriadCluster
 from repro.core.node import TriadNode
-from repro.errors import ConfigurationError, OracleViolationError
+from repro.errors import ConfigurationError
 from repro.net.adversary import NetworkAdversary
 from repro.oracle.expectations import expected_for
-from repro.oracle.policy import current_policy
+from repro.oracle.policy import current_policy, unexpected_error
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.oracle.oracle import InvariantOracle
@@ -47,8 +47,9 @@ class Experiment:
     service: Optional[object] = None
     #: Attached :class:`~repro.membership.MembershipController`, when the
     #: scenario runs the membership control plane (set by
-    #: :meth:`MembershipController.attach` or bound from the cluster's
-    #: policy-attached controller by the scenario builders).
+    #: :meth:`MembershipController.attach` for a spec's ``membership``
+    #: block, or bound from the cluster's policy-attached controller by
+    #: the scenario builders — one engine per cluster either way).
     membership: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -82,12 +83,7 @@ class Experiment:
             oracle.finalize(self.expected_violations)
             unexpected = oracle.unexpected_violations()
             if unexpected and current_policy().strict:
-                raise OracleViolationError(
-                    f"experiment {self.name!r}: {len(unexpected)} unexpected "
-                    f"invariant violation(s): "
-                    + ", ".join(sorted({f"{v.node}/{v.invariant}" for v in unexpected})),
-                    violations=[v.to_dict() for v in unexpected],
-                )
+                raise unexpected_error(f"experiment {self.name!r}", unexpected)
         return self
 
     # -- post-run accessors ------------------------------------------------------

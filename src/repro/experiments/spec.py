@@ -37,16 +37,16 @@ the offending entry index (``schedule[3]: ...``).
 A spec may also carry a ``service`` block (see
 :class:`repro.service.ServiceConfig`): the run then deploys per-node
 front-ends, session workloads, and Marzullo quorum clients over the
-cluster, and the fleet's ``service`` task kind reports client-visible
-SLO metrics instead of the drift table. Validation errors name the
-offending key (``service.sessions: ...``).
+cluster and reports client-visible SLO metrics next to the drift table.
+Validation errors name the offending key (``service.sessions: ...``).
 
 Two further blocks wire the membership control plane
 (:mod:`repro.membership`):
 
 * ``membership`` — ``{"mode": "observe" | "enforce", ...}`` plus any
   :class:`repro.membership.MembershipConfig` keys; attaches an epoch
-  membership engine to the cluster (replacing any policy-attached one).
+  membership engine to the cluster (it wins over the plane policy's
+  ``--membership`` mode: the cluster runs this one engine only).
 * ``churn`` — ``{"absent": [indices], "schedule": [{"t_s": ...,
   "node": ..., "action": "leave" | "join"}]}``; nodes listed in
   ``absent`` start dormant and off the fabric, and the schedule drives
@@ -54,12 +54,16 @@ Two further blocks wire the membership control plane
   that leaves during its own (re)calibration window black-holes its TA
   exchanges and the run fails with a calibration error — schedules must
   keep departures clear of FullCalib windows.
+
+:meth:`ExperimentSpec.outcome` reduces a finished run to the fleet's
+``spec`` task value: the drift table plus the report and rendering of
+every attached plane (service, membership, faults recovery).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
@@ -69,10 +73,12 @@ from repro.attacks.scheduler import at
 from repro.attacks.tscattack import TscOffsetAttack, TscScaleAttack
 from repro.core.cluster import ClusterConfig, TA_NAME, node_name
 from repro.errors import ConfigurationError
+from repro.experiments.figures import DriftFigureResult
 from repro.experiments.runner import Experiment
 from repro.experiments.scenarios import AexEnvironment, build_experiment
 from repro.hardened.node import HardenedNodeConfig, HardenedTriadNode
 from repro.hardware.aex import ExponentialAexDelays
+from repro.oracle.policy import plane_policy
 from repro.sim.units import MICROSECOND, MILLISECOND, SECOND
 
 #: Recognized protocol variants.
@@ -147,6 +153,13 @@ _SPEC_KEYS = {
 _CHURN_KEYS = {"absent", "schedule"}
 _CHURN_ENTRY_KEYS = {"t_s", "node", "action"}
 _CHURN_ACTIONS = ("leave", "join")
+
+
+def _add_adversary(experiment: Experiment, adversary) -> None:
+    """Put an on-path adversary on the fabric and allow what it causes."""
+    experiment.cluster.network.add_adversary(adversary)
+    experiment.attackers.append(adversary)
+    experiment.expected_violations |= adversary.expected_violations()
 
 
 @dataclass
@@ -467,26 +480,9 @@ class ExperimentSpec:
         return cls.from_json(Path(path).read_text())
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "seed": self.seed,
-                "duration_s": self.duration_s,
-                "nodes": self.nodes,
-                "protocol": self.protocol,
-                "environments": {str(k): v for k, v in self.environments.items()},
-                "machine_wide_mean_s": self.machine_wide_mean_s,
-                "machine_wide_correlation": self.machine_wide_correlation,
-                "ta_count": self.ta_count,
-                "attacks": self.attacks,
-                "schedule": self.schedule,
-                "service": self.service,
-                "membership": self.membership,
-                "churn": self.churn,
-                "faults": self.faults,
-            },
-            indent=2,
-        )
+        raw = asdict(self)
+        raw["environments"] = {str(k): v for k, v in self.environments.items()}
+        return json.dumps(raw, indent=2)
 
     # -- compilation ------------------------------------------------------------
 
@@ -533,15 +529,18 @@ class ExperimentSpec:
             if self.machine_wide_mean_s is None
             else int(self.machine_wide_mean_s * SECOND)
         )
-        experiment = build_experiment(
-            name=self.name,
-            seed=self.seed,
-            environments=environments,
-            machine_wide_mean_ns=machine_wide_mean,
-            machine_wide_correlation=self.machine_wide_correlation,
-            cluster_config=cluster_config,
-            notes=f"spec:{self.name}",
-        )
+        # A membership block wins over the policy's mode: build the
+        # cluster without a policy engine and attach the block's below.
+        with plane_policy(membership=None if self.membership is None else "off"):
+            experiment = build_experiment(
+                name=self.name,
+                seed=self.seed,
+                environments=environments,
+                machine_wide_mean_ns=machine_wide_mean,
+                machine_wide_correlation=self.machine_wide_correlation,
+                cluster_config=cluster_config,
+                notes=f"spec:{self.name}",
+            )
         for attack in self.attacks:
             self._apply_attack(experiment, attack)
         for index, entry in enumerate(self.schedule):
@@ -587,6 +586,42 @@ class ExperimentSpec:
         """Build and run to the configured duration."""
         return self.build().run(self.duration_ns)
 
+    def outcome(self, experiment: Experiment) -> dict[str, Any]:
+        """JSON-able result of a finished run of this spec.
+
+        ``rendered`` is the drift table; ``planes`` maps each attached
+        plane — ``service``, ``membership`` (the block's engine or the
+        policy's), ``faults`` (the recovery/MTTR report, carrying the
+        service SLOs when a service rode the faults) — to its ``report``
+        and ``rendered`` text.
+        """
+        planes: dict[str, dict[str, Any]] = {}
+        if experiment.service is not None:
+            service = experiment.service.report()
+            planes["service"] = {"report": service.to_dict(), "rendered": service.render()}
+        if experiment.membership is not None:
+            from repro.membership.engine import render_report
+
+            report = experiment.membership.report()
+            planes["membership"] = {"report": report, "rendered": render_report(report)}
+        if self.faults is not None:
+            from repro.faults import recovery_report, render_recovery_report
+
+            report = recovery_report(experiment, self._fault_plan())
+            rendered = render_recovery_report(report)
+            if "service" in planes:
+                report["service"] = planes["service"]["report"]
+            planes["faults"] = {"report": report, "rendered": rendered}
+        table = DriftFigureResult(experiment=experiment, duration_ns=self.duration_ns)
+        return {
+            "spec": self.name,
+            "rendered": table.render(
+                f"spec: {self.name} ({self.protocol}, {self.duration_s:.0f}s)"
+            ),
+            "planes": planes,
+            "sim_ns": self.duration_ns,
+        }
+
     def _apply_attack(self, experiment: Experiment, attack: dict[str, Any]) -> None:
         kind = attack["type"]
         sim = experiment.sim
@@ -600,9 +635,7 @@ class ExperimentSpec:
                 mode=AttackMode.F_PLUS if kind == "fplus" else AttackMode.F_MINUS,
                 added_delay_ns=int(attack.get("delay_ms", 100)) * MILLISECOND,
             )
-            cluster.network.add_adversary(adversary)
-            experiment.attackers.append(adversary)
-            experiment.expected_violations |= adversary.expected_violations()
+            _add_adversary(experiment, adversary)
         elif kind == "ta-blackhole":
             victims = attack.get("victims")
             adversary = TaBlackholeAttack(
@@ -614,9 +647,7 @@ class ExperimentSpec:
                     int(attack["stop_s"] * SECOND) if "stop_s" in attack else None
                 ),
             )
-            cluster.network.add_adversary(adversary)
-            experiment.attackers.append(adversary)
-            experiment.expected_violations |= adversary.expected_violations()
+            _add_adversary(experiment, adversary)
         elif kind == "tsc-scale":
             machine = cluster.node_machines[int(attack.get("victim", 1)) - 1]
             TscScaleAttack(
@@ -715,9 +746,7 @@ class ExperimentSpec:
                 start_ns=t_ns,
                 stop_ns=stop_ns,
             )
-            cluster.network.add_adversary(adversary)
-            experiment.attackers.append(adversary)
-            experiment.expected_violations |= adversary.expected_violations()
+            _add_adversary(experiment, adversary)
         elif primitive == "net-delay":
             adversary = CalibrationDelayAttacker(
                 sim,
@@ -727,9 +756,7 @@ class ExperimentSpec:
                 added_delay_ns=int(float(params.get("delay_ms", 100)) * MILLISECOND),
                 active=False,
             )
-            cluster.network.add_adversary(adversary)
-            experiment.attackers.append(adversary)
-            experiment.expected_violations |= adversary.expected_violations()
+            _add_adversary(experiment, adversary)
             at(sim, t_ns, adversary.enable, name=f"{tag}-start")
             if stop_ns is not None:
                 at(sim, stop_ns, adversary.disable, name=f"{tag}-stop")

@@ -13,12 +13,19 @@ objects. That buys three things at once:
   nothing else, so the result is a pure function of the task.
 
 Executors are registered per ``kind`` with :func:`register_runner`; the
-built-in kinds are ``sweep-point``, ``spec``, ``service``, ``hunt-genome``,
-``membership`` and ``experiment``. An
-executor returns a JSON-able dict (it must round-trip through
-``json.dumps``/``loads`` unchanged — the cache stores it that way) and
-should include a ``sim_ns`` entry so telemetry can report simulated
-seconds per wall second.
+built-in kinds are ``sweep-point``, ``spec``, ``hunt-genome`` and
+``experiment``. A ``spec`` task returns the drift table plus the report
+and rendering of every plane the spec attached (service, membership,
+faults recovery); the CLI's ``service``, ``membership`` and ``faults``
+subcommands are presets building such tasks. An executor returns a
+JSON-able dict (it must round-trip through ``json.dumps``/``loads``
+unchanged — the cache stores it that way) and should include a
+``sim_ns`` entry so telemetry can report simulated seconds per wall
+second.
+
+:func:`execute_task` runs every kind through the one plane runner,
+:func:`repro.oracle.policy.run_planes`, with the task's ``oracle`` and
+``membership`` overrides as the requested modes.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.errors import FleetError, OracleViolationError
+from repro.errors import FleetError
 
 
 @dataclass
@@ -135,84 +142,28 @@ def runner_for(kind: str) -> Callable[[RunTask], dict]:
 def execute_task(task: RunTask) -> dict:
     """Run a task in-process and return its JSON-able result value.
 
-    When ``task.overrides["oracle"]`` is ``warn`` or ``strict``, the
-    matching oracle policy is installed for the duration of the run (this
-    is how the oracle mode crosses worker-process boundaries: it rides in
-    the pickled task, not in inherited process state). Violations observed
-    by any oracle the run created are appended to the result value under
-    ``"violations"``; in strict mode, unexpected violations raise
+    ``task.overrides["oracle"]`` and ``["membership"]`` are the plane
+    modes the run gets (this is how they cross worker-process
+    boundaries: they ride in the pickled task, not in inherited process
+    state). Violations observed by any oracle the run created are
+    appended to the result value under ``"violations"``; in strict mode,
+    unexpected violations raise
     :class:`~repro.errors.OracleViolationError`.
     """
-    mode = str(task.overrides.get("oracle") or "off")
-    membership_mode = str(task.overrides.get("membership") or "off")
-    if mode == "off" and membership_mode == "off":
-        return runner_for(task.kind)(task)
+    from repro.oracle.policy import run_planes
 
-    from contextlib import ExitStack
-
-    controllers: list = []
-    oracles: list = []
-    with ExitStack() as stack:
-        if membership_mode != "off":
-            from repro.membership.policy import (
-                drain_created_controllers,
-                membership_policy,
-            )
-
-            stack.enter_context(membership_policy(membership_mode))
-            drain_created_controllers()
-        if mode != "off":
-            from repro.oracle.policy import drain_created_oracles, oracle_policy
-
-            stack.enter_context(oracle_policy(mode))
-            drain_created_oracles()
-        try:
-            value = runner_for(task.kind)(task)
-        finally:
-            if membership_mode != "off":
-                controllers = drain_created_controllers()
-            if mode != "off":
-                oracles = drain_created_oracles()
-
-    # (node, invariant) pairs the membership engine downgraded to expected
-    # by quarantining/evicting the node — a cut node's violations are the
-    # containment working, so strict mode must not fail on them.
-    downgrades: set = set()
-    reports: list[dict] = []
-    for controller in controllers:
-        downgrades |= controller.expected_downgrades
-        if not controller.retired:
-            reports.append(controller.report())
-    if isinstance(value, dict) and reports:
-        value = {**value, "membership": reports[0] if len(reports) == 1 else reports}
-
-    violations: list[dict] = []
-    unexpected: list[dict] = []
-    for oracle in oracles:
-        if not oracle.name:
-            # Scenario runners name their oracle (and freeze its expected
-            # set) through Experiment.run; this is the fallback for runs
-            # that never went through an Experiment.
-            oracle.name = task.name
-        oracle.finalize()
-        if downgrades and oracle.expected is None:
-            # Runs that went through Experiment.run already folded the
-            # downgrades into their expected set; this is the fallback.
-            from repro.oracle.expectations import expected_for
-
-            oracle.expected = frozenset(set(expected_for(oracle.name)) | downgrades)
-        violations.extend(v.to_dict() for v in oracle.violations)
-        unexpected.extend(v.to_dict() for v in oracle.unexpected_violations())
-    if isinstance(value, dict) and violations:
-        value = {**value, "violations": violations}
-    if unexpected and mode == "strict":
-        pairs = sorted({f"{v['node']}/{v['invariant']}" for v in unexpected})
-        raise OracleViolationError(
-            f"task {task.name!r}: {len(unexpected)} unexpected invariant "
-            f"violation(s): " + ", ".join(pairs),
-            violations=unexpected,
-        )
-    return value
+    run = run_planes(
+        lambda: runner_for(task.kind)(task),
+        oracle=task.overrides.get("oracle"),
+        membership=task.overrides.get("membership"),
+        name=task.name,
+    )
+    if run.failure is not None:
+        raise run.failure
+    violations = [v.to_dict() for oracle in run.oracles for v in oracle.violations]
+    if isinstance(run.value, dict) and violations:
+        return {**run.value, "violations": violations}
+    return run.value
 
 
 def result_sim_ns(value: Any) -> int:
@@ -268,101 +219,10 @@ def _run_sweep_point(task: RunTask) -> dict:
 @register_runner("spec")
 def _run_spec(task: RunTask) -> dict:
     """Execute a declarative experiment spec (``repro.experiments.spec``)."""
-    from repro.experiments.figures import DriftFigureResult
     from repro.experiments.spec import ExperimentSpec
 
     spec = ExperimentSpec.from_dict(dict(task.payload["spec"]))
-    experiment = spec.run()
-    result = DriftFigureResult(experiment=experiment, duration_ns=spec.duration_ns)
-    return {
-        "spec": spec.name,
-        "rendered": result.render(
-            f"spec: {spec.name} ({spec.protocol}, {spec.duration_s:.0f}s)"
-        ),
-        "frequencies_mhz": result.frequencies_mhz(),
-        "availability": result.availability(),
-        "sim_ns": spec.duration_ns,
-    }
-
-
-@register_runner("service")
-def _run_service(task: RunTask) -> dict:
-    """Execute a service-workload spec and report client-visible SLOs."""
-    from repro.experiments.spec import ExperimentSpec
-
-    spec = ExperimentSpec.from_dict(dict(task.payload["spec"]))
-    if spec.service is None:
-        raise FleetError(
-            f"service task {task.name!r} needs a spec with a 'service' block"
-        )
-    experiment = spec.run()
-    report = experiment.service.report()
-    return {
-        "spec": spec.name,
-        "report": report.to_dict(),
-        "rendered": report.render(),
-        "sim_ns": spec.duration_ns,
-    }
-
-
-@register_runner("membership")
-def _run_membership(task: RunTask) -> dict:
-    """Execute a membership-plane spec and report verdicts/containment."""
-    from repro.experiments.spec import ExperimentSpec
-    from repro.membership.engine import render_report
-
-    spec = ExperimentSpec.from_dict(dict(task.payload["spec"]))
-    if spec.membership is None:
-        raise FleetError(
-            f"membership task {task.name!r} needs a spec with a 'membership' block"
-        )
-    experiment = spec.run()
-    report = experiment.membership.report()
-    drift = {
-        node.name: experiment.recorder[node.name].samples[-1][1]
-        if experiment.recorder[node.name].samples
-        else None
-        for node in experiment.cluster.nodes
-    }
-    return {
-        "spec": spec.name,
-        "report": report,
-        "final_drift_ns": drift,
-        "rendered": render_report(report),
-        "sim_ns": spec.duration_ns,
-    }
-
-
-@register_runner("faults")
-def _run_faults(task: RunTask) -> dict:
-    """Execute a fault-injection spec and report recovery/MTTR."""
-    from repro.experiments.spec import ExperimentSpec
-    from repro.faults import FaultPlan, recovery_report, render_recovery_report
-
-    spec = ExperimentSpec.from_dict(dict(task.payload["spec"]))
-    if spec.faults is None:
-        raise FleetError(
-            f"faults task {task.name!r} needs a spec with a 'faults' block"
-        )
-    experiment = spec.run()
-    plan = FaultPlan.from_spec(
-        spec.faults,
-        nodes=spec.nodes,
-        ta_count=spec.ta_count,
-        duration_s=spec.duration_s,
-    )
-    report = recovery_report(experiment, plan)
-    rendered = render_recovery_report(report)
-    if experiment.service is not None:
-        service_report = experiment.service.report()
-        report["service"] = service_report.to_dict()
-        rendered += "\n\n" + service_report.render()
-    return {
-        "spec": spec.name,
-        "report": report,
-        "rendered": rendered,
-        "sim_ns": spec.duration_ns,
-    }
+    return spec.outcome(spec.run())
 
 
 @register_runner("hunt-genome")
@@ -376,12 +236,12 @@ def _run_hunt_genome(task: RunTask) -> dict:
 @register_runner("experiment")
 def _run_experiment(task: RunTask) -> dict:
     """Execute one canonical experiment from the CLI registry."""
-    from repro.cli import _EXPERIMENTS
+    from repro.cli import _EXPERIMENTS, _render_result
 
     name = task.payload.get("experiment")
     if name not in _EXPERIMENTS:
         raise FleetError(f"unknown experiment {name!r}; choose from {sorted(_EXPERIMENTS)}")
-    description, default_duration, runner = _EXPERIMENTS[name]
+    _description, default_duration, runner = _EXPERIMENTS[name]
     if default_duration is None:
         # fig1 / inc / ablation: built-in seed and span, no knobs.
         result = runner(None)
@@ -391,8 +251,4 @@ def _run_experiment(task: RunTask) -> dict:
         kwargs = {} if task.seed is None else {"seed": task.seed}
         result = runner(duration_ns=duration_ns, **kwargs)
         sim_ns = duration_ns
-    try:
-        rendered = result.render()
-    except TypeError:
-        rendered = result.render(description)
-    return {"experiment": name, "rendered": rendered, "sim_ns": sim_ns}
+    return {"experiment": name, "rendered": _render_result(name, result), "sim_ns": sim_ns}

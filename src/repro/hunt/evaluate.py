@@ -12,9 +12,9 @@ into the standard hunt scenario via
 :class:`~repro.hunt.coverage.CoverageCollector` to every node's probe hub
 *before* the run, and reports the visited coverage tuples. Oracle
 violations arrive by the fleet's existing mechanism: hunt tasks carry
-``overrides={"oracle": "warn"}``, so ``execute_task`` installs a warn-mode
-policy around the runner and appends all observed violation records to the
-result value — warn, not strict, because a violation is the hunt's prize,
+``overrides={"oracle": "warn"}``, so ``execute_task`` runs the runner
+under a warn-mode plane scope and appends all observed violation records
+to the result value — warn, not strict, because a violation is the hunt's prize,
 not its failure mode.
 """
 

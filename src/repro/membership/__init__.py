@@ -14,9 +14,13 @@ peer equally forever. This package adds the missing control plane:
   per-epoch group secret so non-members are cryptographically cut off
   (:func:`repro.net.crypto.derive_epoch_secret`);
 * :mod:`repro.membership.config` — the validated ``membership`` spec
-  block;
-* :mod:`repro.membership.policy` — the process-wide ``--membership``
-  policy mirroring :mod:`repro.oracle.policy`.
+  block.
+
+Which runs get a controller is decided by the one scoped plane policy in
+:mod:`repro.oracle.policy` (``--membership`` on the CLI, the
+``membership`` task override in the fleet), shared with the oracle; a
+spec's ``membership`` block wins over it, and a cluster never runs more
+than one engine.
 
 Cluster churn (join/leave/rejoin) is the companion scenario axis, wired
 in :class:`repro.core.cluster.TriadCluster`; the headline experiment —
@@ -28,32 +32,16 @@ pinned in ``tests/membership/`` and documented in ``docs/membership.md``.
 from repro.membership.config import MembershipConfig
 from repro.membership.engine import CONTROLLER_MODES, MembershipController, render_report
 from repro.membership.evidence import EpochEvidence, EvidenceCollector, member_median
-from repro.membership.policy import (
-    MEMBERSHIP_MODES,
-    MembershipPolicy,
-    clear_membership_policy,
-    current_policy,
-    drain_created_controllers,
-    install_membership_policy,
-    membership_policy,
-)
 from repro.membership.verdicts import MembershipEvent, MembershipVerdict
 
 __all__ = [
     "CONTROLLER_MODES",
-    "MEMBERSHIP_MODES",
     "EpochEvidence",
     "EvidenceCollector",
     "MembershipConfig",
     "MembershipController",
     "MembershipEvent",
-    "MembershipPolicy",
     "MembershipVerdict",
-    "clear_membership_policy",
-    "current_policy",
-    "drain_created_controllers",
-    "install_membership_policy",
     "member_median",
-    "membership_policy",
     "render_report",
 ]

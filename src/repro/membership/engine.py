@@ -98,7 +98,6 @@ class MembershipController:
         #: a quarantined node answers samples the collector cannot score.
         self._last_dirty = {name: False for name in self._verdicts}
         self._expected: Optional[set] = None
-        self._retired = False
         self.process = self.sim.process(self._run(), name="membership/engine")
 
     # -- wiring -----------------------------------------------------------------
@@ -112,13 +111,13 @@ class MembershipController:
     ) -> "MembershipController":
         """Create the controller and register it on the experiment.
 
-        Replaces (retires) any policy-attached controller the cluster
-        already carries, so a spec's explicit ``membership`` block wins
-        over the process-wide default without running two engines.
+        A cluster runs at most one engine: a spec's ``membership`` block
+        wins over the plane policy by building its cluster with policy
+        membership off (see :meth:`repro.experiments.spec.ExperimentSpec.build`).
         """
         cluster = experiment.cluster
         if cluster.membership is not None:
-            cluster.membership.retire()
+            raise ConfigurationError(f"{experiment.name!r} already has a membership controller")
         controller = cls(cluster, config=config, mode=mode)
         cluster.membership = controller
         experiment.membership = controller
@@ -135,15 +134,6 @@ class MembershipController:
         self._expected = expected
         expected |= self.expected_downgrades
 
-    def retire(self) -> None:
-        """Stop the engine at its next wake-up (no further samples)."""
-        self._retired = True
-
-    @property
-    def retired(self) -> bool:
-        """Whether this controller has been replaced/stopped."""
-        return self._retired
-
     def verdict(self, name: str) -> MembershipVerdict:
         """Current verdict for a node name."""
         if name not in self._verdicts:
@@ -158,8 +148,6 @@ class MembershipController:
         while True:
             for _ in range(samples_per_epoch):
                 yield self.sim.timeout(interval)
-                if self._retired:
-                    return
                 self._sample()
             self._close_epoch()
 

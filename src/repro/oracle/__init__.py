@@ -4,7 +4,9 @@ The oracle subsystem verifies simulation runs event-by-event: every
 instrumented observation (timestamps served, untaints applied, state
 transitions) is judged against the simulator's omniscient clock, catching
 both loud failures (drift out of bound) and silent ones (a node serving
-wrong time while reporting ``OK``). See ``docs/oracle.md``.
+wrong time while reporting ``OK``). :mod:`repro.oracle.policy` holds the
+scoped plane policy deciding which runs get an oracle (and a membership
+controller), and the one runner judging them. See ``docs/oracle.md``.
 """
 
 from repro.oracle.expectations import (
@@ -16,14 +18,15 @@ from repro.oracle.expectations import (
 )
 from repro.oracle.oracle import InvariantOracle, OracleConfig, watch_cluster
 from repro.oracle.policy import (
+    MEMBERSHIP_MODES,
     ORACLE_MODES,
-    OraclePolicy,
-    attach_from_policy,
-    clear_oracle_policy,
+    PlaneRun,
+    PlaneScope,
     current_policy,
     drain_created_oracles,
-    install_oracle_policy,
     oracle_policy,
+    plane_policy,
+    run_planes,
 )
 from repro.oracle.violations import (
     INVARIANTS,
@@ -39,20 +42,21 @@ __all__ = [
     "EXPECTED_VIOLATIONS",
     "INVARIANTS",
     "InvariantOracle",
+    "MEMBERSHIP_MODES",
     "ORACLE_MODES",
     "OracleConfig",
-    "OraclePolicy",
+    "PlaneRun",
+    "PlaneScope",
     "SEVERITIES",
     "SEVERITY_WEIGHTS",
     "Violation",
-    "attach_from_policy",
-    "clear_oracle_policy",
     "current_policy",
     "drain_created_oracles",
     "expected_for",
-    "install_oracle_policy",
     "is_expected",
     "oracle_policy",
+    "plane_policy",
+    "run_planes",
     "unexpected_keys",
     "violation_score",
     "violation_set",

@@ -98,6 +98,14 @@ class Event:
     #: state set by timeouts is visible to resumed processes.
     priority: int = 1
 
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # The kernel's calendar has exactly one ring per priority 0..2.
+        if type(cls.priority) is not int or not 0 <= cls.priority <= 2:
+            raise SimulationError(
+                f"{cls.__name__}.priority must be an int in 0..2, got {cls.priority!r}"
+            )
+
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self._state = 0

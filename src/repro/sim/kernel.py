@@ -39,9 +39,11 @@ drained before the calendar's next slot.
 
 Determinism contract: within one tick, events process in ascending priority
 (0 = Timeout, 1 = Event, 2 = Process completion), FIFO within a priority.
-This is exactly the old ``(time, priority, seq)`` heap order. Exotic
-priorities (anything but ints 0..2) degrade the whole simulator to a pure
-heap with the same ordering rules — correctness over speed for extensions.
+This is exactly the old ``(time, priority, seq)`` heap order. No other
+priority exists: defining an :class:`~repro.sim.events.Event` subclass
+with a priority outside 0..2 raises
+:class:`~repro.sim.events.SimulationError`, so the three rings order every
+event the kernel can see.
 """
 
 from __future__ import annotations
@@ -69,9 +71,6 @@ from repro.sim.rng import RngRegistry
 #: per-node protocol cadence (µs-scale local steps) stays on the fast path;
 #: ms-scale gaps go through a rebase, which lands the next event at slot 0.
 _SLOTS = 8192
-
-#: Sentinel epoch that forces every schedule onto the heap (pure-heap mode).
-_FAR_PAST = -(1 << 62)
 
 _object_new = object.__new__
 
@@ -116,7 +115,6 @@ class Simulator:
         # (checked via sys.getrefcount) are reinitialized in place by
         # :meth:`timeout` instead of allocated fresh.
         self._free: list[Timeout] = []
-        self._pure_heap: bool = False
         self._active_process: Optional[Process] = None
         # Keyed structure: O(1) idempotent add/remove, insertion-ordered.
         self._trace_hooks: dict = {}
@@ -211,51 +209,19 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         prio = event.priority
-        if type(prio) is int and 0 <= prio <= 2:
-            time = self._now + delay
-            rel = time - self._epoch
-            if self._cursor <= rel < _SLOTS:
-                ring = self._ring0 if prio == 0 else (self._ring1 if prio == 1 else self._ring2)
-                bucket = ring[rel]
-                if bucket is None:
-                    ring[rel] = [event]
-                    self._occ[rel] = 1
-                else:
-                    bucket.append(event)
+        time = self._now + delay
+        rel = time - self._epoch
+        if self._cursor <= rel < _SLOTS:
+            ring = self._ring0 if prio == 0 else (self._ring1 if prio == 1 else self._ring2)
+            bucket = ring[rel]
+            if bucket is None:
+                ring[rel] = [event]
+                self._occ[rel] = 1
             else:
-                self._seq += 1
-                heappush(self._heap, (time, prio, self._seq, event))
-            return
-        # Exotic priority (subclass experiment, float, …): the 3-ring
-        # calendar cannot order it. Fall back to a pure heap for the rest
-        # of this simulator's life — correct, merely slower.
-        self._degrade_to_heap()
-        self._seq += 1
-        heappush(self._heap, (self._now + delay, prio, self._seq, event))
-
-    def _degrade_to_heap(self) -> None:
-        """Flush the calendar into the heap and stay in pure-heap mode."""
-        if self._pure_heap:
-            return
-        self._pure_heap = True
-        heap = self._heap
-        occ = self._occ
-        epoch = self._epoch
-        idx = occ.find(1, self._cursor)
-        while idx >= 0:
-            time = epoch + idx
-            for prio, ring in ((0, self._ring0), (1, self._ring1), (2, self._ring2)):
-                bucket = ring[idx]
-                if bucket:
-                    for event in bucket:
-                        if not event._state & ST_PROCESSED:
-                            self._seq += 1
-                            heappush(heap, (time, prio, self._seq, event))
-                    ring[idx] = None
-            occ[idx] = 0
-            idx = occ.find(1, idx + 1)
-        self._cursor = 0
-        self._epoch = _FAR_PAST  # every future rel >= _SLOTS -> heap path
+                bucket.append(event)
+        else:
+            self._seq += 1
+            heappush(self._heap, (time, prio, self._seq, event))
 
     # -- cancelled-event reaping ----------------------------------------------
 
@@ -320,8 +286,6 @@ class Simulator:
 
     def _suspend_slot(self, idx: int, i0: int, i1: int, i2: int) -> None:
         """Drop the processed prefix of slot ``idx`` after an early exit."""
-        if self._pure_heap:
-            return  # _degrade_to_heap already rehomed the remainder
         remaining = 0
         for count, ring in ((i0, self._ring0), (i1, self._ring1), (i2, self._ring2)):
             bucket = ring[idx]
@@ -365,8 +329,6 @@ class Simulator:
                 raise event._value
             if stop is not None and stop._state & ST_PROCESSED:
                 return True
-            if self._pure_heap:
-                return False  # caller's loop top switches modes
         return False
 
     def _run(self, limit: Optional[int], stop: Optional[Event]) -> None:
@@ -381,9 +343,6 @@ class Simulator:
         trace_hooks = self._trace_hooks
         free_append = self._free.append
         while True:
-            if self._pure_heap:
-                self._run_pure_heap(limit, stop)
-                return
             # Find the next occupied tick.
             idx = occ.find(1, self._cursor)
             if idx < 0:
@@ -505,12 +464,6 @@ class Simulator:
                     event._value = None
                     event._callbacks = None
                     free_append(event)
-                if self._pure_heap:
-                    # A callback introduced an exotic priority mid-slot;
-                    # the remainder of this slot now lives in the heap.
-                    break
-            if self._pure_heap:
-                continue
             # Slot fully drained: release the bucket lists.
             if s0 is not None:
                 ring0[idx] = None
@@ -521,43 +474,10 @@ class Simulator:
             occ[idx] = 0
             self._cursor = idx + 1
 
-    def _run_pure_heap(self, limit: Optional[int], stop: Optional[Event]) -> None:
-        """Degraded loop: classic heap order, used after exotic priorities."""
-        heap = self._heap
-        trace_hooks = self._trace_hooks
-        while heap:
-            if not trace_hooks and heap[0][3]._state & ST_DEAD:
-                heappop(heap)
-                self._cancelled -= 1
-                continue
-            when = heap[0][0]
-            if limit is not None and when > limit:
-                return
-            _, _, _, event = heappop(heap)
-            self._now = when
-            event._process()
-            if trace_hooks:
-                for hook in tuple(trace_hooks):
-                    hook(when)
-            if not event._state & ST_OK and not event._state & ST_DEFUSED:
-                raise event._value
-            if stop is not None and stop._state & ST_PROCESSED:
-                return
-
     def step(self) -> None:
         """Process the single next event, advancing the clock to it."""
         trace_hooks = self._trace_hooks
         heap = self._heap
-        if self._pure_heap:
-            while heap:
-                when, _prio, _seq, event = heappop(heap)
-                if not trace_hooks and event._state & ST_DEAD:
-                    self._cancelled -= 1
-                    continue
-                self._now = when
-                self._dispatch(event, when)
-                return
-            raise EmptySchedule("no more events scheduled")
         occ = self._occ
         while True:
             idx = occ.find(1, self._cursor)

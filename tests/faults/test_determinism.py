@@ -61,7 +61,7 @@ def _tasks():
         },
     }
     return [
-        RunTask(name=spec["name"], kind="faults", payload={"spec": spec})
+        RunTask(name=spec["name"], kind="spec", payload={"spec": spec})
         for spec in (mixed_spec, flap_spec)
     ]
 
@@ -83,7 +83,7 @@ def test_repeated_serial_runs_are_byte_identical():
     second = _canonical(FleetPool(jobs=1).run(_tasks(), cache=None))
     assert first == second
     # Not vacuous: the report actually carries fault content.
-    value = json.loads(first[0])
-    assert value["report"]["faults"]
-    assert value["report"]["recovered_all"] is True
-    assert value["report"]["nodes"]["node-2"]["crashes"] == 1
+    report = json.loads(first[0])["planes"]["faults"]["report"]
+    assert report["faults"]
+    assert report["recovered_all"] is True
+    assert report["nodes"]["node-2"]["crashes"] == 1

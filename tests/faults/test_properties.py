@@ -15,6 +15,8 @@ from repro.experiments.spec import ExperimentSpec
 from repro.faults import FaultPlan, recovery_report
 from repro.oracle.policy import oracle_policy
 
+from tests.conftest import examples
+
 DURATION_S = 30.0
 DEADLINE_S = 15.0
 NODES = 3
@@ -107,7 +109,7 @@ def fault_schedules(draw):
 
 class TestLivenessUnderFaults:
     @given(schedule=fault_schedules(), seed=st.integers(min_value=1, max_value=50))
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=examples(8), deadline=None)
     def test_faults_healing_before_deadline_window_always_recover(
         self, schedule, seed
     ):

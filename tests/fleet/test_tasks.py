@@ -63,7 +63,11 @@ class TestRegistry:
             runner_for("not-a-kind")
 
     def test_builtin_kinds_registered(self):
-        for kind in ("sweep-point", "spec", "experiment"):
+        from repro.fleet.tasks import _RUNNERS
+
+        builtin = {k for k, fn in _RUNNERS.items() if fn.__module__ == "repro.fleet.tasks"}
+        assert builtin == {"sweep-point", "spec", "hunt-genome", "experiment"}
+        for kind in builtin:
             assert callable(runner_for(kind))
 
     def test_result_sim_ns_tolerates_non_dicts(self):

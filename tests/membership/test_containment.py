@@ -13,25 +13,15 @@ bound within seconds of the onset.
 import pytest
 
 from repro.experiments.scenarios import fault_free_triad_like, fminus_propagation
-from repro.membership import (
-    MembershipVerdict,
-    drain_created_controllers,
-    membership_policy,
-)
+from repro.membership import MembershipVerdict
+from repro.oracle.policy import plane_policy
 from repro.sim.units import MILLISECOND, SECOND
 
 DRIFT_BOUND_NS = 500 * MILLISECOND
 
 
-@pytest.fixture(autouse=True)
-def _clean_policy_controllers():
-    yield
-    drain_created_controllers()
-
-
 def _propagation(mode: str, duration_s: int):
-    with membership_policy(mode):
-        drain_created_controllers()
+    with plane_policy(membership=mode):
         experiment = fminus_propagation(seed=6, switch_at_ns=3 * SECOND)
         experiment.run(duration_s * SECOND)
     return experiment
@@ -157,8 +147,7 @@ class TestProbationCredit:
 class TestFalsePositives:
     @pytest.mark.parametrize("seed", [2, 3, 4])
     def test_fault_free_runs_flip_no_verdicts(self, seed):
-        with membership_policy("observe"):
-            drain_created_controllers()
+        with plane_policy(membership="observe"):
             experiment = fault_free_triad_like(seed=seed)
             experiment.run(12 * SECOND)
         report = experiment.membership.report()

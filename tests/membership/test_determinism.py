@@ -40,7 +40,7 @@ def _tasks():
         "attacks": [{"type": "fminus", "victim": 3, "delay_ms": 100}],
     }
     return [
-        RunTask(name=spec["name"], kind="membership", payload={"spec": spec})
+        RunTask(name=spec["name"], kind="spec", payload={"spec": spec})
         for spec in (churn_spec, attack_spec)
     ]
 
@@ -62,6 +62,6 @@ def test_repeated_serial_runs_are_byte_identical():
     assert first == second
     # The reports actually carry content (verdicts + churn), so the
     # equality above is not vacuous.
-    value = json.loads(first[0])
-    assert value["report"]["churn"]
-    assert value["report"]["verdicts"]
+    report = json.loads(first[0])["planes"]["membership"]["report"]
+    assert report["churn"]
+    assert report["verdicts"]

@@ -8,13 +8,9 @@ from repro.membership import (
     MembershipConfig,
     MembershipController,
     MembershipVerdict,
-    clear_membership_policy,
-    current_policy,
-    drain_created_controllers,
-    install_membership_policy,
-    membership_policy,
     render_report,
 )
+from repro.oracle.policy import current_policy, plane_policy
 from repro.sim.kernel import Simulator
 
 DIRTY = 40_000_000  # > suspect threshold (25 ms)
@@ -200,34 +196,37 @@ class TestReport:
 
 
 class TestPolicy:
-    def teardown_method(self):
-        clear_membership_policy()
-        drain_created_controllers()
-
     def test_policy_off_attaches_nothing(self):
         sim = Simulator(seed=1)
         cluster = TriadCluster(sim, ClusterConfig(node_count=3))
         assert cluster.membership is None
 
     def test_policy_attaches_and_drains(self):
-        install_membership_policy("observe")
-        drain_created_controllers()
-        sim = Simulator(seed=1)
-        cluster = TriadCluster(sim, ClusterConfig(node_count=3))
-        assert cluster.membership is not None
-        assert cluster.membership.mode == "observe"
-        drained = drain_created_controllers()
-        assert drained == [cluster.membership]
-        assert drain_created_controllers() == []
+        with plane_policy(membership="observe") as scope:
+            sim = Simulator(seed=1)
+            cluster = TriadCluster(sim, ClusterConfig(node_count=3))
+            assert cluster.membership is not None
+            assert cluster.membership.mode == "observe"
+            assert scope.drain() == ([], [cluster.membership])
+            assert scope.drain() == ([], [])
 
     def test_context_manager_restores_previous_policy(self):
-        assert current_policy().mode == "off"
-        with membership_policy("enforce"):
-            assert current_policy().mode == "enforce"
-        assert current_policy().mode == "off"
+        assert current_policy().membership == "off"
+        with plane_policy(membership="enforce"):
+            assert current_policy().membership == "enforce"
+        assert current_policy().membership == "off"
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigurationError):
-            install_membership_policy("audit")
+            with plane_policy(membership="audit"):
+                pass
         with pytest.raises(ConfigurationError):
             make_controller(mode="off")
+
+    def test_second_engine_on_one_cluster_rejected(self):
+        from repro.experiments.scenarios import fault_free_triad_like
+
+        with plane_policy(membership="observe"):
+            experiment = fault_free_triad_like(seed=2)
+        with pytest.raises(ConfigurationError, match="already has a membership controller"):
+            MembershipController.attach(experiment)

@@ -1,10 +1,10 @@
-"""Spec-level membership/churn blocks and the fleet ``membership`` runner."""
+"""Spec-level membership/churn blocks and their plane in the fleet ``spec`` task."""
 
 import json
 
 import pytest
 
-from repro.errors import ConfigurationError, FleetError
+from repro.errors import ConfigurationError
 from repro.experiments.spec import ExperimentSpec
 from repro.fleet.tasks import RunTask, execute_task
 
@@ -108,20 +108,27 @@ class TestFleetRunner:
     def test_membership_task_reports_verdicts_and_drift(self):
         task = RunTask(
             name="membership-unit",
-            kind="membership",
+            kind="spec",
             payload={"spec": _spec_dict(duration_s=3.0)},
         )
         value = execute_task(task)
         assert value["spec"] == "membership-unit"
-        assert set(value["report"]["verdicts"]) == {"node-1", "node-2", "node-3"}
-        assert set(value["final_drift_ns"]) == {"node-1", "node-2", "node-3"}
-        assert "mode=observe" in value["rendered"]
+        plane = value["planes"]["membership"]
+        assert set(plane["report"]["verdicts"]) == {"node-1", "node-2", "node-3"}
+        assert "mode=observe" in plane["rendered"]
+        for name in ("node-1", "node-2", "node-3"):
+            assert name in value["rendered"]  # the drift table rides along
         # The whole result is JSON-plain for fleet caching.
         assert json.loads(json.dumps(value)) == value
 
-    def test_spec_without_membership_block_is_a_fleet_error(self):
+    def test_no_block_means_no_membership_plane(self):
         spec = _spec_dict(duration_s=3.0)
         del spec["membership"]
-        task = RunTask(name="bad", kind="membership", payload={"spec": spec})
-        with pytest.raises(FleetError, match="membership"):
-            execute_task(task)
+        value = execute_task(RunTask(name="plain", kind="spec", payload={"spec": spec}))
+        assert value["planes"] == {}
+        # ...unless the plane policy asks for one.
+        task = RunTask(
+            name="plain", kind="spec", payload={"spec": spec},
+            overrides={"membership": "observe"},
+        )
+        assert execute_task(task)["planes"]["membership"]["report"]["mode"] == "observe"

@@ -1,10 +1,10 @@
-"""Calendar-queue kernel tests: windows, rebase, reaping, degrade modes.
+"""Calendar-queue kernel tests: windows, rebase, reaping, priorities.
 
 The contract tests in ``test_kernel.py`` pin the user-visible semantics;
 this file exercises the queue *mechanics* introduced by the slot-calendar
 overhaul (see ``docs/kernel.md``): the overflow heap for far-future events,
 window rebase, late entries scheduled behind the drain cursor, cancelled
-event reaping, and the pure-heap degrade path for exotic priorities.
+event reaping, and the rejection of priorities outside the three rings.
 """
 
 import pytest
@@ -154,42 +154,22 @@ class TestCancelledReaping:
         assert sim._cancelled == 0
 
 
-class TestExoticPriorityDegrade:
-    def test_exotic_priority_orders_before_timeouts(self):
-        sim = Simulator()
+class TestPriorityRejection:
+    @pytest.mark.parametrize("priority", [-1, 3, 9, 1.5, "1", None])
+    def test_priority_outside_the_rings_is_rejected_at_definition(self, priority):
+        with pytest.raises(SimulationError, match="priority must be an int in 0..2"):
+            type("Exotic", (Event,), {"priority": priority})
 
-        class Urgent(Event):
-            priority = -1
-
+    def test_ring_priorities_are_accepted(self):
         order = []
-        sim.timeout(5)._add_callback(lambda _e: order.append("timeout"))
-        urgent = Urgent(sim)
-        urgent._add_callback(lambda _e: order.append("urgent"))
-        urgent.succeed(delay=5)
-        assert sim._pure_heap
-        sim.run()
-        assert order == ["urgent", "timeout"]
-
-    def test_degraded_simulator_still_supports_everything(self):
         sim = Simulator()
-
-        class Lazy(Event):
-            priority = 9
-
-        Lazy(sim).succeed(delay=1)
-        done = []
-
-        def p():
-            yield sim.timeout(3)
-            done.append(sim.now)
-
-        sim.process(p())
-        sim.run(until=2)
-        assert sim.now == 2
+        for priority in (2, 1, 0):
+            cls = type(f"P{priority}", (Event,), {"__slots__": (), "priority": priority})
+            event = cls(sim)
+            event._add_callback(lambda _e, p=priority: order.append(p))
+            event.succeed(delay=5)
         sim.run()
-        assert done == [3]
-        with pytest.raises(EmptySchedule):
-            sim.step()
+        assert order == [0, 1, 2]
 
 
 class TestRunUntilEvent:

@@ -163,6 +163,31 @@ class TestBatch:
         assert main(["batch", str(tmp_path)]) == 1
         assert "invalid spec" in capsys.readouterr().err
 
+    def test_batch_prints_plane_reports_like_run_spec(self, capsys, tmp_path):
+        import json
+
+        triad = {str(i): "triad-like" for i in range(1, 4)}
+        specs = tmp_path / "specs"
+        specs.mkdir()
+        (specs / "a-membership.json").write_text(json.dumps({
+            "name": "batch-membership", "seed": 6, "duration_s": 4, "nodes": 3,
+            "environments": triad, "membership": {"mode": "observe", "epoch_s": 1.0},
+        }))
+        (specs / "b-service.json").write_text(json.dumps({
+            "name": "batch-service", "seed": 11, "duration_s": 12, "nodes": 3,
+            "environments": triad, "service": {"sessions": 2000, "quorum": 3},
+        }))
+        expected = []
+        for path in sorted(specs.glob("*.json")):
+            assert main(["run-spec", str(path)]) == 0
+            expected.append(capsys.readouterr().out)
+        assert "membership: mode=observe" in expected[0]
+        assert "service: batch-service" in expected[1]
+        assert main(["batch", str(specs), "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        for text in expected:
+            assert text in out  # same sections, same order as run-spec
+
 
 class TestRunSpec:
     def test_run_spec_from_file(self, capsys, tmp_path):
@@ -181,6 +206,18 @@ class TestRunSpec:
         out = capsys.readouterr().out
         assert "cli-spec-test" in out
         assert "node-3" in out
+
+    def test_run_spec_tabulates_nodes_that_never_calibrated(self, capsys, tmp_path):
+        import json
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "name": "cli-blackhole", "duration_s": 5, "nodes": 3,
+            "attacks": [{"type": "ta-blackhole"}],
+        }))
+        assert main(["run-spec", str(spec_path)]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines() if "node-1" in line)
+        assert row.split()[1] == "-"  # no F_calib to show
 
     def test_run_spec_with_export(self, capsys, tmp_path):
         import json
@@ -271,7 +308,37 @@ class TestOracleFlag:
         from repro.oracle import current_policy
 
         assert main(["run", "fig2", "--duration-s", "10", "--oracle", "warn"]) == 0
-        assert current_policy().mode == "off"
+        assert current_policy().oracle == "off"
+
+
+class TestMembershipFlag:
+    def test_spec_block_wins_and_runs_one_engine(self, capsys, tmp_path, monkeypatch):
+        import json
+
+        from repro.sim.kernel import Simulator
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "name": "one-engine", "seed": 6, "duration_s": 4, "nodes": 3,
+            "environments": {str(i): "triad-like" for i in range(1, 4)},
+            "attacks": [{"type": "fminus", "victim": 3, "delay_ms": 100}],
+            "membership": {"mode": "enforce", "epoch_s": 1.0},
+        }))
+        assert main(["run-spec", str(spec_path)]) == 0
+        plain = capsys.readouterr().out
+        assert "membership: mode=enforce" in plain
+
+        started = []
+        original = Simulator.process
+
+        def counting(sim, generator, name=""):
+            started.append(name)
+            return original(sim, generator, name=name)
+
+        monkeypatch.setattr(Simulator, "process", counting)
+        assert main(["run-spec", str(spec_path), "--membership", "observe"]) == 0
+        assert started.count("membership/engine") == 1
+        assert capsys.readouterr().out == plain
 
 
 class TestHunt:

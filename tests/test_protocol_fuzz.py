@@ -22,6 +22,8 @@ from repro.core.states import NodeState
 from repro.net.delays import ConstantDelay
 from repro.sim import Simulator, units
 
+from tests.conftest import examples
+
 
 def build(seed):
     sim = Simulator(seed=seed)
@@ -52,7 +54,7 @@ hostile_events = st.lists(
 class TestHostileSchedules:
     @given(schedule=hostile_events, seed=st.integers(min_value=0, max_value=2**16))
     @settings(
-        max_examples=25,
+        max_examples=examples(25),
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
@@ -103,7 +105,7 @@ class TestHostileSchedules:
             assert abs(node.drift_ns()) < 500 * units.MILLISECOND
 
     @given(seed=st.integers(min_value=0, max_value=2**16))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=examples(10), deadline=None)
     def test_calibration_deterministic_per_seed(self, seed):
         """Same seed -> bit-identical calibration, twice."""
         results = []
