@@ -1,6 +1,6 @@
 # Convenience targets for the Triad reproduction.
 
-.PHONY: install test lint bench bench-kernel bench-membership bench-faults reproduce figures sweeps hunt-smoke service-smoke membership-smoke faults-smoke clean
+.PHONY: install test lint bench bench-kernel bench-membership bench-faults perfbench reproduce figures sweeps hunt-smoke service-smoke membership-smoke faults-smoke clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -21,24 +21,24 @@ bench:
 bench-verbose:
 	pytest benchmarks/ --benchmark-only -s
 
-# Kernel throughput: run the kernel benchmarks (including the committed
-# process_events_per_s floor — see docs/kernel.md), then append a point
-# to the benchmarks/BENCH_kernel.json trajectory.
+# Kernel throughput: run the kernel benchmarks, including the committed
+# process_events_per_s floor (see docs/kernel.md).
 bench-kernel:
 	pytest benchmarks/test_bench_kernel.py
-	python benchmarks/record.py kernel
 
-# Membership engine at cluster scale (200-node enforce-mode mesh), then
-# append a point to the benchmarks/BENCH_membership.json trajectory.
+# Membership engine at cluster scale (200-node enforce-mode mesh).
 bench-membership:
 	pytest benchmarks/test_bench_membership.py
-	python benchmarks/record.py membership
 
 # Fault plane at cluster scale (10-node crash wave through a TA outage
-# and a partition), then append a point to benchmarks/BENCH_faults.json.
+# and a partition).
 bench-faults:
 	pytest benchmarks/test_bench_faults.py
-	python benchmarks/record.py faults
+
+# The repository benchmark (BENCHMARK.json): all three pinned workloads
+# with the traced per-layer split; see perfbench/README.md.
+perfbench:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 5 --trace 1
 
 reproduce:
 	python examples/reproduce_paper.py

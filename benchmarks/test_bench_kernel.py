@@ -6,16 +6,18 @@ and the full protocol stack, so adopters can budget experiment wall time
 rounds — they measure the library, not a scenario.
 """
 
+import time
+
 import pytest
 
 from repro.sim import Simulator, units
 
 #: Committed throughput floor for the CI ``kernel-bench`` job. The
-#: calendar-queue kernel measures ~1.0–1.2M process-events/s on the
-#: hardware that recorded benchmarks/BENCH_kernel.json (baseline before
-#: the overhaul: 354,913/s); the floor sits well under the measured rate
-#: to absorb CI-runner variance while still catching a real regression
-#: back toward the heapq-era cost. See docs/kernel.md.
+#: calendar-queue kernel measured ~1.0–1.2M process-events/s on the
+#: hardware of docs/kernel.md (baseline before the overhaul: 354,913/s);
+#: the floor sits well under the measured rate to absorb CI-runner
+#: variance while still catching a real regression back toward the
+#: heapq-era cost.
 KERNEL_FLOOR_EVENTS_PER_S = 500_000
 
 
@@ -86,16 +88,28 @@ def test_network_message_throughput(benchmark):
     assert count == 500
 
 
+def _process_events_per_s() -> int:
+    """1000 interleaved processes x 100 timeouts, in process-events per wall-s."""
+    started = time.perf_counter()
+    sim = Simulator(seed=0)
+
+    def worker(step):
+        for _ in range(100):
+            yield sim.timeout(step)
+
+    for index in range(1000):
+        sim.process(worker(index + 1))
+    sim.run()
+    return round(100_000 / (time.perf_counter() - started))
+
+
 def test_process_events_floor():
     """Regression floor: fail the kernel-bench CI job if throughput drops.
 
-    Uses the same pinned workload as ``benchmarks/record.py`` (the source
-    of the BENCH_kernel.json trajectory) and takes the best of three runs
-    to shrug off scheduler noise.
+    Takes the best of three runs of the pinned interleaved-process
+    workload to shrug off scheduler noise.
     """
-    from benchmarks.record import _measure_kernel
-
-    best = max(_measure_kernel()["process_events_per_s"] for _ in range(3))
+    best = max(_process_events_per_s() for _ in range(3))
     assert best >= KERNEL_FLOOR_EVENTS_PER_S, (
         f"process_events_per_s regressed: {best}/s < floor {KERNEL_FLOOR_EVENTS_PER_S}/s"
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.attacks.scheduler import at
+from repro.attacks.scheduler import at_or_now
 from repro.errors import ConfigurationError
 from repro.hardware.tsc import TimestampCounter
 
@@ -34,7 +34,7 @@ class TscScaleAttack:
         self.sim = sim
         self.tsc = tsc
         self.scale = scale
-        at(sim, at_ns, lambda: tsc.set_scale(scale), name="tsc-scale-attack")
+        at_or_now(sim, at_ns, lambda: tsc.set_scale(scale), name="tsc-scale-attack")
 
 
 class TscOffsetAttack:
@@ -55,4 +55,4 @@ class TscOffsetAttack:
         self.sim = sim
         self.tsc = tsc
         self.offset_ticks = offset_ticks
-        at(sim, at_ns, lambda: tsc.apply_offset(offset_ticks), name="tsc-offset-attack")
+        at_or_now(sim, at_ns, lambda: tsc.apply_offset(offset_ticks), name="tsc-offset-attack")

@@ -16,16 +16,15 @@ import enum
 from typing import Mapping, Optional
 
 from repro.analysis.metrics import DriftRecorder
-from repro.attacks.delay import AttackMode, CalibrationDelayAttacker
-from repro.attacks.dos import TaBlackholeAttack
-from repro.attacks.scheduler import at
-from repro.core.cluster import ClusterConfig, TA_NAME, TriadCluster, node_name
+from repro.attacks.delay import AttackMode
+from repro.attacks.scheduler import TimedAction, apply_action
+from repro.core.cluster import ClusterConfig, TriadCluster
 from repro.errors import ConfigurationError
 from repro.experiments.runner import Experiment
 from repro.hardened.node import HardenedNodeConfig, HardenedTriadNode
 from repro.hardware.aex import ExponentialAexDelays, TriadLikeAexDelays
 from repro.sim.kernel import Simulator
-from repro.sim.units import MILLISECOND, SECOND
+from repro.sim.units import SECOND
 
 #: Mean spacing of residual machine-wide OS interrupts: the 5.4 minutes of
 #: the paper's Fig. 1b isolated-core environment.
@@ -128,19 +127,22 @@ def fault_free_low_aex(seed: int = 3, drift_interval_ns: int = 5 * SECOND) -> Ex
 # -- attack scenarios (paper §IV-B) ----------------------------------------------------
 
 
-def _attach_attacker(
-    experiment: Experiment, mode: AttackMode, victim_index: int = 3
-) -> CalibrationDelayAttacker:
-    attacker = CalibrationDelayAttacker(
-        experiment.sim,
-        victim_host=node_name(victim_index),
-        ta_host=TA_NAME,
-        mode=mode,
-        added_delay_ns=100 * MILLISECOND,
-    )
-    experiment.cluster.network.add_adversary(attacker)
-    experiment.attackers.append(attacker)
-    return attacker
+def _attach_attacker(experiment: Experiment, mode: AttackMode, victim_index: int = 3) -> None:
+    """The paper's 100 ms F+/F− attacker on ``victim_index``, armed from t=0.
+
+    Scenario expectations come from the oracle's named sets, so the
+    attacker's own expected violations are not added.
+    """
+    mode_name = "fplus" if mode is AttackMode.F_PLUS else "fminus"
+    params = {"victim": victim_index, "mode": mode_name, "delay_ms": 100}
+    apply_action(experiment, TimedAction(0, "net-delay", params), "attacker")
+
+
+def _delay_honest_onset(experiment: Experiment, switch_at_ns: int) -> None:
+    """Keep honest nodes 1 and 2 AEX-free until ``switch_at_ns`` (Fig. 6)."""
+    for index in (1, 2):
+        action = TimedAction(0, "aex-suppress", {"node": index}, heal_ns=switch_at_ns)
+        apply_action(experiment, action, f"aex-onset-node{index}")
 
 
 def fplus_low_aex(seed: int = 4, drift_interval_ns: int = SECOND) -> Experiment:
@@ -203,11 +205,7 @@ def fminus_propagation(
         drift_interval_ns=drift_interval_ns,
         notes="F- attack with delayed honest-node AEX onset (paper's t=104s switch)",
     )
-    # Honest nodes' AEX sources stay paused until the switch instant.
-    for index in (1, 2):
-        source = experiment.cluster.machine.aex_sources[experiment.cluster.monitoring_cores[index - 1]]
-        source.pause()
-        at(experiment.sim, switch_at_ns, source.resume, name=f"aex-onset-node{index}")
+    _delay_honest_onset(experiment, switch_at_ns)
     _attach_attacker(experiment, AttackMode.F_MINUS)
     return experiment
 
@@ -238,12 +236,8 @@ def ta_blackhole_dos(
         drift_interval_ns=drift_interval_ns,
         notes="fail-closed under TA DoS: refresh starves, correctness holds",
     )
-    attacker = TaBlackholeAttack(
-        experiment.sim, ta_host=TA_NAME, victims=None, start_ns=start_ns
-    )
-    experiment.cluster.network.add_adversary(attacker)
-    experiment.attackers.append(attacker)
-    experiment.expected_violations |= attacker.expected_violations()
+    blackhole = TimedAction(start_ns, "ta-blackhole", {})
+    experiment.expected_violations |= apply_action(experiment, blackhole, "dos")
     return experiment
 
 
@@ -275,10 +269,7 @@ def hardened_fminus_propagation(
         cluster_config=hardened_cluster_config(),
         notes="S5 hardening vs the F- propagation attack",
     )
-    for index in (1, 2):
-        source = experiment.cluster.machine.aex_sources[experiment.cluster.monitoring_cores[index - 1]]
-        source.pause()
-        at(experiment.sim, switch_at_ns, source.resume, name=f"aex-onset-node{index}")
+    _delay_honest_onset(experiment, switch_at_ns)
     _attach_attacker(experiment, AttackMode.F_MINUS)
     return experiment
 

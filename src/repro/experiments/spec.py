@@ -26,13 +26,17 @@ variant, attacks, duration — that compiles into a wired
 drift table. Unknown keys are rejected — a typo must fail loudly, not
 silently run a different experiment.
 
-Besides the scenario-level ``attacks`` list, a spec may carry a *timed
-attack schedule*: a list of ``{"t_ns": ..., "primitive": ...,
-"params": {...}}`` entries drawn from :data:`SCHEDULE_PRIMITIVES`. This is
-the serialization format of ``repro.hunt`` genomes — every synthesized
-finding replays from plain spec JSON — but schedules are also handy for
-hand-scripted timelines at nanosecond resolution. Validation errors name
-the offending entry index (``schedule[3]: ...``).
+Everything a spec does to a run at an instant — the scenario-level
+``attacks`` list, the timed ``schedule``, ``churn.schedule`` and
+``faults.schedule`` — lowers into one table of timed actions
+(:data:`repro.attacks.scheduler.ACTIONS`, ``docs/actions.md``), which
+validates and applies each kind once; this module keeps only each
+syntax's own checks. The ``schedule`` is a list of ``{"t_ns": ...,
+"primitive": ..., "params": {...}}`` entries drawn from
+:data:`SCHEDULE_PRIMITIVES`: the serialization format of ``repro.hunt``
+genomes — every synthesized finding replays from plain spec JSON — and
+handy for hand-scripted timelines at nanosecond resolution. Validation
+errors name the offending entry (``attacks[1]: ...``, ``schedule[3]: ...``).
 
 A spec may also carry a ``service`` block (see
 :class:`repro.service.ServiceConfig`): the run then deploys per-node
@@ -67,68 +71,50 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
-from repro.attacks.delay import AttackMode, CalibrationDelayAttacker
-from repro.attacks.dos import TaBlackholeAttack
-from repro.attacks.scheduler import at
-from repro.attacks.tscattack import TscOffsetAttack, TscScaleAttack
-from repro.core.cluster import ClusterConfig, TA_NAME, node_name
+from repro.attacks.scheduler import (
+    Shape,
+    TimedAction,
+    apply_action,
+    check_keys,
+    entry_object,
+    instant_ns,
+    node_index,
+    syntax_keys,
+    validate,
+)
+from repro.core.cluster import ClusterConfig
 from repro.errors import ConfigurationError
 from repro.experiments.figures import DriftFigureResult
 from repro.experiments.runner import Experiment
 from repro.experiments.scenarios import AexEnvironment, build_experiment
 from repro.hardened.node import HardenedNodeConfig, HardenedTriadNode
-from repro.hardware.aex import ExponentialAexDelays
 from repro.oracle.policy import plane_policy
-from repro.sim.units import MICROSECOND, MILLISECOND, SECOND
+from repro.sim.units import SECOND
 
 #: Recognized protocol variants.
 PROTOCOLS = ("original", "hardened")
 
-#: Recognized attack types and their required keys.
+#: ``attacks`` types -> (timed-action kind, start key, end key, required
+#: keys, optional keys). Start/end keys are instants in seconds (no start:
+#: t=0; no end: no heal), ``fplus``/``fminus`` name the ``net-delay`` mode,
+#: and a ``nodes`` list gives one action per node — so ``aex-onset`` is an
+#: ``aex-suppress`` window [0, ``at_s``) on each listed node.
 ATTACK_TYPES = {
-    "fplus": {"victim"},
-    "fminus": {"victim"},
-    "ta-blackhole": set(),
-    "tsc-scale": {"scale", "at_s"},
-    "tsc-offset": {"offset_ticks", "at_s"},
-    "aex-onset": {"nodes", "at_s"},
-    "aex-suppress": {"nodes"},
+    "fplus": ("net-delay", None, None, {"victim"}, {"delay_ms"}),
+    "fminus": ("net-delay", None, None, {"victim"}, {"delay_ms"}),
+    "ta-blackhole": ("ta-blackhole", "start_s", "stop_s", set(), {"victims", "start_s", "stop_s"}),
+    "tsc-scale": ("tsc-scale", "at_s", None, {"scale", "at_s"}, {"victim"}),
+    "tsc-offset": ("tsc-offset", "at_s", None, {"offset_ticks", "at_s"}, {"victim"}),
+    "aex-onset": ("aex-suppress", None, "at_s", {"nodes", "at_s"}, set()),
+    "aex-suppress": ("aex-suppress", None, None, {"nodes"}, set()),
 }
 
-#: TSC manipulation hits the machine's counter, which on the default
-#: shared-host topology every node reads: any node's clock (and any
-#: untaint sourced from it) may go out of bound before the monitor
-#: catches the change, so the oracle allowance is cluster-wide.
-_TSC_ATTACK_VIOLATIONS = {
-    ("*", "drift-bound"),
-    ("*", "state-soundness"),
-    ("*", "untaint-safety"),
-}
-
-#: Timed-schedule primitives — the genome alphabet of ``repro.hunt``.
-#: Maps primitive name -> (required param keys, optional param keys).
-#: Every entry takes effect at its absolute ``t_ns``; primitives with a
-#: ``duration_ms`` param revert when the window closes.
-SCHEDULE_PRIMITIVES = {
-    # Step the victim machine's TSC by a signed tick count.
-    "tsc-offset": ({"offset_ticks"}, {"victim"}),
-    # Multiply the victim machine's TSC rate.
-    "tsc-scale": ({"scale"}, {"victim"}),
-    # Isolate a node's monitoring core (no AEXs) for the window.
-    "aex-suppress": ({"node"}, {"duration_ms"}),
-    # Flood a node's monitoring core with exponential(mean_us) AEXs.
-    "aex-flood": ({"node", "mean_us"}, {"duration_ms"}),
-    # Drop all TA traffic (optionally only for listed victims).
-    "ta-blackhole": (set(), {"duration_ms", "victims"}),
-    # On-path F+/F- calibration delay against one victim.
-    "net-delay": ({"victim", "mode"}, {"delay_ms", "duration_ms"}),
-    # Crash a node's enclave (full TEE state loss); restart after down_ms.
-    "node-crash": ({"node"}, {"down_ms"}),
-    # Take the primary TA offline for the window.
-    "ta-outage": ({"duration_ms"}, set()),
-    # Cut one node off from the rest of the fabric for the window.
-    "partition": ({"node"}, {"duration_ms"}),
-}
+#: Timed-schedule primitives — the genome alphabet of ``repro.hunt``:
+#: primitive -> (required param keys, optional param keys), a view of
+#: the timed-action table. Every entry takes effect at its absolute
+#: ``t_ns``; primitives with a ``duration_ms`` param revert when the
+#: window closes.
+SCHEDULE_PRIMITIVES = syntax_keys("schedule")
 
 _SCHEDULE_ENTRY_KEYS = {"t_ns", "primitive", "params"}
 
@@ -153,13 +139,6 @@ _SPEC_KEYS = {
 _CHURN_KEYS = {"absent", "schedule"}
 _CHURN_ENTRY_KEYS = {"t_s", "node", "action"}
 _CHURN_ACTIONS = ("leave", "join")
-
-
-def _add_adversary(experiment: Experiment, adversary) -> None:
-    """Put an on-path adversary on the fabric and allow what it causes."""
-    experiment.cluster.network.add_adversary(adversary)
-    experiment.attackers.append(adversary)
-    experiment.expected_violations |= adversary.expected_violations()
 
 
 @dataclass
@@ -217,16 +196,13 @@ class ExperimentSpec:
                 raise ConfigurationError(f"environment for unknown node {index}")
             if environment not in ("triad-like", "low-aex"):
                 raise ConfigurationError(f"unknown environment {environment!r}")
-        for attack in self.attacks:
-            self._validate_attack(attack)
-        for index, entry in enumerate(self.schedule):
-            self._validate_schedule_entry(index, entry)
+        self._attack_actions()
+        self._schedule_actions()
         if self.service is not None:
             self._validate_service(self.service)
         if self.membership is not None:
             self._validate_membership(self.membership)
-        if self.churn is not None:
-            self._validate_churn(self.churn)
+        self._churn_actions()
         if self.faults is not None:
             self._fault_plan()
 
@@ -235,11 +211,7 @@ class ExperimentSpec:
         from repro.membership.config import MembershipConfig
         from repro.membership.engine import CONTROLLER_MODES
 
-        if not isinstance(raw, dict):
-            raise ConfigurationError(
-                f"membership: block must be an object, got {type(raw).__name__}"
-            )
-        mode = raw.get("mode", "observe")
+        mode = entry_object("membership", raw, "block").get("mode", "observe")
         if mode not in CONTROLLER_MODES:
             raise ConfigurationError(
                 f"membership.mode: unknown mode {mode!r}; "
@@ -248,87 +220,114 @@ class ExperimentSpec:
         config_keys = {k: v for k, v in raw.items() if k != "mode"}
         MembershipConfig.from_dict(config_keys)
 
-    def _validate_churn(self, raw: dict[str, Any]) -> None:
-        if not isinstance(raw, dict):
-            raise ConfigurationError(
-                f"churn: block must be an object, got {type(raw).__name__}"
+    @property
+    def _shape(self) -> Shape:
+        return Shape(self.nodes, self.ta_count)
+
+    def _attack_actions(self) -> list[tuple[str, TimedAction]]:
+        """Lower the ``attacks`` list into (process tag, timed action) pairs."""
+        actions = []
+        for index, attack in enumerate(self.attacks):
+            where = f"attacks[{index}]"
+            kind = entry_object(where, attack).get("type")
+            if kind not in ATTACK_TYPES:
+                raise ConfigurationError(
+                    f"{where}: unknown attack type {kind!r}; choose from {sorted(ATTACK_TYPES)}"
+                )
+            target, start, end, required, optional = ATTACK_TYPES[kind]
+            params = {key: value for key, value in attack.items() if key != "type"}
+            check_keys(where, kind, params, required, optional)
+            t_ns = instant_ns(where, start, params.pop(start)) if start in params else 0
+            heal_ns = instant_ns(where, end, params.pop(end)) if end in params else None
+            if target == "net-delay":
+                params["mode"] = kind
+            nodes = params.pop("nodes", None)
+            if nodes is not None and (not isinstance(nodes, list) or not nodes):
+                raise ConfigurationError(f"{where}: nodes must be a non-empty list")
+            for each in [params] if nodes is None else [{**params, "node": n} for n in nodes]:
+                action = validate(where, t_ns, target, each, self._shape, heal_ns)
+                actions.append((f"{where}/{kind}", action))
+        return actions
+
+    def _schedule_actions(self) -> list[tuple[str, TimedAction]]:
+        """Lower the timed ``schedule`` into (process tag, timed action) pairs."""
+        actions = []
+        for index, entry in enumerate(self.schedule):
+            where = f"schedule[{index}]"
+            unknown = set(entry_object(where, entry)) - _SCHEDULE_ENTRY_KEYS
+            if unknown:
+                raise ConfigurationError(f"{where}: unknown keys {sorted(unknown)}")
+            missing = {"t_ns", "primitive"} - set(entry)
+            if missing:
+                raise ConfigurationError(f"{where}: missing keys {sorted(missing)}")
+            t_ns, primitive = entry["t_ns"], entry["primitive"]
+            if isinstance(t_ns, bool) or not isinstance(t_ns, int) or t_ns < 0:
+                raise ConfigurationError(
+                    f"{where}: t_ns must be a non-negative integer, got {t_ns!r}"
+                )
+            if primitive not in SCHEDULE_PRIMITIVES:
+                raise ConfigurationError(
+                    f"{where}: unknown primitive {primitive!r}; "
+                    f"choose from {sorted(SCHEDULE_PRIMITIVES)}"
+                )
+            params = entry.get("params", {})
+            if not isinstance(params, dict):
+                raise ConfigurationError(
+                    f"{where}: params must be an object, got {type(params).__name__}"
+                )
+            action = validate(
+                where, t_ns, primitive, params, self._shape, syntax="schedule", noun="params"
             )
+            actions.append((f"{where}/{primitive}", action))
+        return actions
+
+    def _churn_actions(self) -> list[tuple[str, TimedAction]]:
+        """Lower ``churn.schedule`` into (process tag, timed action) pairs in
+        time order, rejecting a leave of an absent node or a join of a present one."""
+        if self.churn is None:
+            return []
+        raw = entry_object("churn", self.churn, "block")
         unknown = set(raw) - _CHURN_KEYS
         if unknown:
             raise ConfigurationError(f"churn: unknown keys {sorted(unknown)}")
-        absent = raw.get("absent", [])
+        absent, schedule = raw.get("absent", []), raw.get("schedule", [])
         if not isinstance(absent, list):
             raise ConfigurationError("churn.absent: must be a list of node indices")
-        seen: set[int] = set()
+        present = set(range(1, self.nodes + 1))
         for value in absent:
-            index = self._churn_index("churn.absent", value)
-            if index in seen:
+            index = node_index("churn.absent", "node", value, self._shape)
+            if index not in present:
                 raise ConfigurationError(f"churn.absent: duplicate node {index}")
-            seen.add(index)
-        if len(seen) >= self.nodes:
-            raise ConfigurationError(
-                "churn.absent: at least one node must be present at start"
-            )
-        schedule = raw.get("schedule", [])
+            present.discard(index)
+        if not present:
+            raise ConfigurationError("churn.absent: at least one node must be present at start")
         if not isinstance(schedule, list):
             raise ConfigurationError("churn.schedule: must be a list of entries")
-        present = set(range(1, self.nodes + 1)) - seen
-        for position, entry in enumerate(self._churn_entries(schedule)):
+        timed = []
+        for position, entry in enumerate(schedule):
             where = f"churn.schedule[{position}]"
-            if not isinstance(entry, dict):
-                raise ConfigurationError(
-                    f"{where}: entry must be an object, got {type(entry).__name__}"
-                )
-            unknown = set(entry) - _CHURN_ENTRY_KEYS
+            unknown = set(entry_object(where, entry)) - _CHURN_ENTRY_KEYS
             if unknown:
                 raise ConfigurationError(f"{where}: unknown keys {sorted(unknown)}")
             missing = _CHURN_ENTRY_KEYS - set(entry)
             if missing:
                 raise ConfigurationError(f"{where}: missing keys {sorted(missing)}")
-            t_s = entry["t_s"]
-            if isinstance(t_s, bool) or not isinstance(t_s, (int, float)) or t_s < 0:
+            if entry["action"] not in _CHURN_ACTIONS:
                 raise ConfigurationError(
-                    f"{where}: t_s must be a non-negative number, got {t_s!r}"
+                    f"{where}: unknown action {entry['action']!r}; choose from {_CHURN_ACTIONS}"
                 )
-            index = self._churn_index(where, entry["node"])
-            action = entry["action"]
-            if action not in _CHURN_ACTIONS:
-                raise ConfigurationError(
-                    f"{where}: unknown action {action!r}; choose from {_CHURN_ACTIONS}"
-                )
-            if action == "leave":
-                if index not in present:
-                    raise ConfigurationError(
-                        f"{where}: node {index} is already absent at t_s={t_s}"
-                    )
-                present.discard(index)
-            else:
-                if index in present:
-                    raise ConfigurationError(
-                        f"{where}: node {index} is already present at t_s={t_s}"
-                    )
-                present.add(index)
-
-    def _churn_index(self, where: str, value: Any) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigurationError(
-                f"{where}: node index must be an integer, got {value!r}"
-            )
-        if not 1 <= value <= self.nodes:
-            raise ConfigurationError(
-                f"{where}: node {value} outside cluster of {self.nodes} node(s)"
-            )
-        return value
-
-    @staticmethod
-    def _churn_entries(schedule: list) -> list:
-        """Schedule entries in application order (time, then list order)."""
-        return sorted(
-            schedule,
-            key=lambda entry: (
-                entry.get("t_s", 0) if isinstance(entry, dict) else 0
-            ),
-        )
+            t_ns = instant_ns(where, "t_s", entry["t_s"])
+            action = validate(where, t_ns, entry["action"], {"node": entry["node"]}, self._shape)
+            timed.append((where, entry["t_s"], action))
+        actions = []
+        for position, (where, t_s, action) in enumerate(sorted(timed, key=lambda item: item[1])):
+            index, leaving = action.params["node"], action.kind == "leave"
+            if (index in present) != leaving:
+                state = "absent" if leaving else "present"
+                raise ConfigurationError(f"{where}: node {index} is already {state} at t_s={t_s}")
+            present ^= {index}
+            actions.append((f"churn[{position}]/{action.kind}", action))
+        return actions
 
     def _fault_plan(self):
         """Validate (and compile) the ``faults`` block against this spec."""
@@ -358,105 +357,6 @@ class ExperimentSpec:
                 f"service.start_s: warm-up of {config.start_s}s leaves no "
                 f"room in a {self.duration_s}s run"
             )
-
-    def _validate_attack(self, attack: dict[str, Any]) -> None:
-        kind = attack.get("type")
-        if kind not in ATTACK_TYPES:
-            raise ConfigurationError(
-                f"unknown attack type {kind!r}; choose from {sorted(ATTACK_TYPES)}"
-            )
-        missing = ATTACK_TYPES[kind] - set(attack)
-        if missing:
-            raise ConfigurationError(f"attack {kind!r} missing keys: {sorted(missing)}")
-
-    def _validate_schedule_entry(self, index: int, entry: Any) -> None:
-        where = f"schedule[{index}]"
-        if not isinstance(entry, dict):
-            raise ConfigurationError(
-                f"{where}: entry must be an object, got {type(entry).__name__}"
-            )
-        unknown = set(entry) - _SCHEDULE_ENTRY_KEYS
-        if unknown:
-            raise ConfigurationError(f"{where}: unknown keys {sorted(unknown)}")
-        missing = {"t_ns", "primitive"} - set(entry)
-        if missing:
-            raise ConfigurationError(f"{where}: missing keys {sorted(missing)}")
-        t_ns = entry["t_ns"]
-        if isinstance(t_ns, bool) or not isinstance(t_ns, int) or t_ns < 0:
-            raise ConfigurationError(
-                f"{where}: t_ns must be a non-negative integer, got {t_ns!r}"
-            )
-        primitive = entry["primitive"]
-        if primitive not in SCHEDULE_PRIMITIVES:
-            raise ConfigurationError(
-                f"{where}: unknown primitive {primitive!r}; "
-                f"choose from {sorted(SCHEDULE_PRIMITIVES)}"
-            )
-        params = entry.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigurationError(
-                f"{where}: params must be an object, got {type(params).__name__}"
-            )
-        required, optional = SCHEDULE_PRIMITIVES[primitive]
-        missing = required - set(params)
-        if missing:
-            raise ConfigurationError(
-                f"{where}: {primitive} params missing {sorted(missing)}"
-            )
-        unknown = set(params) - required - optional
-        if unknown:
-            raise ConfigurationError(
-                f"{where}: {primitive} has unknown params {sorted(unknown)}"
-            )
-        self._validate_schedule_params(where, primitive, params)
-
-    def _validate_schedule_params(
-        self, where: str, primitive: str, params: dict[str, Any]
-    ) -> None:
-        if primitive == "tsc-offset" and int(params["offset_ticks"]) == 0:
-            raise ConfigurationError(f"{where}: offset_ticks must be non-zero")
-        if primitive == "tsc-scale" and not float(params["scale"]) > 0:
-            raise ConfigurationError(
-                f"{where}: scale must be positive, got {params['scale']!r}"
-            )
-        if primitive == "aex-flood" and not float(params["mean_us"]) > 0:
-            raise ConfigurationError(
-                f"{where}: mean_us must be positive, got {params['mean_us']!r}"
-            )
-        if primitive == "net-delay":
-            if params["mode"] not in ("fplus", "fminus"):
-                raise ConfigurationError(
-                    f"{where}: mode must be 'fplus' or 'fminus', got {params['mode']!r}"
-                )
-            if "delay_ms" in params and not float(params["delay_ms"]) > 0:
-                raise ConfigurationError(
-                    f"{where}: delay_ms must be positive, got {params['delay_ms']!r}"
-                )
-        if "duration_ms" in params and not float(params["duration_ms"]) > 0:
-            raise ConfigurationError(
-                f"{where}: duration_ms must be positive, got {params['duration_ms']!r}"
-            )
-        if "down_ms" in params and not float(params["down_ms"]) > 0:
-            raise ConfigurationError(
-                f"{where}: down_ms must be positive, got {params['down_ms']!r}"
-            )
-        for key in ("victim", "node"):
-            if key in params:
-                value = int(params[key])
-                if not 1 <= value <= self.nodes:
-                    raise ConfigurationError(
-                        f"{where}: {key}={value} outside cluster of {self.nodes} node(s)"
-                    )
-        if primitive == "ta-blackhole" and "victims" in params:
-            victims = params["victims"]
-            if not isinstance(victims, list) or not victims:
-                raise ConfigurationError(f"{where}: victims must be a non-empty list")
-            for victim in victims:
-                if not 1 <= int(victim) <= self.nodes:
-                    raise ConfigurationError(
-                        f"{where}: victim {victim} outside cluster of "
-                        f"{self.nodes} node(s)"
-                    )
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ExperimentSpec":
@@ -541,12 +441,16 @@ class ExperimentSpec:
                 cluster_config=cluster_config,
                 notes=f"spec:{self.name}",
             )
-        for attack in self.attacks:
-            self._apply_attack(experiment, attack)
-        for index, entry in enumerate(self.schedule):
-            self._apply_schedule_entry(experiment, index, entry)
-        if self.churn is not None:
-            self._apply_churn(experiment)
+        for tag, action in self._attack_actions():
+            node = action.params.get("node")
+            if action.kind == "aex-suppress" and self.environments.get(node) != "triad-like":
+                raise ConfigurationError(
+                    f"{tag}: node {node} has no AEX source to control — give it "
+                    f"the 'triad-like' environment in the spec"
+                )
+            experiment.expected_violations |= apply_action(experiment, action, tag)
+        for tag, action in self._schedule_actions() + self._churn_actions():
+            experiment.expected_violations |= apply_action(experiment, action, tag)
         if self.service is not None:
             from repro.service import ServiceConfig, TimeService
 
@@ -565,22 +469,6 @@ class ExperimentSpec:
 
             apply_fault_plan(experiment, self._fault_plan())
         return experiment
-
-    def _apply_churn(self, experiment: Experiment) -> None:
-        cluster = experiment.cluster
-        sim = experiment.sim
-        for position, entry in enumerate(
-            self._churn_entries(self.churn.get("schedule", []))
-        ):
-            t_ns = int(float(entry["t_s"]) * SECOND)
-            index = int(entry["node"])
-            action = entry["action"]
-            apply = cluster.leave if action == "leave" else cluster.join
-
-            def fire(apply=apply, index=index):
-                apply(index)
-
-            at(sim, t_ns, fire, name=f"churn[{position}]/{action}-node{index}")
 
     def run(self) -> Experiment:
         """Build and run to the configured duration."""
@@ -621,195 +509,3 @@ class ExperimentSpec:
             "planes": planes,
             "sim_ns": self.duration_ns,
         }
-
-    def _apply_attack(self, experiment: Experiment, attack: dict[str, Any]) -> None:
-        kind = attack["type"]
-        sim = experiment.sim
-        cluster = experiment.cluster
-        primary_ta = cluster.tas[0].name
-        if kind in ("fplus", "fminus"):
-            adversary = CalibrationDelayAttacker(
-                sim,
-                victim_host=node_name(int(attack["victim"])),
-                ta_host=primary_ta,
-                mode=AttackMode.F_PLUS if kind == "fplus" else AttackMode.F_MINUS,
-                added_delay_ns=int(attack.get("delay_ms", 100)) * MILLISECOND,
-            )
-            _add_adversary(experiment, adversary)
-        elif kind == "ta-blackhole":
-            victims = attack.get("victims")
-            adversary = TaBlackholeAttack(
-                sim,
-                ta_host=primary_ta,
-                victims={node_name(int(v)) for v in victims} if victims else None,
-                start_ns=int(attack.get("start_s", 0) * SECOND),
-                stop_ns=(
-                    int(attack["stop_s"] * SECOND) if "stop_s" in attack else None
-                ),
-            )
-            _add_adversary(experiment, adversary)
-        elif kind == "tsc-scale":
-            machine = cluster.node_machines[int(attack.get("victim", 1)) - 1]
-            TscScaleAttack(
-                sim, machine.tsc, at_ns=int(attack["at_s"] * SECOND), scale=float(attack["scale"])
-            )
-            experiment.expected_violations |= _TSC_ATTACK_VIOLATIONS
-        elif kind == "tsc-offset":
-            machine = cluster.node_machines[int(attack.get("victim", 1)) - 1]
-            TscOffsetAttack(
-                sim,
-                machine.tsc,
-                at_ns=int(attack["at_s"] * SECOND),
-                offset_ticks=int(attack["offset_ticks"]),
-            )
-            experiment.expected_violations |= _TSC_ATTACK_VIOLATIONS
-        elif kind == "aex-onset":
-            for index in attack["nodes"]:
-                source = self._node_source(cluster, int(index))
-                source.pause()
-                at(sim, int(attack["at_s"] * SECOND), source.resume, name=f"onset-{index}")
-        elif kind == "aex-suppress":
-            for index in attack["nodes"]:
-                self._node_source(cluster, int(index)).pause()
-
-    @staticmethod
-    def _node_source(cluster, index: int):
-        machine = cluster.node_machines[index - 1]
-        core = cluster.monitoring_cores[index - 1]
-        source = machine.aex_sources.get(core)
-        if source is None:
-            raise ConfigurationError(
-                f"node {index} has no AEX source to control — give it the "
-                f"'triad-like' environment in the spec"
-            )
-        return source
-
-    def _apply_schedule_entry(
-        self, experiment: Experiment, index: int, entry: dict[str, Any]
-    ) -> None:
-        sim = experiment.sim
-        cluster = experiment.cluster
-        primary_ta = cluster.tas[0].name
-        t_ns = int(entry["t_ns"])
-        primitive = entry["primitive"]
-        params = entry.get("params", {})
-        tag = f"schedule[{index}]/{primitive}"
-        stop_ns = None
-        if "duration_ms" in params:
-            stop_ns = t_ns + max(int(float(params["duration_ms"]) * MILLISECOND), 1)
-        if primitive == "tsc-offset":
-            machine = cluster.node_machines[int(params.get("victim", 1)) - 1]
-            TscOffsetAttack(
-                sim, machine.tsc, at_ns=t_ns, offset_ticks=int(params["offset_ticks"])
-            )
-            experiment.expected_violations |= _TSC_ATTACK_VIOLATIONS
-        elif primitive == "tsc-scale":
-            machine = cluster.node_machines[int(params.get("victim", 1)) - 1]
-            TscScaleAttack(sim, machine.tsc, at_ns=t_ns, scale=float(params["scale"]))
-            experiment.expected_violations |= _TSC_ATTACK_VIOLATIONS
-        elif primitive == "aex-suppress":
-            source = self._ensure_schedule_source(cluster, int(params["node"]))
-            at(sim, t_ns, source.pause, name=f"{tag}-start")
-            if stop_ns is not None:
-                at(sim, stop_ns, source.resume, name=f"{tag}-stop")
-        elif primitive == "aex-flood":
-            source = self._ensure_schedule_source(cluster, int(params["node"]))
-            flood = ExponentialAexDelays(
-                max(int(float(params["mean_us"]) * MICROSECOND), 1)
-            )
-            previous_distribution = source.distribution
-            previously_enabled = source.enabled
-
-            def start_flood(source=source, flood=flood):
-                source.set_distribution(flood)
-                source.resume()
-
-            at(sim, t_ns, start_flood, name=f"{tag}-start")
-            if stop_ns is not None:
-
-                def stop_flood(
-                    source=source,
-                    distribution=previous_distribution,
-                    enabled=previously_enabled,
-                ):
-                    source.set_distribution(distribution)
-                    if not enabled:
-                        source.pause()
-
-                at(sim, stop_ns, stop_flood, name=f"{tag}-stop")
-        elif primitive == "ta-blackhole":
-            victims = params.get("victims")
-            adversary = TaBlackholeAttack(
-                sim,
-                ta_host=primary_ta,
-                victims={node_name(int(v)) for v in victims} if victims else None,
-                start_ns=t_ns,
-                stop_ns=stop_ns,
-            )
-            _add_adversary(experiment, adversary)
-        elif primitive == "net-delay":
-            adversary = CalibrationDelayAttacker(
-                sim,
-                victim_host=node_name(int(params["victim"])),
-                ta_host=primary_ta,
-                mode=AttackMode.F_PLUS if params["mode"] == "fplus" else AttackMode.F_MINUS,
-                added_delay_ns=int(float(params.get("delay_ms", 100)) * MILLISECOND),
-                active=False,
-            )
-            _add_adversary(experiment, adversary)
-            at(sim, t_ns, adversary.enable, name=f"{tag}-start")
-            if stop_ns is not None:
-                at(sim, stop_ns, adversary.disable, name=f"{tag}-stop")
-        elif primitive == "node-crash":
-            index = int(params["node"])
-            down_ns = max(int(float(params.get("down_ms", 500)) * MILLISECOND), 1)
-
-            def crash(cluster=cluster, index=index):
-                cluster.crash_node(index)
-
-            def restart(cluster=cluster, index=index):
-                cluster.restart_node(index)
-
-            at(sim, t_ns, crash, name=f"{tag}-node{index}")
-            at(sim, t_ns + down_ns, restart, name=f"{tag}-restart-node{index}")
-        elif primitive == "ta-outage":
-
-            def ta_down(cluster=cluster):
-                cluster.set_ta_down(True)
-
-            def ta_up(cluster=cluster):
-                cluster.set_ta_down(False)
-
-            at(sim, t_ns, ta_down, name=f"{tag}-down")
-            if stop_ns is not None:
-                at(sim, stop_ns, ta_up, name=f"{tag}-up")
-        elif primitive == "partition":
-            index = int(params["node"])
-
-            def cut(cluster=cluster, tag=tag, index=index):
-                cluster.open_partition(tag, [index])
-
-            def heal(cluster=cluster, tag=tag):
-                cluster.heal_partition(tag)
-
-            at(sim, t_ns, cut, name=f"{tag}-open")
-            if stop_ns is not None:
-                at(sim, stop_ns, heal, name=f"{tag}-heal")
-
-    @staticmethod
-    def _ensure_schedule_source(cluster, index: int):
-        """AEX source on a node's monitoring core, created paused if absent.
-
-        Schedule primitives steer AEX pressure per node, but a ``low-aex``
-        node has no source to steer — so compilation attaches a disabled
-        one (it stays silent until an ``aex-flood`` window resumes it;
-        suppressing it is the no-op it should be).
-        """
-        machine = cluster.node_machines[index - 1]
-        core = cluster.monitoring_cores[index - 1]
-        source = machine.aex_sources.get(core)
-        if source is None:
-            source = machine.add_aex_source(
-                core, ExponentialAexDelays(SECOND), cause="os", enabled=False
-            )
-        return source

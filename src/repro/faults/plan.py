@@ -2,41 +2,45 @@
 
 A fault plan is deterministic data, not code: a timed schedule of fault
 events, a recovery deadline, and (optionally) retry-policy overrides for
-every node. Validation happens up front and names the offending entry
-(``faults.schedule[2]: ...``) in the same strict style as the rest of
-:mod:`repro.experiments.spec` — a typo must fail loudly before the run,
-not silently inject a different outage.
+every node. The fault kinds are rows of the timed-action table
+(:mod:`repro.attacks.scheduler`), which validates and applies them; this
+module keeps the ``faults`` syntax — flat ``{"t_s", "kind", ...}``
+entries, errors naming ``faults.schedule[2]: ...`` — and its cross-entry
+checks.
 
-Every fault in a plan heals: crashes restart after ``down_ms``, outages
-and partitions close after ``duration_ms``. That totality is what makes
-the recovery contract judgeable — the plan knows its *last heal instant*,
-and the oracle's ``recovery`` invariant requires every node back in ``OK``
-within ``recovery_deadline_s`` of it.
+Every fault in a plan heals: crashes restart after ``down_ms``, outages,
+partitions and loss bursts close after ``duration_ms``. That totality is
+what makes the recovery contract judgeable — the plan knows its *last
+heal instant*, and the oracle's ``recovery`` invariant requires every
+node back in ``OK`` within ``recovery_deadline_s`` of it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
+from repro.attacks.scheduler import (
+    Shape,
+    TimedAction,
+    apply_action,
+    entry_object,
+    instant_ns,
+    syntax_keys,
+    validate,
+)
 from repro.errors import ConfigurationError
 from repro.sim.units import MILLISECOND, SECOND
 
-#: Fault kinds -> (required keys, optional keys). Entries are flat:
-#: ``{"t_s": ..., "kind": ..., <params>}``.
-FAULT_KINDS = {
-    # Enclave crash with full TEE state loss; cold restart after down_ms.
-    "node-crash": ({"node"}, {"down_ms"}),
-    # One Time Authority drops every request for the window.
-    "ta-outage": ({"duration_ms"}, {"ta"}),
-    # Named partition: the island only talks to itself for the window.
-    "partition": ({"island", "duration_ms"}, {"name"}),
-    # Uniform packet-loss burst across the whole fabric.
-    "loss-burst": ({"drop_probability", "duration_ms"}, set()),
-}
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.runner import Experiment
+
+#: Fault kinds -> (required keys, optional keys) besides ``t_s`` and
+#: ``kind``: a view of the timed-action table.
+FAULT_KINDS = syntax_keys("faults")
 
 _PLAN_KEYS = {"schedule", "recovery_deadline_s", "retry"}
-_ENTRY_BASE_KEYS = {"t_s", "kind"}
 
 #: ``retry`` block keys -> (TriadNodeConfig field, converter). Converters
 #: turn spec units (seconds / milliseconds) into config-native ones.
@@ -52,28 +56,16 @@ _RETRY_FIELDS = {
     "attempt_budget": ("ta_fetch_attempt_budget", lambda v: None if v is None else int(v)),
 }
 
-#: A crashed node cold-boots after this long unless the entry says otherwise.
-DEFAULT_DOWN_MS = 500.0
 #: Post-heal grace before the recovery invariant flags stragglers. Sized
 #: for a cold FullCalib (monitor windows + two TA rounds) with slack.
 DEFAULT_RECOVERY_DEADLINE_S = 15.0
 
 
 @dataclass(frozen=True)
-class FaultEvent:
-    """One validated, normalized fault: inject at ``t_ns``, heal at ``heal_ns``."""
-
-    t_ns: int
-    kind: str
-    params: Mapping[str, Any]
-    heal_ns: int
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """A validated fault schedule plus its recovery contract."""
 
-    events: tuple[FaultEvent, ...]
+    events: tuple[TimedAction, ...]
     recovery_deadline_ns: int
     #: TriadNodeConfig field overrides (already converted to config units).
     retry_overrides: Mapping[str, Any] = field(default_factory=dict)
@@ -93,11 +85,7 @@ class FaultPlan:
         duration_s: float,
     ) -> "FaultPlan":
         """Validate a spec ``faults`` block against the cluster shape."""
-        if not isinstance(raw, dict):
-            raise ConfigurationError(
-                f"faults: block must be an object, got {type(raw).__name__}"
-            )
-        unknown = set(raw) - _PLAN_KEYS
+        unknown = set(entry_object("faults", raw, "block")) - _PLAN_KEYS
         if unknown:
             raise ConfigurationError(f"faults: unknown keys {sorted(unknown)}")
 
@@ -115,11 +103,8 @@ class FaultPlan:
         if not isinstance(schedule, list):
             raise ConfigurationError("faults.schedule: must be a list of entries")
         duration_ns = int(duration_s * SECOND)
-        events = []
-        for index, entry in enumerate(schedule):
-            events.append(
-                _validate_entry(index, entry, nodes=nodes, ta_count=ta_count)
-            )
+        shape = Shape(nodes, ta_count)
+        events = [_validate_entry(index, entry, shape) for index, entry in enumerate(schedule)]
         events.sort(key=lambda event: (event.t_ns, event.heal_ns, event.kind))
         _check_windows(events, duration_ns)
 
@@ -130,104 +115,35 @@ class FaultPlan:
         )
 
 
-def _validate_entry(index: int, entry: Any, *, nodes: int, ta_count: int) -> FaultEvent:
+def apply_fault_plan(experiment: "Experiment", plan: FaultPlan) -> None:
+    """Override every node's retry policy, schedule the faults, arm recovery."""
+    if plan.retry_overrides:
+        for node in experiment.cluster.nodes:
+            node.config = dataclasses.replace(node.config, **plan.retry_overrides)
+    for position, event in enumerate(plan.events):
+        apply_action(experiment, event, f"faults[{position}]/{event.kind}")
+    oracle = experiment.cluster.oracle
+    if oracle is not None and plan.events:
+        oracle.expect_recovery(plan.last_heal_ns, plan.recovery_deadline_ns)
+
+
+def _validate_entry(index: int, entry: Any, shape: Shape) -> TimedAction:
     where = f"faults.schedule[{index}]"
-    if not isinstance(entry, dict):
-        raise ConfigurationError(
-            f"{where}: entry must be an object, got {type(entry).__name__}"
-        )
-    kind = entry.get("kind")
+    kind = entry_object(where, entry).get("kind")
     if kind not in FAULT_KINDS:
         raise ConfigurationError(
             f"{where}: unknown kind {kind!r}; choose from {sorted(FAULT_KINDS)}"
         )
-    required, optional = FAULT_KINDS[kind]
-    allowed = _ENTRY_BASE_KEYS | required | optional
-    unknown = set(entry) - allowed
-    if unknown:
-        raise ConfigurationError(f"{where}: {kind} has unknown keys {sorted(unknown)}")
-    missing = (required | {"t_s"}) - set(entry)
-    if missing:
-        raise ConfigurationError(f"{where}: {kind} missing keys {sorted(missing)}")
-    t_s = entry["t_s"]
-    if isinstance(t_s, bool) or not isinstance(t_s, (int, float)) or t_s < 0:
-        raise ConfigurationError(
-            f"{where}: t_s must be a non-negative number, got {t_s!r}"
-        )
-    t_ns = int(float(t_s) * SECOND)
-
-    if kind == "node-crash":
-        node = _node_index(where, entry["node"], nodes)
-        down_ms = entry.get("down_ms", DEFAULT_DOWN_MS)
-        down_ns = _window_ns(where, "down_ms", down_ms)
-        return FaultEvent(t_ns, kind, {"node": node}, t_ns + down_ns)
-    if kind == "ta-outage":
-        ta = entry.get("ta", 1)
-        if isinstance(ta, bool) or not isinstance(ta, int) or not 1 <= ta <= ta_count:
-            raise ConfigurationError(
-                f"{where}: ta must be an index in 1..{ta_count}, got {ta!r}"
-            )
-        duration_ns = _window_ns(where, "duration_ms", entry["duration_ms"])
-        return FaultEvent(t_ns, kind, {"ta": ta}, t_ns + duration_ns)
+    if "t_s" not in entry:
+        raise ConfigurationError(f"{where}: {kind} missing keys ['t_s']")
+    params = {key: value for key, value in entry.items() if key not in ("t_s", "kind")}
     if kind == "partition":
-        island = entry["island"]
-        if not isinstance(island, list) or not island:
-            raise ConfigurationError(
-                f"{where}: island must be a non-empty list of node indices"
-            )
-        members = []
-        for value in island:
-            member = _node_index(where, value, nodes)
-            if member in members:
-                raise ConfigurationError(f"{where}: duplicate island node {member}")
-            members.append(member)
-        if len(members) >= nodes:
-            raise ConfigurationError(
-                f"{where}: island of {len(members)} node(s) leaves nobody outside "
-                f"a cluster of {nodes}"
-            )
-        name = entry.get("name", f"fault-partition-{index}")
-        if not isinstance(name, str) or not name:
-            raise ConfigurationError(f"{where}: name must be a non-empty string")
-        duration_ns = _window_ns(where, "duration_ms", entry["duration_ms"])
-        params = {"island": tuple(sorted(members)), "name": name}
-        return FaultEvent(t_ns, kind, params, t_ns + duration_ns)
-    # loss-burst
-    probability = entry["drop_probability"]
-    if (
-        isinstance(probability, bool)
-        or not isinstance(probability, (int, float))
-        or not 0.0 <= probability < 1.0
-    ):
-        raise ConfigurationError(
-            f"{where}: drop_probability must be in [0, 1), got {probability!r}"
-        )
-    duration_ns = _window_ns(where, "duration_ms", entry["duration_ms"])
-    params = {"drop_probability": float(probability)}
-    return FaultEvent(t_ns, kind, params, t_ns + duration_ns)
+        params.setdefault("name", f"fault-partition-{index}")
+    t_ns = instant_ns(where, "t_s", entry["t_s"])
+    return validate(where, t_ns, kind, params, shape, syntax="faults")
 
 
-def _node_index(where: str, value: Any, nodes: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(
-            f"{where}: node index must be an integer, got {value!r}"
-        )
-    if not 1 <= value <= nodes:
-        raise ConfigurationError(
-            f"{where}: node {value} outside cluster of {nodes} node(s)"
-        )
-    return value
-
-
-def _window_ns(where: str, key: str, value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
-        raise ConfigurationError(
-            f"{where}: {key} must be a positive number, got {value!r}"
-        )
-    return max(int(float(value) * MILLISECOND), 1)
-
-
-def _check_windows(events: list[FaultEvent], duration_ns: int) -> None:
+def _check_windows(events: list[TimedAction], duration_ns: int) -> None:
     """Cross-entry checks: everything heals in-run, no impossible overlaps."""
     crash_windows: dict[int, tuple[int, int, int]] = {}
     burst_close_ns = -1
@@ -265,11 +181,7 @@ def _check_windows(events: list[FaultEvent], duration_ns: int) -> None:
 
 
 def _validate_retry(raw: Any) -> dict[str, Any]:
-    if not isinstance(raw, dict):
-        raise ConfigurationError(
-            f"faults.retry: block must be an object, got {type(raw).__name__}"
-        )
-    unknown = set(raw) - set(_RETRY_FIELDS)
+    unknown = set(entry_object("faults.retry", raw, "block")) - set(_RETRY_FIELDS)
     if unknown:
         raise ConfigurationError(f"faults.retry: unknown keys {sorted(unknown)}")
     overrides: dict[str, Any] = {}

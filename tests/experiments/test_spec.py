@@ -297,3 +297,150 @@ class TestScheduleBuild:
         assert any(
             t < 10 * units.SECOND for t in experiment.node(3).stats.aex_times_ns
         )
+
+
+class TestMalformedTimedActions:
+    """Malformed ``attacks``/``schedule`` input fails loudly, naming the entry."""
+
+    def test_attack_victim_outside_cluster_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"attacks\[0\]: victim=9 outside cluster"):
+            minimal_spec(attacks=[{"type": "fminus", "victim": 9}])
+
+    def test_attack_unknown_key_rejected(self):
+        with pytest.raises(
+            ConfigurationError, match=r"attacks\[0\]: fminus has unknown keys \['delay'\]"
+        ):
+            minimal_spec(attacks=[{"type": "fminus", "victim": 3, "delay": 50}])
+
+    def test_tsc_attack_victim_outside_cluster_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"attacks\[0\]: victim=9 outside cluster"):
+            minimal_spec(
+                attacks=[{"type": "tsc-offset", "offset_ticks": 1_000, "at_s": 1, "victim": 9}]
+            )
+
+    def test_aex_onset_node_outside_cluster_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"attacks\[1\]: node=9 outside cluster"):
+            minimal_spec(
+                attacks=[
+                    {"type": "fminus", "victim": 3},
+                    {"type": "aex-onset", "nodes": [1, 9], "at_s": 5},
+                ]
+            )
+
+    def test_schedule_param_of_wrong_type_rejected(self):
+        with pytest.raises(
+            ConfigurationError, match=r"schedule\[0\]: offset_ticks must be non-zero .*'abc'"
+        ):
+            minimal_spec(schedule=[_entry(params={"offset_ticks": "abc"})])
+
+    def test_schedule_bool_node_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"schedule\[0\]: node must be an integer"):
+            minimal_spec(
+                schedule=[{"t_ns": 1, "primitive": "aex-suppress", "params": {"node": True}}]
+            )
+
+
+def _run_stats(**blocks):
+    """Node stats and per-cause drop counters of a finished spec run."""
+    seed = blocks.pop("seed")
+    experiment = minimal_spec(seed=seed, duration_s=blocks.pop("duration_s"), **blocks).run()
+    return (
+        [node.stats for node in experiment.cluster.nodes],
+        experiment.cluster.network.drop_counts,
+    )
+
+
+def _at(t_s, primitive, **params):
+    return {"t_ns": int(t_s * units.SECOND), "primitive": primitive, "params": params}
+
+
+#: (id, seed, duration_s, one syntax's blocks, the same actions in another).
+_EQUIVALENT_SYNTAXES = [
+    (
+        "faults-vs-schedule",
+        3,
+        30,
+        {
+            "faults": {
+                "schedule": [
+                    {"t_s": 5.0, "kind": "node-crash", "node": 2, "down_ms": 800},
+                    {"t_s": 8.0, "kind": "ta-outage", "duration_ms": 2_000},
+                    {"t_s": 12.0, "kind": "partition", "island": [3], "duration_ms": 2_000},
+                ]
+            }
+        },
+        {
+            "schedule": [
+                _at(5, "node-crash", node=2, down_ms=800),
+                _at(8, "ta-outage", duration_ms=2_000),
+                _at(12, "partition", node=3, duration_ms=2_000),
+            ]
+        },
+    ),
+    (
+        "fminus-vs-net-delay",
+        6,
+        40,
+        {"attacks": [{"type": "fminus", "victim": 3, "delay_ms": 100}]},
+        {"schedule": [_at(0, "net-delay", victim=3, mode="fminus", delay_ms=100)]},
+    ),
+    (
+        "aex-suppress",
+        6,
+        40,
+        {"attacks": [{"type": "aex-suppress", "nodes": [1]}]},
+        {"schedule": [_at(0, "aex-suppress", node=1)]},
+    ),
+    (
+        "tsc-offset",
+        6,
+        40,
+        {"attacks": [{"type": "tsc-offset", "offset_ticks": -150_000_000, "at_s": 10}]},
+        {"schedule": [_at(10, "tsc-offset", offset_ticks=-150_000_000)]},
+    ),
+    (
+        "ta-blackhole",
+        6,
+        40,
+        {"attacks": [{"type": "ta-blackhole", "start_s": 5, "stop_s": 15}]},
+        {"schedule": [_at(5, "ta-blackhole", duration_ms=10_000)]},
+    ),
+    (
+        # The one pair the apply rule made equal: a window starting at
+        # t=0 now pauses at build time, exactly like the onset attack.
+        "aex-onset-vs-suppress-window",
+        6,
+        40,
+        {"attacks": [{"type": "aex-onset", "nodes": [1, 2], "at_s": 20}]},
+        {
+            "schedule": [
+                _at(0, "aex-suppress", node=1, duration_ms=20_000),
+                _at(0, "aex-suppress", node=2, duration_ms=20_000),
+            ]
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "seed,duration_s,first,second",
+    [case[1:] for case in _EQUIVALENT_SYNTAXES],
+    ids=[case[0] for case in _EQUIVALENT_SYNTAXES],
+)
+def test_equivalent_syntaxes_run_identically(seed, duration_s, first, second):
+    """Every syntax lowers into one action table: the same actions spelt in
+    two syntaxes give identical node stats and drop counters."""
+    assert _run_stats(seed=seed, duration_s=duration_s, **first) == _run_stats(
+        seed=seed, duration_s=duration_s, **second
+    )
+
+
+def test_crash_at_t0_lands_after_boot():
+    """A crash interrupts running enclave threads, so a t=0 crash is
+    scheduled (just after boot) rather than applied at build time."""
+    experiment = minimal_spec(
+        duration_s=5,
+        schedule=[{"t_ns": 0, "primitive": "node-crash", "params": {"node": 2}}],
+    ).run()
+    assert experiment.node(2).stats.crashes == 1
+    assert [action for _, _, action in experiment.cluster.fault_events] == ["crash", "restart"]
