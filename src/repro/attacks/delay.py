@@ -91,25 +91,19 @@ class CalibrationDelayAttacker(NetworkAdversary):
         #: (estimated_sleep_ns, delayed) per matched response, for analysis.
         self.sleep_estimates: list[tuple[int, bool]] = []
 
-    def expected_violations(self) -> set[tuple[str, str]]:
+    def expected_violations(self, contained: bool = False) -> set[tuple[str, str]]:
         """Oracle (node, invariant) pairs this attack is built to cause.
 
         The victim's clock free-runs on a skewed F_calib while its state
-        reports OK. F− additionally propagates: the fast victim's always
-        ahead timestamps win every peer untaint, so any honest node may
-        drift out of bound too (``"*"`` is the oracle's node wildcard).
+        reports OK. F− additionally propagates unless the cluster's nodes
+        are ``contained`` (:attr:`~repro.core.node.TriadNode.contains_fminus`):
+        the fast victim's always ahead timestamps win every peer untaint,
+        so any node may drift out of bound or adopt an out-of-bound peer's
+        time (``"*"`` is the oracle's node wildcard).
         """
-        pairs = {
-            (self.victim_host, "drift-bound"),
-            (self.victim_host, "state-soundness"),
-        }
-        if self.mode is AttackMode.F_MINUS:
-            pairs |= {
-                ("*", "drift-bound"),
-                ("*", "state-soundness"),
-                ("*", "untaint-safety"),
-            }
-        return pairs
+        if self.mode is AttackMode.F_MINUS and not contained:
+            return {("*", "drift-bound"), ("*", "state-soundness"), ("*", "untaint-safety")}
+        return {(self.victim_host, "drift-bound"), (self.victim_host, "state-soundness")}
 
     def enable(self) -> None:
         """Start interfering (observation always runs)."""

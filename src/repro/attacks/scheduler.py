@@ -12,11 +12,11 @@ Each capability is one row of :data:`ACTIONS`, validated by
 :func:`validate` into a :class:`TimedAction` ``(t_ns, kind, params,
 heal_ns)`` and applied by :func:`apply_action`. The spec syntaxes
 ``attacks``, ``schedule``, ``churn.schedule`` and ``faults.schedule``
-lower into it, and the scenario builders apply it directly
-(``docs/actions.md`` has the kind table). The apply rule: an action whose
-instant is not after ``sim.now`` applies at once, a later one through
-:func:`at` (``node-crash`` always goes through :func:`at`); heals always
-go through :func:`at`.
+lower into it (``docs/actions.md`` has the kind table), and what the
+applied actions return is a run's whole oracle allowance. The apply
+rule: an action whose instant is not after ``sim.now`` applies at once,
+a later one through :func:`at` (``node-crash`` always goes through
+:func:`at`); heals always go through :func:`at`.
 """
 
 from __future__ import annotations
@@ -262,11 +262,10 @@ def _timed(experiment, action, tag, start, stop=None, names=("-start", "-stop"))
         at(experiment.sim, action.heal_ns, stop, name=tag + names[1])
 
 
-def _add_adversary(experiment: "Experiment", adversary) -> set:
-    """Put an on-path adversary on the fabric; returns what it causes."""
+def _add_adversary(experiment: "Experiment", adversary) -> None:
+    """Put an on-path adversary on the fabric."""
     experiment.cluster.network.add_adversary(adversary)
     experiment.attackers.append(adversary)
-    return adversary.expected_violations()
 
 
 def _aex_source(cluster, index: int) -> AexSource:
@@ -325,13 +324,15 @@ def _aex_flood(experiment: "Experiment", action: TimedAction, tag: str) -> None:
 
 def _ta_blackhole(experiment: "Experiment", action: TimedAction, tag: str) -> set:
     victims = action.params.get("victims")
-    return _add_adversary(experiment, TaBlackholeAttack(
+    adversary = TaBlackholeAttack(
         experiment.sim,
         ta_host=experiment.cluster.tas[0].name,
         victims={node_name(v) for v in victims} if victims else None,
         start_ns=action.t_ns,
         stop_ns=action.heal_ns,
-    ))
+    )
+    _add_adversary(experiment, adversary)
+    return adversary.expected_violations()
 
 
 def _net_delay(experiment: "Experiment", action: TimedAction, tag: str) -> set:
@@ -344,9 +345,10 @@ def _net_delay(experiment: "Experiment", action: TimedAction, tag: str) -> set:
         added_delay_ns=int(float(params["delay_ms"]) * MILLISECOND),
         active=False,
     )
-    expected = _add_adversary(experiment, adversary)
+    _add_adversary(experiment, adversary)
     _timed(experiment, action, tag, adversary.enable, adversary.disable)
-    return expected
+    contained = all(node.contains_fminus for node in experiment.cluster.nodes)
+    return adversary.expected_violations(contained)
 
 
 def _node_crash(experiment: "Experiment", action: TimedAction, tag: str) -> None:

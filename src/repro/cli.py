@@ -56,21 +56,8 @@ import argparse
 import sys
 from typing import Callable, Optional
 
-from repro.experiments import figures
-from repro.sim.units import HOUR, MINUTE, SECOND
-
-#: Experiment registry: name -> (description, default duration ns, runner).
-_EXPERIMENTS: dict[str, tuple[str, Optional[int], Callable]] = {
-    "fig1": ("Fig. 1a/1b inter-AEX delay CDFs", None, lambda d: figures.figure1()),
-    "inc": ("S IV-A1 INC-monitoring table", None, lambda d: figures.inc_monitor_experiment()),
-    "fig2": ("Fig. 2 fault-free, Triad-like AEXs", 30 * MINUTE, figures.figure2),
-    "fig3": ("Fig. 3 fault-free, low-AEX (8h)", 8 * HOUR, figures.figure3),
-    "fig4": ("Fig. 4 F+ attack, low-AEX victim", 10 * MINUTE, figures.figure4),
-    "fig5": ("Fig. 5 F+ attack, Triad-like AEXs", 10 * MINUTE, figures.figure5),
-    "fig6": ("Fig. 6 F- attack & propagation", 7 * MINUTE, figures.figure6),
-    "fig6-hardened": ("Fig. 6 scenario vs S V hardening", 7 * MINUTE, figures.figure6_hardened),
-    "ablation": ("ABL-CAL calibration estimators", None, lambda d: figures.calibration_ablation()),
-}
+from repro.experiments.figures import EXPERIMENTS, render_result, run_experiment
+from repro.sim.units import SECOND
 
 #: sweep name -> metric columns of its table.
 _SWEEP_METRICS: dict[str, list[str]] = {
@@ -151,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list available experiments")
 
     run = sub.add_parser("run", help="run one experiment")
-    run.add_argument("experiment", choices=sorted(_EXPERIMENTS))
+    run.add_argument("experiment", choices=sorted(EXPERIMENTS))
     run.add_argument("--seed", type=int, default=None, help="override the default seed")
     run.add_argument(
         "--duration-s", type=float, default=None, help="override the run duration (seconds)"
@@ -525,7 +512,7 @@ def _run_reproduce_fleet(args) -> int:
             payload={"experiment": name},
             overrides=_plane_overrides(args),
         )
-        for name in _EXPERIMENTS
+        for name in EXPERIMENTS
     ]
     pool, cache, telemetry = _fleet_pieces(args)
     results = pool.run(tasks, cache=cache, telemetry=telemetry)
@@ -542,28 +529,14 @@ def _run_reproduce_fleet(args) -> int:
 
 
 def _run_experiment(name: str, seed: Optional[int], duration_s: Optional[float]):
-    _description, default_duration, runner = _EXPERIMENTS[name]
-    kwargs = {}
-    if seed is not None:
-        kwargs["seed"] = seed
-    if default_duration is None:
-        # fig1 / inc / ablation have no duration knob; their registry
-        # entries are lambdas taking the (ignored) duration placeholder.
+    if EXPERIMENTS[name][1] is None:
+        # fig1 / inc / ablation have no duration or seed knob.
         if duration_s is not None:
             print("note: this experiment has no duration parameter; --duration-s ignored")
-        if kwargs:
+        if seed is not None:
             print("note: this experiment runs with its built-in seed; --seed ignored")
-        return runner(None)
-    duration_ns = int(duration_s * SECOND) if duration_s is not None else default_duration
-    return runner(duration_ns=duration_ns, **kwargs)
-
-
-def _render_result(name: str, result) -> str:
-    """An experiment's tables; results that need a title get its description."""
-    try:
-        return result.render()
-    except TypeError:
-        return result.render(_EXPERIMENTS[name][0])
+    duration_ns = None if duration_s is None else int(duration_s * SECOND)
+    return run_experiment(name, seed, duration_ns)
 
 
 def _preset_spec(args, name: str, attack: str = "benign", **blocks) -> dict:
@@ -798,8 +771,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "list":
-        width = max(len(name) for name in _EXPERIMENTS)
-        for name, (description, duration, _) in sorted(_EXPERIMENTS.items()):
+        width = max(len(name) for name in EXPERIMENTS)
+        for name, (description, duration, _) in sorted(EXPERIMENTS.items()):
             span = f"{duration / SECOND:.0f}s" if duration else "-"
             print(f"{name:<{width + 2}} {span:>8}  {description}")
         return 0
@@ -811,7 +784,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if run.value is None:
             return code
         result = run.value
-        print(_render_result(args.experiment, result))
+        print(render_result(args.experiment, result))
         if run.controllers:
             from repro.membership import render_report
 
@@ -880,7 +853,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             else:  # installed without the examples tree: run the essentials
                 for name in ("fig1", "inc", "fig2", "fig6", "ablation"):
                     print(f"\n=== {name} ===")
-                    print(_render_result(name, _run_experiment(name, None, None)))
+                    print(render_result(name, _run_experiment(name, None, None)))
             return True
 
         return _serial_run(args, reproduce_serial)[1]

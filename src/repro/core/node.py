@@ -168,6 +168,11 @@ class NodeStats:
 class TriadNode:
     """One Triad protocol participant (a TEE enclave plus its threads)."""
 
+    #: Whether an F− infection stays on its victim: the base protocol's
+    #: peer untaint adopts any ahead timestamp, so the fast victim drags
+    #: every honest node forward (the paper's propagation cascade).
+    contains_fminus: bool = False
+
     def __init__(
         self,
         sim: "Simulator",

@@ -9,7 +9,7 @@ files under ``benchmarks/`` call these and assert the qualitative claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.analysis.metrics import (
     DriftSeries,
@@ -424,3 +424,38 @@ def calibration_ablation(seed: int = 9, rounds: int = 8) -> CalibrationAblationR
         regression_frequency_hz=results["regression"],
         mean_only_frequency_hz=results["mean-only"],
     )
+
+
+# -- the canonical experiment registry ------------------------------------------------------------
+
+#: Experiment name -> (description, default duration ns, runner). Runners
+#: of the fixed-span experiments (no default duration) ignore their
+#: argument and run with their built-in seed.
+EXPERIMENTS: dict[str, tuple[str, Optional[int], Callable]] = {
+    "fig1": ("Fig. 1a/1b inter-AEX delay CDFs", None, lambda d: figure1()),
+    "inc": ("S IV-A1 INC-monitoring table", None, lambda d: inc_monitor_experiment()),
+    "fig2": ("Fig. 2 fault-free, Triad-like AEXs", 30 * MINUTE, figure2),
+    "fig3": ("Fig. 3 fault-free, low-AEX (8h)", 8 * HOUR, figure3),
+    "fig4": ("Fig. 4 F+ attack, low-AEX victim", 10 * MINUTE, figure4),
+    "fig5": ("Fig. 5 F+ attack, Triad-like AEXs", 10 * MINUTE, figure5),
+    "fig6": ("Fig. 6 F- attack & propagation", 7 * MINUTE, figure6),
+    "fig6-hardened": ("Fig. 6 scenario vs S V hardening", 7 * MINUTE, figure6_hardened),
+    "ablation": ("ABL-CAL calibration estimators", None, lambda d: calibration_ablation()),
+}
+
+
+def run_experiment(name: str, seed: Optional[int] = None, duration_ns: Optional[int] = None):
+    """Run one registered experiment (its defaults where ``None``)."""
+    _description, default_duration, runner = EXPERIMENTS[name]
+    if default_duration is None:
+        return runner(None)
+    kwargs = {} if seed is None else {"seed": seed}
+    return runner(duration_ns=default_duration if duration_ns is None else duration_ns, **kwargs)
+
+
+def render_result(name: str, result) -> str:
+    """An experiment's tables; results that need a title get its description."""
+    try:
+        return result.render()
+    except TypeError:
+        return result.render(EXPERIMENTS[name][0])

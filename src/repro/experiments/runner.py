@@ -1,10 +1,12 @@
 """Experiment harness: a configured cluster plus probes, ready to run.
 
-Every paper figure/table maps to a builder in
-:mod:`repro.experiments.scenarios` returning an :class:`Experiment`; the
-reductions to figure data live in :mod:`repro.experiments.figures`. The
-split keeps scenario wiring (who gets which AEX environment, where the
-attacker sits) separate from measurement post-processing.
+Every paper figure/table maps to a spec entry in
+:mod:`repro.experiments.scenarios`, which
+:meth:`~repro.experiments.spec.ExperimentSpec.build` wires into an
+:class:`Experiment`; the reductions to figure data live in
+:mod:`repro.experiments.figures`. The split keeps scenario wiring (who
+gets which AEX environment, where the attacker sits) separate from
+measurement post-processing.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from repro.core.cluster import TriadCluster
 from repro.core.node import TriadNode
 from repro.errors import ConfigurationError
 from repro.net.adversary import NetworkAdversary
-from repro.oracle.expectations import expected_for
 from repro.oracle.policy import current_policy, unexpected_error
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,12 +35,10 @@ class Experiment:
     cluster: TriadCluster
     recorder: DriftRecorder
     attackers: list[NetworkAdversary] = field(default_factory=list)
-    notes: str = ""
     duration_ns: int = 0
     #: (node, invariant) pairs this scenario is *supposed* to produce
-    #: (attack experiments produce violations by design). Seeded from the
-    #: scenario registry by name; attack wiring (e.g.
-    #: :meth:`~repro.experiments.spec.ExperimentSpec`) may union more in.
+    #: (attack experiments produce violations by design): the union of
+    #: what every applied timed action declares.
     expected_violations: set = field(default_factory=set)
     #: Attached :class:`~repro.service.TimeService`, when the scenario
     #: deploys the client-facing service layer (set by
@@ -48,12 +47,9 @@ class Experiment:
     #: Attached :class:`~repro.membership.MembershipController`, when the
     #: scenario runs the membership control plane (set by
     #: :meth:`MembershipController.attach` for a spec's ``membership``
-    #: block, or bound from the cluster's policy-attached controller by
-    #: the scenario builders — one engine per cluster either way).
+    #: block, or bound from the cluster's policy-attached controller at
+    #: build — one engine per cluster either way).
     membership: Optional[object] = None
-
-    def __post_init__(self) -> None:
-        self.expected_violations |= expected_for(self.name)
 
     @property
     def oracle(self) -> Optional["InvariantOracle"]:

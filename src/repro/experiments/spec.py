@@ -23,8 +23,11 @@ variant, attacks, duration — that compiles into a wired
 ```
 
 ``python -m repro run-spec my.json`` executes it and prints the standard
-drift table. Unknown keys are rejected — a typo must fail loudly, not
-silently run a different experiment.
+drift table; ``drift_interval_s`` (default 1 s) spaces the drift samples
+behind it. Unknown keys are rejected — a typo must fail loudly, not
+silently run a different experiment. The paper's canonical scenarios are
+entries of this format (:data:`repro.experiments.scenarios.SCENARIOS`):
+:meth:`ExperimentSpec.build` is the only place a scenario is wired.
 
 Everything a spec does to a run at an instant — the scenario-level
 ``attacks`` list, the timed ``schedule``, ``churn.schedule`` and
@@ -71,6 +74,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
+from repro.analysis.metrics import DriftRecorder
 from repro.attacks.scheduler import (
     Shape,
     TimedAction,
@@ -82,13 +86,13 @@ from repro.attacks.scheduler import (
     syntax_keys,
     validate,
 )
-from repro.core.cluster import ClusterConfig
+from repro.core.cluster import ClusterConfig, TriadCluster
 from repro.errors import ConfigurationError
-from repro.experiments.figures import DriftFigureResult
 from repro.experiments.runner import Experiment
-from repro.experiments.scenarios import AexEnvironment, build_experiment
 from repro.hardened.node import HardenedNodeConfig, HardenedTriadNode
+from repro.hardware.aex import ExponentialAexDelays, TriadLikeAexDelays
 from repro.oracle.policy import plane_policy
+from repro.sim.kernel import Simulator
 from repro.sim.units import SECOND
 
 #: Recognized protocol variants.
@@ -127,6 +131,7 @@ _SPEC_KEYS = {
     "environments",
     "machine_wide_mean_s",
     "machine_wide_correlation",
+    "drift_interval_s",
     "ta_count",
     "attacks",
     "schedule",
@@ -152,8 +157,12 @@ class ExperimentSpec:
     protocol: str = "original"
     #: node index (int) -> "triad-like" | "low-aex"; unlisted: "low-aex".
     environments: dict[int, str] = field(default_factory=dict)
+    #: Mean spacing of residual machine-wide OS interrupts (None: none);
+    #: default the 5.4 minutes of the paper's Fig. 1b isolated core.
     machine_wide_mean_s: Optional[float] = 324.0
     machine_wide_correlation: float = 0.95
+    #: Spacing of the drift table's samples (Fig. 3 samples every 5 s).
+    drift_interval_s: float = 1.0
     ta_count: int = 1
     attacks: list[dict[str, Any]] = field(default_factory=list)
     #: Timed attack schedule: [{"t_ns": int, "primitive": str, "params": {...}}].
@@ -184,6 +193,10 @@ class ExperimentSpec:
             raise ConfigurationError("spec needs a name")
         if self.duration_s <= 0:
             raise ConfigurationError(f"duration must be positive, got {self.duration_s}")
+        if self.drift_interval_s <= 0:
+            raise ConfigurationError(
+                f"drift interval must be positive, got {self.drift_interval_s}"
+            )
         if self.nodes < 1:
             raise ConfigurationError(f"need at least one node, got {self.nodes}")
         if self.protocol not in PROTOCOLS:
@@ -196,15 +209,16 @@ class ExperimentSpec:
                 raise ConfigurationError(f"environment for unknown node {index}")
             if environment not in ("triad-like", "low-aex"):
                 raise ConfigurationError(f"unknown environment {environment!r}")
-        self._attack_actions()
-        self._schedule_actions()
+        # Lowered once here, for build and outcome to reuse; plain
+        # attributes, not fields, so they stay out of asdict/to_json.
+        self._attacks = self._attack_actions()
+        self._timed = self._schedule_actions()
         if self.service is not None:
             self._validate_service(self.service)
         if self.membership is not None:
             self._validate_membership(self.membership)
-        self._churn_actions()
-        if self.faults is not None:
-            self._fault_plan()
+        self._timed += self._churn_actions()
+        self._faults = None if self.faults is None else self._fault_plan()
 
     def _validate_membership(self, raw: dict[str, Any]) -> None:
         # Imported here for the same layering reason as the service block.
@@ -392,56 +406,47 @@ class ExperimentSpec:
 
     def build(self) -> Experiment:
         """Wire the experiment (does not run it)."""
-        environments = {
-            index: (
-                AexEnvironment.TRIAD_LIKE
-                if self.environments.get(index, "low-aex") == "triad-like"
-                else AexEnvironment.LOW_AEX
-            )
-            for index in range(1, self.nodes + 1)
-        }
-        initial_absent: tuple[int, ...] = ()
-        if self.churn is not None:
-            initial_absent = tuple(sorted(self.churn.get("absent", [])))
+        protocol = {}
+        if self.protocol == "hardened":
+            protocol = {"node_class": HardenedTriadNode, "node_config": HardenedNodeConfig()}
         # Shared-host clusters pin one monitoring core per node; specs may
         # deploy hundreds of nodes, so the host grows beyond the paper's
         # 32 cores when needed (identical machine for nodes <= 32).
-        core_count = max(32, self.nodes)
-        if self.protocol == "hardened":
-            cluster_config = ClusterConfig(
-                node_count=self.nodes,
-                core_count=core_count,
-                ta_count=self.ta_count,
-                node_class=HardenedTriadNode,
-                node_config=HardenedNodeConfig(),
-                initial_absent=initial_absent,
-            )
-        else:
-            cluster_config = ClusterConfig(
-                node_count=self.nodes,
-                core_count=core_count,
-                ta_count=self.ta_count,
-                initial_absent=initial_absent,
-            )
-
-        machine_wide_mean = (
-            None
-            if self.machine_wide_mean_s is None
-            else int(self.machine_wide_mean_s * SECOND)
+        config = ClusterConfig(
+            node_count=self.nodes,
+            core_count=max(32, self.nodes),
+            ta_count=self.ta_count,
+            initial_absent=tuple(sorted(self.churn.get("absent", []))) if self.churn else (),
+            **protocol,
         )
-        # A membership block wins over the policy's mode: build the
-        # cluster without a policy engine and attach the block's below.
-        with plane_policy(membership=None if self.membership is None else "off"):
-            experiment = build_experiment(
-                name=self.name,
-                seed=self.seed,
-                environments=environments,
-                machine_wide_mean_ns=machine_wide_mean,
-                machine_wide_correlation=self.machine_wide_correlation,
-                cluster_config=cluster_config,
-                notes=f"spec:{self.name}",
+        sim = Simulator(seed=self.seed)
+        if self.membership is None:
+            cluster = TriadCluster(sim, config)
+        else:
+            # A membership block wins over the policy's mode: build the
+            # cluster without a policy engine and attach the block's below.
+            with plane_policy(membership="off"):
+                cluster = TriadCluster(sim, config)
+        machine = cluster.machine
+        for index, core in enumerate(cluster.monitoring_cores, start=1):
+            if self.environments.get(index) == "triad-like":
+                machine.add_aex_source(core, TriadLikeAexDelays(), cause="rdmsr-sim")
+        if self.machine_wide_mean_s is not None:
+            machine.add_machine_wide_interrupts(
+                ExponentialAexDelays(int(self.machine_wide_mean_s * SECOND)),
+                core_indices=cluster.monitoring_cores,
+                correlation_probability=self.machine_wide_correlation,
             )
-        for tag, action in self._attack_actions():
+        interval_ns = int(self.drift_interval_s * SECOND)
+        recorder = DriftRecorder(sim, cluster.nodes, interval_ns=interval_ns)
+        experiment = Experiment(name=self.name, sim=sim, cluster=cluster, recorder=recorder)
+        if cluster.membership is not None:
+            # The policy attached a controller at cluster construction; bind
+            # it to the experiment so quarantine verdicts can downgrade the
+            # oracle's expected-violation set at runtime.
+            experiment.membership = cluster.membership
+            cluster.membership.bind_expectations(experiment.expected_violations)
+        for tag, action in self._attacks:
             node = action.params.get("node")
             if action.kind == "aex-suppress" and self.environments.get(node) != "triad-like":
                 raise ConfigurationError(
@@ -449,7 +454,7 @@ class ExperimentSpec:
                     f"the 'triad-like' environment in the spec"
                 )
             experiment.expected_violations |= apply_action(experiment, action, tag)
-        for tag, action in self._schedule_actions() + self._churn_actions():
+        for tag, action in self._timed:
             experiment.expected_violations |= apply_action(experiment, action, tag)
         if self.service is not None:
             from repro.service import ServiceConfig, TimeService
@@ -464,10 +469,10 @@ class ExperimentSpec:
             MembershipController.attach(
                 experiment, config=MembershipConfig.from_dict(raw), mode=mode
             )
-        if self.faults is not None:
+        if self._faults is not None:
             from repro.faults import apply_fault_plan
 
-            apply_fault_plan(experiment, self._fault_plan())
+            apply_fault_plan(experiment, self._faults)
         return experiment
 
     def run(self) -> Experiment:
@@ -492,14 +497,18 @@ class ExperimentSpec:
 
             report = experiment.membership.report()
             planes["membership"] = {"report": report, "rendered": render_report(report)}
-        if self.faults is not None:
+        if self._faults is not None:
             from repro.faults import recovery_report, render_recovery_report
 
-            report = recovery_report(experiment, self._fault_plan())
+            report = recovery_report(experiment, self._faults)
             rendered = render_recovery_report(report)
             if "service" in planes:
                 report["service"] = planes["service"]["report"]
             planes["faults"] = {"report": report, "rendered": rendered}
+        # Imported here: the figures import the canonical scenarios, which
+        # are entries of this module's specs.
+        from repro.experiments.figures import DriftFigureResult
+
         table = DriftFigureResult(experiment=experiment, duration_ns=self.duration_ns)
         return {
             "spec": self.name,

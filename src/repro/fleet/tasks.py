@@ -186,10 +186,10 @@ def result_violations(value: Any) -> list[dict]:
 
 # -- built-in task kinds ---------------------------------------------------------
 #
-# The imports below are deliberately lazy: repro.experiments.sweeps and
-# repro.cli import this package at module level, so importing them here at
-# import time would be circular. Executors only pay the import on first use
-# (once per worker process).
+# The imports below are deliberately lazy: repro.experiments imports this
+# package at module level, so importing it here at import time would be
+# circular. Executors only pay the import on first use (once per worker
+# process).
 
 
 @register_runner("sweep-point")
@@ -235,20 +235,15 @@ def _run_hunt_genome(task: RunTask) -> dict:
 
 @register_runner("experiment")
 def _run_experiment(task: RunTask) -> dict:
-    """Execute one canonical experiment from the CLI registry."""
-    from repro.cli import _EXPERIMENTS, _render_result
+    """Execute one canonical experiment (``repro.experiments.figures.EXPERIMENTS``)."""
+    from repro.experiments.figures import EXPERIMENTS, render_result, run_experiment
 
     name = task.payload.get("experiment")
-    if name not in _EXPERIMENTS:
-        raise FleetError(f"unknown experiment {name!r}; choose from {sorted(_EXPERIMENTS)}")
-    _description, default_duration, runner = _EXPERIMENTS[name]
-    if default_duration is None:
-        # fig1 / inc / ablation: built-in seed and span, no knobs.
-        result = runner(None)
-        sim_ns = 0
-    else:
-        duration_ns = task.duration_ns or default_duration
-        kwargs = {} if task.seed is None else {"seed": task.seed}
-        result = runner(duration_ns=duration_ns, **kwargs)
-        sim_ns = duration_ns
-    return {"experiment": name, "rendered": _render_result(name, result), "sim_ns": sim_ns}
+    if name not in EXPERIMENTS:
+        raise FleetError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
+    default_duration = EXPERIMENTS[name][1]
+    duration_ns = task.duration_ns or default_duration
+    result = run_experiment(name, task.seed, duration_ns)
+    # fig1 / inc / ablation: built-in seed and span, no simulated time.
+    sim_ns = duration_ns if default_duration else 0
+    return {"experiment": name, "rendered": render_result(name, result), "sim_ns": sim_ns}

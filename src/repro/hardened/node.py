@@ -92,6 +92,10 @@ class HardenedStats:
 class HardenedTriadNode(TriadNode):
     """A Triad node running the §V hardened protocol."""
 
+    #: The true-chimer check rejects the F− victim's readings: honest
+    #: nodes hold and only the victim breaks its bound.
+    contains_fminus = True
+
     def __init__(
         self,
         sim: "Simulator",

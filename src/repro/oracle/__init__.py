@@ -11,7 +11,6 @@ controller), and the one runner judging them. See ``docs/oracle.md``.
 
 from repro.oracle.expectations import (
     ANY_NODE,
-    EXPECTED_VIOLATIONS,
     expected_for,
     is_expected,
     unexpected_keys,
@@ -39,7 +38,6 @@ from repro.oracle.violations import (
 
 __all__ = [
     "ANY_NODE",
-    "EXPECTED_VIOLATIONS",
     "INVARIANTS",
     "InvariantOracle",
     "MEMBERSHIP_MODES",

@@ -1,12 +1,13 @@
-"""Expected violation sets: what each canonical scenario *should* trip.
+"""Expected violation sets: what a run *should* trip.
 
 The oracle's strict mode fails a run on any violation that is not
-expected. For benign scenarios the expected set is empty; for the paper's
+expected. For benign runs the expected set is empty; for the paper's
 attack scenarios the violations *are* the result — fig4's victim drifting
-out of bound is the experiment working, not the oracle misfiring. This
-registry names those expectations per canonical scenario (and per sweep
-family, matched by task-name prefix), so ``repro reproduce --oracle
-strict`` passes while still catching anything off-script.
+out of bound is the experiment working, not the oracle misfiring. A
+wired :class:`~repro.experiments.runner.Experiment` gets its set from the
+timed actions it applies: each declares the pairs it is built to cause
+(``docs/actions.md``). Bare-cluster fleet tasks apply no actions, so the
+sweep families keep their allowance here, matched by task-name prefix.
 
 Entries are ``(node, invariant)`` pairs; ``"*"`` as the node matches any
 node (used where an attack's blast radius is deliberately unbounded, e.g.
@@ -38,51 +39,8 @@ _CASCADE = frozenset(
     }
 )
 
-#: Canonical experiment name -> expected (node, invariant) pairs.
-EXPECTED_VIOLATIONS: dict[str, frozenset[tuple[str, str]]] = {
-    # Fault-free scenarios: the oracle must stay silent.
-    "fig2-fault-free-triad-like": frozenset(),
-    "fig3-fault-free-low-aex": frozenset(),
-    # F+ (slow clock): only the victim breaks its bound.
-    "fig4-fplus-low-aex": _VICTIM,
-    "fig5-fplus-triad-like": _VICTIM,
-    "baseline-fplus-suppressed-aex": _VICTIM,
-    # F− with propagation: the cascade may infect every honest node.
-    "fig6-fminus-propagation": _CASCADE,
-    # Hardened protocol under the same attacks: the victim may transiently
-    # exceed the bound before the discipline loop repairs it, but honest
-    # nodes must hold (no wildcard entries).
-    "hardened-fminus-propagation": _VICTIM,
-    "hardened-fplus-suppressed-aex": _VICTIM,
-    # TA blackhole: refresh starves; freshness deadlines fire fleet-wide.
-    "dos-ta-blackhole": frozenset({(ANY_NODE, "freshness")}),
-    # Service-layer scenarios (repro.service / CLI `service`): the service
-    # is an observer, so expectations mirror the underlying attack. Spec
-    # attack wiring unions the same pairs in; these entries also cover
-    # hand-built clusters using the canonical names.
-    "service-benign": frozenset(),
-    "service-fplus": _VICTIM,
-    # Hardened protocol pins the F− poison to the victim (quorum-containment
-    # scenario of the CLI's --attack fminus).
-    "service-fminus": _VICTIM,
-    "service-fminus-propagation": _CASCADE,
-    "service-ta-blackhole": frozenset({(ANY_NODE, "freshness")}),
-    # Membership-plane scenarios (repro.membership / CLI `membership`).
-    # Benign and churn runs must stay silent; attack runs start from the
-    # underlying attack's allowance. At runtime the membership engine
-    # *narrows* what actually fires: quarantining a node downgrades that
-    # node's violations to expected in the live set (the cut node's
-    # out-of-bound clock is the containment working), while contained
-    # honest nodes simply never trip the oracle.
-    "membership-benign": frozenset(),
-    "membership-churn": frozenset(),
-    "membership-fplus": _VICTIM,
-    "membership-fminus-propagation": _CASCADE,
-    "membership-ta-blackhole": frozenset({(ANY_NODE, "freshness")}),
-}
-
-#: Task-name prefix -> expected pairs, for fleet tasks that are not
-#: canonical experiments (sweep points are named ``<sweep>/<point>``).
+#: Task-name prefix -> expected pairs, for bare-cluster fleet tasks, which
+#: apply no timed actions (sweep points are named ``<sweep>/<point>``).
 PREFIX_EXPECTATIONS: dict[str, frozenset[tuple[str, str]]] = {
     # attack-delay sweep points attack node-3 with F+/F−.
     "attack-delay/": _VICTIM,
@@ -92,10 +50,7 @@ PREFIX_EXPECTATIONS: dict[str, frozenset[tuple[str, str]]] = {
 
 
 def expected_for(name: str) -> frozenset[tuple[str, str]]:
-    """Expected violation pairs for a scenario/task name (empty default)."""
-    exact = EXPECTED_VIOLATIONS.get(name)
-    if exact is not None:
-        return exact
+    """Expected violation pairs for a fleet task name (empty default)."""
     for prefix, expected in PREFIX_EXPECTATIONS.items():
         if name.startswith(prefix):
             return expected

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.core.probes import ProbeEvent
 from repro.core.states import NodeState
-from repro.oracle.expectations import expected_for, is_expected
+from repro.oracle.expectations import is_expected
 from repro.oracle.violations import Violation, violation_score
 from repro.sim.units import MILLISECOND, SECOND
 
@@ -79,9 +79,9 @@ class InvariantOracle:
     """Online checker for one simulation run.
 
     Attach with :meth:`watch` per node (or :func:`watch_cluster`), run the
-    simulation, then :meth:`finalize`. ``name`` is the canonical scenario
-    name used to look up expected violations; it may be set after
-    construction (fleet tasks name the oracle when they adopt it).
+    simulation, then :meth:`finalize` with the run's expected set.
+    ``name`` labels the run in reports; it may be set after construction
+    (fleet tasks name the oracle when they adopt it).
     """
 
     def __init__(
@@ -388,10 +388,8 @@ class InvariantOracle:
         return list(self.violations)
 
     def expected_keys(self) -> frozenset:
-        """The governing expected set: frozen at finalize, else by name."""
-        if self.expected is not None:
-            return self.expected
-        return expected_for(self.name)
+        """The governing expected set: frozen at finalize, else empty."""
+        return frozenset() if self.expected is None else self.expected
 
     def violation_set(self) -> set[tuple[str, str]]:
         """Distinct (node, invariant) pairs observed."""

@@ -177,9 +177,10 @@ def run_planes(
     """Run ``fn()`` under the requested plane modes and judge what it built.
 
     Every oracle the call created is finalized — named ``name`` if no
-    :class:`~repro.experiments.runner.Experiment` named it, and with the
-    membership controllers' quarantine downgrades folded into its
-    expected set if no experiment froze one. A strict abort raised
+    :class:`~repro.experiments.runner.Experiment` named it, and, if no
+    experiment froze an expected set from its applied actions, with the
+    bare-cluster allowance of its name (:func:`expected_for`) plus the
+    membership controllers' quarantine downgrades. A strict abort raised
     inside ``fn`` is caught into :attr:`PlaneRun.failure`; oracles of
     earlier runs are still judged.
 
@@ -201,7 +202,7 @@ def run_planes(
     for item in run.oracles:
         if name and not item.name:
             item.name = name
-        item.finalize(expected_for(item.name) | downgrades if downgrades else None)
+        item.finalize(expected_for(item.name) | downgrades)
         unexpected.extend(item.unexpected_violations())
     if unexpected and scope.strict and run.failure is None:
         run.failure = unexpected_error(f"run {name!r}" if name else "run", unexpected)

@@ -1,45 +1,59 @@
-"""Tests for scenario builders (wiring correctness; short runs only)."""
+"""Tests for the canonical scenarios (wiring correctness; short runs only)."""
 
 import pytest
 
 from repro.attacks.delay import AttackMode
 from repro.errors import ConfigurationError
 from repro.experiments import scenarios
+from repro.experiments.spec import ExperimentSpec
 from repro.hardened.node import HardenedTriadNode
 from repro.sim import units
 
 
+def _spec(environments, **overrides):
+    return ExperimentSpec.from_dict(
+        {"name": "wiring", "seed": 1, "environments": environments, **overrides}
+    )
+
+
 class TestBuildExperiment:
     def test_environments_must_cover_all_nodes(self):
-        with pytest.raises(ConfigurationError):
-            scenarios.build_experiment(
-                "bad",
-                seed=1,
-                environments={1: scenarios.AexEnvironment.TRIAD_LIKE},
-            )
+        # Unlisted nodes default to low-AEX; a node outside the cluster is an error.
+        with pytest.raises(ConfigurationError, match="unknown node 4"):
+            _spec({"1": "triad-like", "4": "triad-like"})
 
     def test_triad_like_nodes_get_sources(self):
-        experiment = scenarios.build_experiment(
-            "mixed",
-            seed=1,
-            environments={
-                1: scenarios.AexEnvironment.TRIAD_LIKE,
-                2: scenarios.AexEnvironment.LOW_AEX,
-                3: scenarios.AexEnvironment.LOW_AEX,
-            },
-        )
+        experiment = _spec({"1": "triad-like", "2": "low-aex", "3": "low-aex"}).build()
         machine = experiment.cluster.machine
         assert set(machine.aex_sources) == {experiment.cluster.monitoring_cores[0]}
         assert machine.machine_wide_interrupts is not None
 
     def test_machine_wide_can_be_disabled(self):
-        experiment = scenarios.build_experiment(
-            "quiet",
-            seed=1,
-            environments={i: scenarios.AexEnvironment.LOW_AEX for i in (1, 2, 3)},
-            machine_wide_mean_ns=None,
-        )
+        experiment = _spec({}, machine_wide_mean_s=None).build()
         assert experiment.cluster.machine.machine_wide_interrupts is None
+
+
+def _wiring(experiment):
+    """What a scenario entry wires: the facts the round trip must keep."""
+    cluster = experiment.cluster
+    return {
+        "name": experiment.name,
+        "node_class": {type(node) for node in cluster.nodes},
+        "aex_cores": set(cluster.machine.aex_sources),
+        "attackers": [
+            (type(a).__name__, getattr(a, "victim_host", None), getattr(a, "mode", None))
+            for a in experiment.attackers
+        ],
+        "expected": experiment.expected_violations,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(scenarios.SCENARIOS))
+def test_scenario_entries_round_trip_through_json(name):
+    spec = scenarios.scenario_spec(name)
+    again = ExperimentSpec.from_json(spec.to_json())
+    assert again == spec
+    assert _wiring(again.build()) == _wiring(spec.build())
 
 
 class TestAttackScenarios:

@@ -1,5 +1,8 @@
 """Tests for declarative experiment specifications."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.attacks.delay import CalibrationDelayAttacker
@@ -7,6 +10,10 @@ from repro.errors import ConfigurationError
 from repro.experiments.spec import ExperimentSpec
 from repro.hardened.node import HardenedTriadNode
 from repro.sim import units
+
+
+SPECS_DIR = Path(__file__).resolve().parents[2] / "examples" / "specs"
+VICTIM_PAIRS = {("node-3", "drift-bound"), ("node-3", "state-soundness")}
 
 
 def minimal_spec(**overrides):
@@ -99,6 +106,28 @@ class TestExecution:
             / experiment.cluster.machine.tsc.frequency_hz
         )
         assert skew == pytest.approx(0.9, rel=1e-2)
+
+    def test_fminus_allowance_follows_the_protocol(self):
+        """The original protocol allows the F− cascade on any node; the
+        hardened one, whose honest nodes hold (§V), only the victim."""
+        attacks = [{"type": "fminus", "victim": 3, "delay_ms": 100}]
+        original = minimal_spec(attacks=attacks).build()
+        assert original.expected_violations == {
+            ("*", "drift-bound"), ("*", "state-soundness"), ("*", "untaint-safety"),
+        }
+        hardened = minimal_spec(protocol="hardened", duration_s=20, attacks=attacks).run()
+        assert hardened.expected_violations == VICTIM_PAIRS
+
+    def test_hardened_fminus_presets_allow_only_the_victim(self):
+        from repro.cli import _build_parser, _service_spec_dict
+
+        args = _build_parser().parse_args(
+            ["service", "--attack", "fminus", "--sessions", "1000", "--duration-s", "10"]
+        )
+        shipped = json.loads((SPECS_DIR / "fminus_hardened.json").read_text())
+        for raw in (_service_spec_dict(args), {**shipped, "duration_s": 10}):
+            experiment = ExperimentSpec.from_dict(raw).run()
+            assert experiment.expected_violations == VICTIM_PAIRS, raw["name"]
 
     def test_aex_onset_attack_applied(self):
         spec = minimal_spec(

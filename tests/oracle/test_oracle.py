@@ -1,12 +1,21 @@
 """Unit tests for the invariant oracle's checks, edges, and reporting."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.probes import ProbeEvent, ProbeHub
 from repro.core.states import NodeState
 from repro.core.untaint import UntaintOutcome
 from repro.errors import ConfigurationError
-from repro.oracle import InvariantOracle, OracleConfig, Violation, watch_cluster
+from repro.oracle import (
+    InvariantOracle,
+    OracleConfig,
+    Violation,
+    current_policy,
+    run_planes,
+    watch_cluster,
+)
 from repro.sim import Simulator, units
 
 from tests.core.conftest import build_cluster
@@ -235,14 +244,21 @@ class TestFinalizeAndReport:
             ("node-1", "state-soundness"),
         }
 
-    def test_expected_by_scenario_name(self, sim):
-        node = FakeNode(sim, name="node-3")
-        oracle = InvariantOracle(sim, name="fig4-fplus-low-aex")
-        oracle.watch(node)
-        node.clock.reading_ns = units.SECOND
-        oracle.finalize()
-        assert oracle.violations  # drift-bound + state-soundness on node-3
-        assert oracle.unexpected_violations() == []
+    def test_expected_by_sweep_prefix(self, sim):
+        """Bare-cluster sweep points get their allowance by task-name prefix;
+        any other name — a canonical scenario's too — expects nothing."""
+
+        def violating_run():
+            node = FakeNode(sim, name="node-3")
+            oracle = current_policy().attach(SimpleNamespace(sim=sim, nodes=[node]))[0]
+            node.clock.reading_ns = units.SECOND
+            return oracle
+
+        run = run_planes(violating_run, oracle="strict", name="attack-delay/10ms")
+        assert run.value.violations  # drift-bound + state-soundness on node-3
+        assert run.failure is None
+        run = run_planes(violating_run, oracle="strict", name="fig4-fplus-low-aex")
+        assert run.failure is not None
 
     def test_render_report(self, rig):
         _sim, node, oracle = rig

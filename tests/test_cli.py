@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.attacks.delay import CalibrationDelayAttacker
 from repro.cli import main
 
 
@@ -262,20 +263,16 @@ class TestOracleFlag:
         assert "state-soundness" in captured.err
 
     def test_run_strict_fails_on_unexpected(self, capsys, monkeypatch):
-        from repro.oracle import expectations
-
         # Strip fig4's allowance: its violations become unexpected.
-        monkeypatch.setitem(
-            expectations.EXPECTED_VIOLATIONS, "fig4-fplus-low-aex", frozenset()
+        monkeypatch.setattr(
+            CalibrationDelayAttacker, "expected_violations", lambda self, contained=False: set()
         )
         assert main(["run", "fig4", "--duration-s", "30", "--oracle", "strict"]) == 1
         assert "unexpected" in capsys.readouterr().err
 
     def test_run_warn_reports_but_passes_on_unexpected(self, capsys, monkeypatch):
-        from repro.oracle import expectations
-
-        monkeypatch.setitem(
-            expectations.EXPECTED_VIOLATIONS, "fig4-fplus-low-aex", frozenset()
+        monkeypatch.setattr(
+            CalibrationDelayAttacker, "expected_violations", lambda self, contained=False: set()
         )
         assert main(["run", "fig4", "--duration-s", "30", "--oracle", "warn"]) == 0
         assert "UNEXPECTED" in capsys.readouterr().err
