@@ -20,7 +20,7 @@ from repro.errors import ConfigurationError
 from repro.hardware.machine import Machine
 from repro.hardware.tsc import PAPER_TSC_FREQUENCY_HZ
 from repro.net.channel import Network
-from repro.net.crypto import SecureChannelKey
+from repro.net.crypto import SecureChannelKey, derive_key
 from repro.net.delays import DelayModel
 from repro.net.transport import SecureEndpoint
 from repro.authority.ta import TimeAuthority
@@ -36,6 +36,17 @@ def node_name(index: int) -> str:
 
 
 TA_NAME = "time-authority"
+
+
+def _link(a: SecureEndpoint, b: SecureEndpoint) -> None:
+    """Register ``a`` and ``b`` as peers, deriving their shared key once.
+
+    Each end gets its own :class:`SecureChannelKey` over the same bytes,
+    so each direction keeps its own nonce counter.
+    """
+    shared = derive_key(*sorted((a.name, b.name)))
+    a.add_peer(b.name, b.address, SecureChannelKey(shared))
+    b.add_peer(a.name, a.address, SecureChannelKey(shared))
 
 
 @dataclass
@@ -169,12 +180,11 @@ class TriadCluster:
         ]
         for endpoint in node_endpoints:
             for ta_endpoint in ta_endpoints:
-                endpoint.register_peer(ta_endpoint)
-                ta_endpoint.register_peer(endpoint)
-        for a in node_endpoints:
-            for b in node_endpoints:
-                if a is not b:
-                    a.add_peer(b.name, b.address, SecureChannelKey.between(a.name, b.name))
+                _link(endpoint, ta_endpoint)
+        # Pairs in index order: each endpoint lists its node peers ascending.
+        for i, a in enumerate(node_endpoints):
+            for b in node_endpoints[i + 1 :]:
+                _link(a, b)
 
         self.tas = [
             TimeAuthority(sim, ta_endpoint, clock_offset_ns=cfg.ta_clock_offset_ns)

@@ -23,8 +23,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+class _Message:
+    """Pickles as (class, field values) instead of a field-name dict.
+
+    Without the field names each message pickles to under 124 bytes even
+    at 64-bit extreme field values, so it seals into one pad block of
+    :mod:`repro.net.crypto`: every message is 156 bytes on the wire,
+    whatever its fields hold.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        # A dataclass __init__ sets the fields in declaration order.
+        return (type(self), tuple(self.__dict__.values()))
+
+
 @dataclass(frozen=True)
-class TimeRequest:
+class TimeRequest(_Message):
     """Ask the Time Authority for a reference timestamp.
 
     ``sleep_ns`` asks the TA to wait that long before replying — the probe
@@ -37,7 +53,7 @@ class TimeRequest:
 
 
 @dataclass(frozen=True)
-class TimeResponse:
+class TimeResponse(_Message):
     """The Time Authority's reply.
 
     ``reference_time_ns`` is the TA clock at transmission. ``receive_time_ns``
@@ -54,14 +70,14 @@ class TimeResponse:
 
 
 @dataclass(frozen=True)
-class PeerTimeRequest:
+class PeerTimeRequest(_Message):
     """Broadcast by a tainted node asking peers for a fresh timestamp."""
 
     request_id: int
 
 
 @dataclass(frozen=True)
-class PeerTimeResponse:
+class PeerTimeResponse(_Message):
     """A peer's current trusted timestamp (only sent when not tainted).
 
     ``error_bound_ns`` is the responding node's own estimate of its clock

@@ -7,17 +7,21 @@ flag on a dataclass):
 
 * **Confidentiality** — an on-path adversary holding only the ciphertext
   cannot recover the plaintext; in particular it cannot read the requested
-  TA waittime ``s`` and must infer it from timing (§III-C).
-* **Integrity** — any modification of the ciphertext is detected by the
-  receiver, which raises :class:`~repro.errors.CryptoError`. The adversary
-  is therefore limited to delaying, dropping, reordering, and replaying.
+  TA waittime ``s`` and must infer it from timing (§III-C). Plaintexts are
+  padded, so every datagram of a message type has the same size.
+* **Integrity** — any modification of the ciphertext, a wrong key, a stale
+  epoch key or wrong associated data is detected by the receiver, which
+  raises :class:`~repro.errors.CryptoError`. The adversary is therefore
+  limited to delaying, dropping, reordering, and replaying.
 
-We implement an AEAD from primitives in the standard library: SHA-256 in
-counter mode as the keystream and HMAC-SHA256 over (nonce ‖ associated
-data ‖ ciphertext) as the tag. This is a *model* of AES-256-GCM — it is
+The AEAD is built from standard-library primitives: the keystream is one
+SHAKE-256 squeeze over (key ‖ nonce), XORed onto the padded plaintext as
+one integer, and the tag is a keyed BLAKE2b-128 over (nonce ‖ length-framed
+associated data ‖ ciphertext). This is a *model* of AES-256-GCM: it is
 deterministic, dependency-free, and honest about being simulation-grade
-rather than production-grade crypto; the security *architecture* (what is
-hidden from whom) matches the paper's implementation exactly.
+rather than production-grade crypto (no side-channel hardening, no review),
+but the security *architecture* (what is hidden from whom, what fails
+authentication) matches the paper's implementation exactly.
 
 Nonces are drawn from a per-key counter, mirroring GCM's
 counter-based-nonce deployment mode and keeping simulations reproducible.
@@ -76,25 +80,27 @@ def derive_epoch_secret(epoch: int, *labels: str) -> bytes:
     return derive_key("membership-epoch", str(epoch), *labels)
 
 
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """SHA-256-CTR keystream of ``length`` bytes."""
-    blocks = []
-    counter = 0
-    while sum(len(b) for b in blocks) < length:
-        blocks.append(hashlib.sha256(key + nonce + counter.to_bytes(8, "little")).digest())
-        counter += 1
-    return b"".join(blocks)[:length]
+def _link_key(base_key: bytes, epoch_secret: bytes) -> bytes:
+    """The epoch link key: the base key keyed by the epoch secret."""
+    return hashlib.blake2b(b"rekey:" + base_key, key=epoch_secret, digest_size=KEY_BYTES).digest()
 
 
-def _xor(data: bytes, keystream: bytes) -> bytes:
-    return bytes(a ^ b for a, b in zip(data, keystream))
+def _crypt(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    """XOR ``data`` with the SHAKE-256 keystream of (key, nonce), as one integer."""
+    stream = int.from_bytes(hashlib.shake_256(key + nonce).digest(len(data)), "little")
+    return (int.from_bytes(data, "little") ^ stream).to_bytes(len(data), "little")
+
+
+def _tag(key: bytes, nonce: bytes, associated_data: bytes, ciphertext: bytes) -> bytes:
+    framed = nonce + len(associated_data).to_bytes(8, "little") + associated_data + ciphertext
+    return hashlib.blake2b(framed, key=key, digest_size=TAG_BYTES).digest()
 
 
 class SecureChannelKey:
-    """A shared symmetric key with a nonce counter (one direction of use).
+    """A shared symmetric key with a nonce counter (one end of a link).
 
-    Both ends of a channel may hold the same object in simulation; real
-    deployments would split directions, which does not affect the analysis.
+    Each end of a link holds its own object over the same key bytes, so
+    each direction keeps its own nonce counter.
     """
 
     def __init__(self, key: bytes) -> None:
@@ -104,7 +110,9 @@ class SecureChannelKey:
         #: from this, never from the previous epoch key, so a node that
         #: missed epochs re-keys to the current one in a single step.
         self._base_key = key
-        self._key = key
+        #: The current key, or None until the first use after a rotation.
+        self._key: bytes | None = key
+        self._epoch_secret = b""
         self._nonce_counter = 0
         self.epoch = 0
 
@@ -121,23 +129,21 @@ class SecureChannelKey:
         exchange. Blobs sealed under any other epoch's key fail the tag
         check in :meth:`open` — "old-epoch messages rejected" is a
         consequence of the AEAD, not an extra code path. Epoch 0 restores
-        the base key exactly (useful for tests and symmetry).
+        the base key exactly (useful for tests and symmetry). The epoch
+        key is derived on the link's first :meth:`seal` or :meth:`open`
+        after the rotation, so an idle link costs nothing.
         """
         if epoch < 0:
             raise CryptoError(f"epoch must be non-negative, got {epoch}")
-        if epoch == 0:
-            self._key = self._base_key
-        else:
-            self._key = hmac.new(
-                epoch_secret, b"rekey:" + self._base_key, hashlib.sha256
-            ).digest()
+        self._key = self._base_key if epoch == 0 else None
+        self._epoch_secret = epoch_secret
         self._nonce_counter = 0
         self.epoch = epoch
 
-    def _next_nonce(self) -> bytes:
-        nonce = self._nonce_counter.to_bytes(NONCE_BYTES, "little")
-        self._nonce_counter += 1
-        return nonce
+    def _current_key(self) -> bytes:
+        if self._key is None:
+            self._key = _link_key(self._base_key, self._epoch_secret)
+        return self._key
 
     # -- AEAD -----------------------------------------------------------------
 
@@ -147,32 +153,25 @@ class SecureChannelKey:
         Returns the wire blob ``nonce ‖ ciphertext ‖ tag``.
         """
         serialized = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        padded_length = -(-(len(serialized) + 4) // PAD_BLOCK_BYTES) * PAD_BLOCK_BYTES
-        plaintext = (
-            len(serialized).to_bytes(4, "little")
-            + serialized
-            + b"\x00" * (padded_length - len(serialized) - 4)
-        )
-        nonce = self._next_nonce()
-        ciphertext = _xor(plaintext, _keystream(self._key, nonce, len(plaintext)))
-        tag = hmac.new(self._key, nonce + associated_data + ciphertext, hashlib.sha256).digest()[
-            :TAG_BYTES
-        ]
-        return nonce + ciphertext + tag
+        length = len(serialized)
+        padded_length = -(-(length + 4) // PAD_BLOCK_BYTES) * PAD_BLOCK_BYTES
+        plaintext = length.to_bytes(4, "little") + serialized + bytes(padded_length - length - 4)
+        key = self._current_key()
+        nonce = self._nonce_counter.to_bytes(NONCE_BYTES, "little")
+        self._nonce_counter += 1
+        ciphertext = _crypt(key, nonce, plaintext)
+        return nonce + ciphertext + _tag(key, nonce, associated_data, ciphertext)
 
     def open(self, blob: bytes, associated_data: bytes = b"") -> Any:
         """Verify-and-decrypt a wire blob; raises :class:`CryptoError` on tamper."""
         if len(blob) < NONCE_BYTES + TAG_BYTES:
             raise CryptoError("ciphertext too short")
+        key = self._current_key()
         nonce = blob[:NONCE_BYTES]
         ciphertext = blob[NONCE_BYTES:-TAG_BYTES]
-        tag = blob[-TAG_BYTES:]
-        expected = hmac.new(self._key, nonce + associated_data + ciphertext, hashlib.sha256).digest()[
-            :TAG_BYTES
-        ]
-        if not hmac.compare_digest(tag, expected):
+        if not hmac.compare_digest(blob[-TAG_BYTES:], _tag(key, nonce, associated_data, ciphertext)):
             raise CryptoError("authentication tag mismatch (tampered or wrong key)")
-        plaintext = _xor(ciphertext, _keystream(self._key, nonce, len(ciphertext)))
+        plaintext = _crypt(key, nonce, ciphertext)
         if len(plaintext) < 4:
             raise CryptoError("plaintext too short for length header")
         length = int.from_bytes(plaintext[:4], "little")

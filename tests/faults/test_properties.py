@@ -9,6 +9,7 @@ crashes, a TA outage, a partition, and a loss burst — all constrained
 to heal by ``duration - deadline`` so the oracle can actually judge
 recovery in-run."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.spec import ExperimentSpec
@@ -107,6 +108,36 @@ def fault_schedules(draw):
     return schedule
 
 
+def check_liveness(schedule: list, seed: int) -> None:
+    """Run the property's spec under the strict oracle and check recovery."""
+    spec = ExperimentSpec(
+        name="faults-liveness-property",
+        seed=seed,
+        duration_s=DURATION_S,
+        nodes=NODES,
+        environments={index: "triad-like" for index in range(1, NODES + 1)},
+        faults={
+            "schedule": schedule,
+            "recovery_deadline_s": DEADLINE_S,
+            "retry": RETRY,
+        },
+    )
+    with oracle_policy("strict"):
+        experiment = spec.run()  # raises OracleViolationError on any violation
+    plan = FaultPlan.from_spec(
+        spec.faults,
+        nodes=spec.nodes,
+        ta_count=spec.ta_count,
+        duration_s=spec.duration_s,
+    )
+    assert plan.last_heal_ns + plan.recovery_deadline_ns <= spec.duration_ns
+    report = recovery_report(experiment, plan)
+    assert report["recovered_all"] is True
+    for row in report["nodes"].values():
+        assert row["ok_at_end"] is True
+        assert row["parks"] == 0
+
+
 class TestLivenessUnderFaults:
     @given(schedule=fault_schedules(), seed=st.integers(min_value=1, max_value=50))
     @settings(max_examples=examples(8), deadline=None)
@@ -116,29 +147,19 @@ class TestLivenessUnderFaults:
         # Every generated fault heals by t <= 9.5 s, so the latest possible
         # recovery deadline (heal + 15 s) sits well inside the 30 s run:
         # the oracle judges recovery, it does not skip it.
-        spec = ExperimentSpec(
-            name="faults-liveness-property",
-            seed=seed,
-            duration_s=DURATION_S,
-            nodes=NODES,
-            environments={index: "triad-like" for index in range(1, NODES + 1)},
-            faults={
-                "schedule": schedule,
-                "recovery_deadline_s": DEADLINE_S,
-                "retry": RETRY,
-            },
-        )
-        with oracle_policy("strict"):
-            experiment = spec.run()  # raises OracleViolationError on any violation
-        plan = FaultPlan.from_spec(
-            spec.faults,
-            nodes=spec.nodes,
-            ta_count=spec.ta_count,
-            duration_s=spec.duration_s,
-        )
-        assert plan.last_heal_ns + plan.recovery_deadline_ns <= spec.duration_ns
-        report = recovery_report(experiment, plan)
-        assert report["recovered_all"] is True
-        for row in report["nodes"].values():
-            assert row["ok_at_end"] is True
-            assert row["parks"] == 0
+        check_liveness(schedule, seed)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "cold-calibration tail: every AEX inside a 1 s calibration sleep "
+            "voids the sample and costs another second, so node-2 first "
+            "reaches OK at 18.09 s, past the 15 s deadline (the nightly "
+            "profile's shrunk falsifier; un-xfail when the tail is bounded)"
+        ),
+    )
+    def test_seed_50_cold_start_without_faults_recovers(self):
+        # The strict oracle passes this run; only the recovery report
+        # notices the late first OK, since an empty plan arms no contract.
+        check_liveness([], seed=50)

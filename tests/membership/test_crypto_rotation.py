@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, CryptoError
+from repro.net import crypto
 from repro.net.crypto import SecureChannelKey, derive_epoch_secret
 
 
@@ -57,7 +58,36 @@ class TestRekey:
         a.rekey(derive_epoch_secret(2, "cluster"), 2)
         a.rekey(b"\x00" * 32, 0)  # secret is irrelevant for epoch 0
         assert b.open(a.seal("back to base")) == "back to base"
+        assert a.open(b.seal("both ways")) == "both ways"
         assert a.epoch == 0
+
+    def test_rekeys_before_traffic_land_on_the_last_epoch(self):
+        a, b = self._pair()
+        a.rekey(derive_epoch_secret(3, "cluster"), 3)
+        a.rekey(derive_epoch_secret(5, "cluster"), 5)
+        b.rekey(derive_epoch_secret(5, "cluster"), 5)
+        assert b.open(a.seal("epoch five")) == "epoch five"
+        assert a.open(b.seal("and back")) == "and back"
+
+    def test_epoch_keys_are_derived_on_first_use_only(self, monkeypatch):
+        derived = []
+        original = crypto._link_key
+
+        def counting(base_key, epoch_secret):
+            derived.append(epoch_secret)
+            return original(base_key, epoch_secret)
+
+        monkeypatch.setattr(crypto, "_link_key", counting)
+        a, b = self._pair()
+        for epoch in range(1, 4):
+            a.rekey(derive_epoch_secret(epoch, "cluster"), epoch)
+            b.rekey(derive_epoch_secret(epoch, "cluster"), epoch)
+        assert derived == []  # rotations with no traffic derive nothing
+        blob = a.seal("first")
+        assert b.open(blob) == "first"
+        assert b.open(a.seal("second")) == "second"
+        # One derivation per end, for the epoch in force at first use.
+        assert derived == [derive_epoch_secret(3, "cluster")] * 2
 
     def test_rekey_resets_the_nonce_counter(self):
         a, _ = self._pair()

@@ -1,11 +1,15 @@
 """Tests for the AEAD model: confidentiality, integrity, key handling."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import CryptoError
+from repro.messages import PeerTimeRequest, PeerTimeResponse, TimeRequest, TimeResponse
 from repro.net.crypto import (
     KEY_BYTES,
     NONCE_BYTES,
+    PAD_BLOCK_BYTES,
     SecureChannelKey,
     TAG_BYTES,
     derive_key,
@@ -67,10 +71,10 @@ class TestRoundTrip:
 class TestIntegrity:
     def test_every_flipped_bit_detected(self, key):
         blob = key.seal("sensitive")
-        for position in range(0, len(blob), 7):
+        for position in range(len(blob)):
             tampered = bytearray(blob)
             tampered[position] ^= 0x01
-            with pytest.raises(CryptoError):
+            with pytest.raises(CryptoError, match="tag mismatch"):
                 key.open(bytes(tampered))
 
     def test_truncation_detected(self, key):
@@ -92,6 +96,11 @@ class TestIntegrity:
         with pytest.raises(CryptoError):
             key.open(blob, associated_data=b"other")
 
+    def test_associated_data_prefix_rejected(self, key):
+        blob = key.seal("payload", associated_data=b"ab")
+        with pytest.raises(CryptoError, match="tag mismatch"):
+            key.open(blob, associated_data=b"a")
+
 
 class TestConfidentiality:
     def test_plaintext_not_in_ciphertext(self, key):
@@ -107,3 +116,16 @@ class TestConfidentiality:
         blob_one = key.seal(TimeRequest(request_id=2, sleep_ns=1_000_000_000))
         # Identical sizes: size side-channel closed; only timing remains.
         assert len(blob_zero) == len(blob_one)
+
+    @pytest.mark.parametrize(
+        "message_type", [TimeRequest, TimeResponse, PeerTimeRequest, PeerTimeResponse]
+    )
+    @pytest.mark.parametrize(
+        "value", [0, -(2**63), 2**64 - 1], ids=["zero", "i64-min", "u64-max"]
+    )
+    def test_protocol_messages_seal_to_one_pad_block(self, key, message_type, value):
+        """Every protocol message is one size on the wire, whatever it holds."""
+        message = message_type(**{field.name: value for field in fields(message_type)})
+        blob = key.seal(message)
+        assert len(blob) == NONCE_BYTES + PAD_BLOCK_BYTES + TAG_BYTES == 156
+        assert key.open(blob) == message
