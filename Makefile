@@ -87,7 +87,17 @@ membership-smoke:
 		--json out/membership-smoke/propagation.json
 	python -m repro membership --attack benign --duration-s 15 --no-cache \
 		--oracle strict
-	@echo "membership-smoke: churn deterministic, containment strict-clean"
+	python -m repro batch examples/specs --membership enforce --oracle strict \
+		--no-cache > out/membership-smoke/batch-j1.txt
+	python -m repro batch examples/specs --membership enforce --oracle strict \
+		--no-cache --jobs 2 > out/membership-smoke/batch-j2.txt
+	sed '/^batch summary$$/,$$d' out/membership-smoke/batch-j1.txt > out/membership-smoke/sections-j1.txt
+	sed '/^batch summary$$/,$$d' out/membership-smoke/batch-j2.txt > out/membership-smoke/sections-j2.txt
+	cmp out/membership-smoke/sections-j1.txt out/membership-smoke/sections-j2.txt
+	python -m repro run fig6 --membership enforce --oracle strict \
+		> out/membership-smoke/fig6-enforce.txt
+	grep -q "membership: mode=enforce" out/membership-smoke/fig6-enforce.txt
+	@echo "membership-smoke: churn deterministic, containment strict-clean, both attach routes guarded"
 
 # Fault plane, pinned seeds: the crash-restart headline and the TA flap
 # pass the strict oracle (recovery invariant armed), and the mixed

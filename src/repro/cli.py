@@ -358,12 +358,18 @@ def _serial_run(args, fn: Callable):
 
     Returns ``(run, exit_code)`` (see :func:`repro.oracle.policy.run_planes`).
     Oracle reports go to stderr so stdout stays byte-identical to a
-    plane-free run. ``exit_code`` is 1 when the oracle failed the run
-    (``run.value`` is ``None`` if it aborted), else 0.
+    plane-free run. ``exit_code`` is 1 when the oracle failed the run, 2
+    when the run was misconfigured (``run.value`` is ``None`` in both
+    cases), else 0.
     """
-    from repro.oracle.policy import run_planes
+    from repro.errors import ConfigurationError
+    from repro.oracle.policy import PlaneRun, run_planes
 
-    run = run_planes(fn, oracle=args.oracle, membership=args.membership)
+    try:
+        run = run_planes(fn, oracle=args.oracle, membership=args.membership)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return PlaneRun(), 2
     for oracle in run.oracles:
         if oracle.violations:
             print(oracle.render_report(), file=sys.stderr)
@@ -808,9 +814,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _run_batch(args)
 
     if args.command == "run-spec":
+        from repro.errors import ConfigurationError
         from repro.experiments.spec import ExperimentSpec
 
-        spec = ExperimentSpec.load(args.spec_path)
+        try:
+            spec = ExperimentSpec.load(args.spec_path)
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         run, code = _serial_run(args, spec.run)
         if run.value is None:
             return code

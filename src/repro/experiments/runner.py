@@ -22,6 +22,7 @@ from repro.net.adversary import NetworkAdversary
 from repro.oracle.policy import current_policy, unexpected_error
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.membership.engine import MembershipController
     from repro.oracle.oracle import InvariantOracle
     from repro.sim.kernel import Simulator
 
@@ -44,12 +45,11 @@ class Experiment:
     #: deploys the client-facing service layer (set by
     #: :meth:`TimeService.attach`; None for protocol-only experiments).
     service: Optional[object] = None
-    #: Attached :class:`~repro.membership.MembershipController`, when the
-    #: scenario runs the membership control plane (set by
-    #: :meth:`MembershipController.attach` for a spec's ``membership``
-    #: block, or bound from the cluster's policy-attached controller at
-    #: build — one engine per cluster either way).
-    membership: Optional[object] = None
+
+    @property
+    def membership(self) -> Optional["MembershipController"]:
+        """The cluster's membership engine (None when no plane scope asked for one)."""
+        return self.cluster.membership
 
     @property
     def oracle(self) -> Optional["InvariantOracle"]:
@@ -63,8 +63,9 @@ class Experiment:
         """Advance the simulation to ``duration_ns`` and return self.
 
         When an oracle is attached, finalizes it against this scenario's
-        expected violation set; under a ``strict`` policy, any unexpected
-        violation raises :class:`~repro.errors.OracleViolationError`.
+        expected violation set plus the membership engine's quarantine
+        downgrades; under a ``strict`` policy, any unexpected violation
+        raises :class:`~repro.errors.OracleViolationError`.
         """
         if duration_ns <= self.sim.now:
             raise ConfigurationError(
@@ -76,7 +77,8 @@ class Experiment:
         self.duration_ns = duration_ns
         oracle = self.oracle
         if oracle is not None:
-            oracle.finalize(self.expected_violations)
+            downgrades = self.membership.expected_downgrades if self.membership else set()
+            oracle.finalize(self.expected_violations | downgrades)
             unexpected = oracle.unexpected_violations()
             if unexpected and current_policy().strict:
                 raise unexpected_error(f"experiment {self.name!r}", unexpected)

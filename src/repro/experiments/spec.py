@@ -51,9 +51,9 @@ Two further blocks wire the membership control plane
 (:mod:`repro.membership`):
 
 * ``membership`` — ``{"mode": "observe" | "enforce", ...}`` plus any
-  :class:`repro.membership.MembershipConfig` keys; attaches an epoch
-  membership engine to the cluster (it wins over the plane policy's
-  ``--membership`` mode: the cluster runs this one engine only).
+  :class:`repro.membership.MembershipConfig` keys; the cluster is built in
+  an inner plane scope of this mode and config, which wins over
+  ``--membership`` and builds the cluster's one engine.
 * ``churn`` — ``{"absent": [indices], "schedule": [{"t_s": ...,
   "node": ..., "action": "leave" | "join"}]}``; nodes listed in
   ``absent`` start dormant and off the fabric, and the schedule drives
@@ -70,6 +70,7 @@ every attached plane (service, membership, faults recovery).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -141,6 +142,16 @@ _SPEC_KEYS = {
     "faults",
 }
 
+#: Top-level scalar keys -> (the type(s) their value must have, its name);
+#: bools are neither.
+_SCALARS = {
+    **dict.fromkeys(("seed", "nodes", "ta_count"), (numbers.Integral, "an integer")),
+    **dict.fromkeys(
+        ("duration_s", "machine_wide_correlation", "drift_interval_s"), (numbers.Real, "a number")
+    ),
+    "machine_wide_mean_s": ((numbers.Real, type(None)), "a number or null"),
+}
+
 _CHURN_KEYS = {"absent", "schedule"}
 _CHURN_ENTRY_KEYS = {"t_s", "node", "action"}
 _CHURN_ACTIONS = ("leave", "join")
@@ -172,9 +183,9 @@ class ExperimentSpec:
     #: and makes the run report client-visible SLO metrics.
     service: Optional[dict[str, Any]] = None
     #: Membership block: ``{"mode": "observe"|"enforce"}`` plus any
-    #: :class:`repro.membership.MembershipConfig` keys. Attaches an epoch
-    #: membership engine (verdicts, and in enforce mode epoch-key
-    #: rotation) to the cluster.
+    #: :class:`repro.membership.MembershipConfig` keys: the plane scope the
+    #: cluster is built in, giving it an epoch membership engine (verdicts,
+    #: and in enforce mode epoch-key rotation).
     membership: Optional[dict[str, Any]] = None
     #: Churn block: ``{"absent": [...], "schedule": [{"t_s", "node",
     #: "action"}]}`` — deterministic join/leave/rejoin over the run.
@@ -191,6 +202,10 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("spec needs a name")
+        for key, (kind, noun) in _SCALARS.items():
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigurationError(f"{key}: must be {noun}, got {value!r}")
         if self.duration_s <= 0:
             raise ConfigurationError(f"duration must be positive, got {self.duration_s}")
         if self.drift_interval_s <= 0:
@@ -203,7 +218,8 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"unknown protocol {self.protocol!r}; choose from {PROTOCOLS}"
             )
-        self.environments = {int(k): v for k, v in self.environments.items()}
+        environments = entry_object("environments", self.environments, "value")
+        self.environments = {int(k): v for k, v in environments.items()}
         for index, environment in self.environments.items():
             if not 1 <= index <= self.nodes:
                 raise ConfigurationError(f"environment for unknown node {index}")
@@ -215,24 +231,24 @@ class ExperimentSpec:
         self._timed = self._schedule_actions()
         if self.service is not None:
             self._validate_service(self.service)
-        if self.membership is not None:
-            self._validate_membership(self.membership)
+        self._membership = None if self.membership is None else self._membership_plane()
         self._timed += self._churn_actions()
         self._faults = None if self.faults is None else self._fault_plan()
 
-    def _validate_membership(self, raw: dict[str, Any]) -> None:
+    def _membership_plane(self):
+        """Lower the ``membership`` block into its (mode, config) plane scope."""
         # Imported here for the same layering reason as the service block.
         from repro.membership.config import MembershipConfig
         from repro.membership.engine import CONTROLLER_MODES
 
-        mode = entry_object("membership", raw, "block").get("mode", "observe")
+        raw = dict(entry_object("membership", self.membership, "block"))
+        mode = raw.pop("mode", "observe")
         if mode not in CONTROLLER_MODES:
             raise ConfigurationError(
                 f"membership.mode: unknown mode {mode!r}; "
                 f"choose from {CONTROLLER_MODES}"
             )
-        config_keys = {k: v for k, v in raw.items() if k != "mode"}
-        MembershipConfig.from_dict(config_keys)
+        return mode, MembershipConfig.from_dict(raw)
 
     @property
     def _shape(self) -> Shape:
@@ -420,13 +436,10 @@ class ExperimentSpec:
             **protocol,
         )
         sim = Simulator(seed=self.seed)
-        if self.membership is None:
+        # A membership block is an inner plane scope, winning over the policy's.
+        mode, membership_config = self._membership or (None, None)
+        with plane_policy(membership=mode, membership_config=membership_config):
             cluster = TriadCluster(sim, config)
-        else:
-            # A membership block wins over the policy's mode: build the
-            # cluster without a policy engine and attach the block's below.
-            with plane_policy(membership="off"):
-                cluster = TriadCluster(sim, config)
         machine = cluster.machine
         for index, core in enumerate(cluster.monitoring_cores, start=1):
             if self.environments.get(index) == "triad-like":
@@ -440,12 +453,6 @@ class ExperimentSpec:
         interval_ns = int(self.drift_interval_s * SECOND)
         recorder = DriftRecorder(sim, cluster.nodes, interval_ns=interval_ns)
         experiment = Experiment(name=self.name, sim=sim, cluster=cluster, recorder=recorder)
-        if cluster.membership is not None:
-            # The policy attached a controller at cluster construction; bind
-            # it to the experiment so quarantine verdicts can downgrade the
-            # oracle's expected-violation set at runtime.
-            experiment.membership = cluster.membership
-            cluster.membership.bind_expectations(experiment.expected_violations)
         for tag, action in self._attacks:
             node = action.params.get("node")
             if action.kind == "aex-suppress" and self.environments.get(node) != "triad-like":
@@ -460,15 +467,6 @@ class ExperimentSpec:
             from repro.service import ServiceConfig, TimeService
 
             TimeService.attach(experiment, ServiceConfig.from_dict(self.service))
-        if self.membership is not None:
-            from repro.membership.config import MembershipConfig
-            from repro.membership.engine import MembershipController
-
-            raw = dict(self.membership)
-            mode = raw.pop("mode", "observe")
-            MembershipController.attach(
-                experiment, config=MembershipConfig.from_dict(raw), mode=mode
-            )
         if self._faults is not None:
             from repro.faults import apply_fault_plan
 

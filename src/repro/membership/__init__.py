@@ -18,9 +18,10 @@ peer equally forever. This package adds the missing control plane:
 
 Which runs get a controller is decided by the one scoped plane policy in
 :mod:`repro.oracle.policy` (``--membership`` on the CLI, the
-``membership`` task override in the fleet), shared with the oracle; a
-spec's ``membership`` block wins over it, and a cluster never runs more
-than one engine.
+``membership`` task override in the fleet), shared with the oracle. A
+spec's ``membership`` block is an inner plane scope that wins over it, so
+:meth:`~repro.oracle.policy.PlaneScope.attach` is the one place an engine
+is built and a cluster never runs more than one.
 
 Cluster churn (join/leave/rejoin) is the companion scenario axis, wired
 in :class:`repro.core.cluster.TriadCluster`; the headline experiment —

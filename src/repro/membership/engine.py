@@ -21,7 +21,8 @@ median (:mod:`repro.membership.evidence`). Once per epoch it:
    compromised node anchored to the poisoned calibration that convicts it.
 
 Quarantining (or evicting) a node also downgrades its invariant
-violations to *expected* in the bound oracle expectation set: once the
+violations to *expected* (:attr:`MembershipController.expected_downgrades`,
+which the run adds to its oracle allowance at finalize): once the
 control plane has cut a node off, its out-of-bound clock is the
 experiment working, not an oracle finding.
 """
@@ -38,7 +39,6 @@ from repro.membership.verdicts import MembershipEvent, MembershipVerdict
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.cluster import TriadCluster
-    from repro.experiments.runner import Experiment
 
 #: Modes a *constructed* controller can run in ("off" means no controller).
 CONTROLLER_MODES = ("observe", "enforce")
@@ -97,42 +97,7 @@ class MembershipController:
         #: evidence-momentum bit the adaptive eviction clock presumes when
         #: a quarantined node answers samples the collector cannot score.
         self._last_dirty = {name: False for name in self._verdicts}
-        self._expected: Optional[set] = None
         self.process = self.sim.process(self._run(), name="membership/engine")
-
-    # -- wiring -----------------------------------------------------------------
-
-    @classmethod
-    def attach(
-        cls,
-        experiment: "Experiment",
-        config: Optional[MembershipConfig] = None,
-        mode: str = "observe",
-    ) -> "MembershipController":
-        """Create the controller and register it on the experiment.
-
-        A cluster runs at most one engine: a spec's ``membership`` block
-        wins over the plane policy by building its cluster with policy
-        membership off (see :meth:`repro.experiments.spec.ExperimentSpec.build`).
-        """
-        cluster = experiment.cluster
-        if cluster.membership is not None:
-            raise ConfigurationError(f"{experiment.name!r} already has a membership controller")
-        controller = cls(cluster, config=config, mode=mode)
-        cluster.membership = controller
-        experiment.membership = controller
-        controller.bind_expectations(experiment.expected_violations)
-        return controller
-
-    def bind_expectations(self, expected: set) -> None:
-        """Adopt ``expected`` as the live oracle expectation set.
-
-        The set is mutated in place as verdicts land (the experiment
-        finalizes its oracle *after* the run, so runtime downgrades are
-        visible); downgrades recorded before binding are replayed.
-        """
-        self._expected = expected
-        expected |= self.expected_downgrades
 
     def verdict(self, name: str) -> MembershipVerdict:
         """Current verdict for a node name."""
@@ -310,13 +275,7 @@ class MembershipController:
                 )
             )
         if verdict in (MembershipVerdict.QUARANTINED, MembershipVerdict.EVICTED):
-            self._downgrade(name)
-
-    def _downgrade(self, name: str) -> None:
-        pairs = {(name, invariant) for invariant in _DOWNGRADED_INVARIANTS}
-        self.expected_downgrades |= pairs
-        if self._expected is not None:
-            self._expected |= pairs
+            self.expected_downgrades |= {(name, inv) for inv in _DOWNGRADED_INVARIANTS}
 
     # -- enforcement: epoch-key rotation ------------------------------------------
 

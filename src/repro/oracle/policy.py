@@ -8,11 +8,13 @@ consults the plane policy in scope once, at construction
 (:meth:`PlaneScope.attach`).
 
 :func:`plane_policy` opens a scope; modes left ``None`` are inherited,
-and outside any scope every plane is off. Oracle modes: ``off``,
-``warn`` (report violations), ``strict`` (violations outside the
-scenario's expected set fail the run). Membership modes: ``off``,
-``observe`` (verdicts only), ``enforce`` (verdicts rotate the epoch key,
-cutting non-members off). A scope holds the planes it built until they
+and outside any scope every plane is off. A spec's ``membership`` block
+opens an inner scope of its own mode and config around its cluster, so
+:meth:`PlaneScope.attach` is the one place an engine is built. Oracle
+modes: ``off``, ``warn`` (report violations), ``strict`` (violations
+outside the scenario's expected set fail the run). Membership modes:
+``off``, ``observe`` (verdicts only), ``enforce`` (verdicts rotate the
+epoch key, cutting non-members off). A scope holds the planes it built until they
 are drained or it exits; then undrained ones pass to the enclosing scope,
 or are released when there is none.
 

@@ -125,26 +125,6 @@ class TestLadder:
             controller.verdict("node-99")
 
 
-class TestDowngrades:
-    def test_quarantine_downgrades_the_node_into_bound_expectations(self):
-        controller = make_controller()
-        expected: set = set()
-        controller.bind_expectations(expected)
-        for _ in range(2):
-            close(controller, {"node-3": DIRTY})
-        assert ("node-3", "drift-bound") in expected
-        assert ("node-3", "untaint-safety") in expected
-        assert ("node-1", "drift-bound") not in expected
-
-    def test_downgrades_recorded_before_binding_are_replayed(self):
-        controller = make_controller()
-        for _ in range(2):
-            close(controller, {"node-3": DIRTY})
-        late: set = set()
-        controller.bind_expectations(late)
-        assert ("node-3", "drift-bound") in late
-
-
 class TestChurnSync:
     def test_initially_absent_node_is_absent(self):
         controller = make_controller(node_count=4, absent=(4,))
@@ -222,11 +202,3 @@ class TestPolicy:
                 pass
         with pytest.raises(ConfigurationError):
             make_controller(mode="off")
-
-    def test_second_engine_on_one_cluster_rejected(self):
-        from repro.experiments.scenarios import fault_free_triad_like
-
-        with plane_policy(membership="observe"):
-            experiment = fault_free_triad_like(seed=2)
-        with pytest.raises(ConfigurationError, match="already has a membership controller"):
-            MembershipController.attach(experiment)

@@ -1,12 +1,16 @@
 """Spec-level membership/churn blocks and their plane in the fleet ``spec`` task."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.spec import ExperimentSpec
 from repro.fleet.tasks import RunTask, execute_task
+from repro.oracle.policy import oracle_policy, plane_policy
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "specs"
 
 
 def _spec_dict(**overrides):
@@ -49,6 +53,37 @@ class TestMembershipBlock:
         assert experiment.membership is not None
         assert experiment.membership.mode == "observe"
         assert experiment.membership.report()["epochs_closed"] >= 2
+
+
+class TestPlaneScope:
+    """A ``membership`` block is an inner plane scope: its engine is built
+    by the scope like any other, and its downgrades join the oracle's
+    allowance only at finalize."""
+
+    def test_block_engine_is_built_by_the_enclosing_plane_scope(self):
+        spec = ExperimentSpec.from_dict(
+            _spec_dict(membership={"mode": "enforce", "epoch_s": 2.0})
+        )
+        with plane_policy(oracle="warn") as scope:
+            experiment = spec.build()
+            oracles, controllers = scope.drain()
+        assert experiment.membership is experiment.cluster.membership
+        assert controllers == [experiment.membership]
+        assert oracles == [experiment.oracle]
+        assert experiment.membership.mode == "enforce"
+        assert experiment.membership.config.epoch_s == 2.0
+
+    def test_quarantine_downgrades_reach_the_frozen_expected_set(self):
+        raw = json.loads((EXAMPLES / "membership_propagation.json").read_text())
+        bare = {key: value for key, value in raw.items() if key != "membership"}
+        declared = ExperimentSpec.from_dict(bare).build().expected_violations
+        with oracle_policy("warn"):
+            experiment = ExperimentSpec.from_dict(raw).run()
+        downgrades = experiment.membership.expected_downgrades
+        assert {("node-3", "drift-bound"), ("node-3", "untaint-safety")} <= downgrades
+        assert ("node-1", "drift-bound") not in downgrades
+        assert downgrades <= experiment.oracle.expected
+        assert experiment.expected_violations == declared
 
 
 class TestChurnBlock:

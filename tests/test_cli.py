@@ -246,6 +246,46 @@ class TestRunSpec:
             spec.build()  # wiring must succeed without running
 
 
+#: Malformed specs -> a word the one-line error must contain.
+_BAD_SPECS = {
+    "zero-nodes": ({"name": "x", "nodes": 0}, "node"),
+    "environments-list": ({"name": "x", "environments": [1]}, "environments"),
+    "nodes-string": ({"name": "x", "nodes": "3"}, "nodes"),
+    "seed-bool": ({"name": "x", "seed": True}, "seed"),
+    "duration-string": ({"name": "x", "duration_s": "5"}, "duration_s"),
+}
+
+
+class TestBadInput:
+    """Bad input prints one error line, never a traceback: ``run`` and
+    ``run-spec`` exit 2 like the presets; ``batch`` names the file, exits 1."""
+
+    @pytest.mark.parametrize(
+        "command, case",
+        [(command, case) for command in ("run-spec", "batch") for case in _BAD_SPECS]
+        + [("run", None)],
+    )
+    def test_reports_the_error_without_a_traceback(self, capsys, tmp_path, command, case):
+        import json
+
+        path = tmp_path / "bad.json"
+        if command == "run":
+            argv, code, word = ["run", "fig6", "--duration-s", "0"], 2, "duration"
+            prefix = "error: "
+        else:
+            raw, word = _BAD_SPECS[case]
+            path.write_text(json.dumps(raw))
+            if command == "run-spec":
+                argv, code, prefix = ["run-spec", str(path)], 2, "error: "
+            else:
+                argv, code = ["batch", str(tmp_path), "--no-cache"], 1
+                prefix = f"invalid spec {path}: "
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and word in err
+        assert "Traceback" not in err
+
+
 class TestOracleFlag:
     def test_run_benign_warn_is_clean(self, capsys):
         assert main(["run", "fig2", "--duration-s", "20", "--oracle", "warn"]) == 0
