@@ -12,8 +12,10 @@ Each capability is one row of :data:`ACTIONS`, validated by
 :func:`validate` into a :class:`TimedAction` ``(t_ns, kind, params,
 heal_ns)`` and applied by :func:`apply_action`. The spec syntaxes
 ``attacks``, ``schedule``, ``churn.schedule`` and ``faults.schedule``
-lower into it (``docs/actions.md`` has the kind table), and what the
-applied actions return is a run's whole oracle allowance. The apply
+lower into it (``docs/actions.md`` has the kind table). A row's apply
+returns the (node, invariant) pairs the action is built to break, and
+:func:`apply_action` allows them on the cluster's oracle as it applies
+the action — the oracle is told at the point of cause. The apply
 rule: an action whose instant is not after ``sim.now`` applies at once,
 a later one through :func:`at` (``node-crash`` always goes through
 :func:`at`); heals always go through :func:`at`.
@@ -110,7 +112,8 @@ class ActionKind:
     """One row of :data:`ACTIONS`."""
 
     #: (experiment, action, process-name tag) -> the oracle (node, invariant)
-    #: pairs the action is built to cause, if any.
+    #: pairs the action is built to cause, if any (:func:`apply_action`
+    #: allows them).
     apply: Callable[["Experiment", TimedAction, str], Optional[set]]
     #: Syntax naming the kind directly (``schedule``, ``faults``) ->
     #: (required params, optional params) there.
@@ -250,9 +253,11 @@ def syntax_keys(syntax: str) -> dict[str, tuple[set, set]]:
 # -- apply ---------------------------------------------------------------------------
 
 
-def apply_action(experiment: "Experiment", action: TimedAction, tag: str) -> set:
-    """Apply one validated action; returns the violations it is built to cause."""
-    return ACTIONS[action.kind].apply(experiment, action, tag) or set()
+def apply_action(experiment: "Experiment", action: TimedAction, tag: str) -> None:
+    """Apply one validated action, allowing the violations it is built to cause."""
+    pairs = ACTIONS[action.kind].apply(experiment, action, tag)
+    if pairs and experiment.cluster.oracle is not None:
+        experiment.cluster.oracle.allow(pairs)
 
 
 def _timed(experiment, action, tag, start, stop=None, names=("-start", "-stop")) -> None:

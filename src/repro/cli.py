@@ -76,7 +76,7 @@ def _add_oracle_argument(parser: argparse.ArgumentParser) -> None:
         help=(
             "invariant oracle mode: 'warn' reports violations on stderr, "
             "'strict' also exits nonzero on violations outside the "
-            "scenario's expected set"
+            "allowance the run's attacks give the oracle"
         ),
     )
 

@@ -219,11 +219,6 @@ class DriftFigureResult:
         )
 
 
-def _run_drift_figure(experiment: Experiment, duration_ns: int) -> DriftFigureResult:
-    experiment.run(duration_ns)
-    return DriftFigureResult(experiment=experiment, duration_ns=duration_ns)
-
-
 # -- Figure 2 -------------------------------------------------------------------------------
 
 

@@ -7,6 +7,10 @@ Every paper figure/table maps to a spec entry in
 :mod:`repro.experiments.figures`. The split keeps scenario wiring (who
 gets which AEX environment, where the attacker sits) separate from
 measurement post-processing.
+
+An experiment names its cluster's oracle at construction and judges it
+when :meth:`Experiment.run` ends; the allowance it is judged against is
+the oracle's own (the applied actions allowed their pairs on it).
 """
 
 from __future__ import annotations
@@ -37,14 +41,14 @@ class Experiment:
     recorder: DriftRecorder
     attackers: list[NetworkAdversary] = field(default_factory=list)
     duration_ns: int = 0
-    #: (node, invariant) pairs this scenario is *supposed* to produce
-    #: (attack experiments produce violations by design): the union of
-    #: what every applied timed action declares.
-    expected_violations: set = field(default_factory=set)
     #: Attached :class:`~repro.service.TimeService`, when the scenario
     #: deploys the client-facing service layer (set by
     #: :meth:`TimeService.attach`; None for protocol-only experiments).
     service: Optional[object] = None
+
+    def __post_init__(self) -> None:
+        if self.oracle is not None and not self.oracle.name:
+            self.oracle.name = self.name
 
     @property
     def membership(self) -> Optional["MembershipController"]:
@@ -54,18 +58,15 @@ class Experiment:
     @property
     def oracle(self) -> Optional["InvariantOracle"]:
         """The cluster's invariant oracle (None when the policy is off)."""
-        oracle = self.cluster.oracle
-        if oracle is not None and not oracle.name:
-            oracle.name = self.name
-        return oracle
+        return self.cluster.oracle
 
     def run(self, duration_ns: int) -> "Experiment":
         """Advance the simulation to ``duration_ns`` and return self.
 
-        When an oracle is attached, finalizes it against this scenario's
-        expected violation set plus the membership engine's quarantine
-        downgrades; under a ``strict`` policy, any unexpected violation
-        raises :class:`~repro.errors.OracleViolationError`.
+        When an oracle is attached, finalizes it; under a ``strict``
+        policy, any violation outside its allowance (what the applied
+        actions and the membership engine's quarantines told it) raises
+        :class:`~repro.errors.OracleViolationError`.
         """
         if duration_ns <= self.sim.now:
             raise ConfigurationError(
@@ -77,8 +78,7 @@ class Experiment:
         self.duration_ns = duration_ns
         oracle = self.oracle
         if oracle is not None:
-            downgrades = self.membership.expected_downgrades if self.membership else set()
-            oracle.finalize(self.expected_violations | downgrades)
+            oracle.finalize()
             unexpected = oracle.unexpected_violations()
             if unexpected and current_policy().strict:
                 raise unexpected_error(f"experiment {self.name!r}", unexpected)

@@ -7,7 +7,7 @@ machine, per-node AEX environments ("triad-like" Fig. 1a vs "low-aex"
 Fig. 1b), residual machine-wide OS interrupts (by default every 5.4
 minutes, the Fig. 1b isolated-core environment), and — for the attack
 scenarios — an F+/F− adversary at Node 3. A run's oracle allowance is
-what its attacks declare (``docs/oracle.md``).
+what its attacks allow as they are applied (``docs/oracle.md``).
 
 Node numbering follows the paper: Nodes 1 and 2 are always honest; Node 3
 is the compromised one in attack scenarios. The named builders below

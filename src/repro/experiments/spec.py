@@ -219,12 +219,19 @@ class ExperimentSpec:
                 f"unknown protocol {self.protocol!r}; choose from {PROTOCOLS}"
             )
         environments = entry_object("environments", self.environments, "value")
-        self.environments = {int(k): v for k, v in environments.items()}
-        for index, environment in self.environments.items():
+        self.environments = {}
+        for key, environment in environments.items():
+            try:
+                index = int(key)
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"environments: node index must be an integer, got {key!r}"
+                ) from None
             if not 1 <= index <= self.nodes:
                 raise ConfigurationError(f"environment for unknown node {index}")
             if environment not in ("triad-like", "low-aex"):
                 raise ConfigurationError(f"unknown environment {environment!r}")
+            self.environments[index] = environment
         # Lowered once here, for build and outcome to reuse; plain
         # attributes, not fields, so they stay out of asdict/to_json.
         self._attacks = self._attack_actions()
@@ -460,9 +467,9 @@ class ExperimentSpec:
                     f"{tag}: node {node} has no AEX source to control — give it "
                     f"the 'triad-like' environment in the spec"
                 )
-            experiment.expected_violations |= apply_action(experiment, action, tag)
+            apply_action(experiment, action, tag)
         for tag, action in self._timed:
-            experiment.expected_violations |= apply_action(experiment, action, tag)
+            apply_action(experiment, action, tag)
         if self.service is not None:
             from repro.service import ServiceConfig, TimeService
 

@@ -21,10 +21,10 @@ median (:mod:`repro.membership.evidence`). Once per epoch it:
    compromised node anchored to the poisoned calibration that convicts it.
 
 Quarantining (or evicting) a node also downgrades its invariant
-violations to *expected* (:attr:`MembershipController.expected_downgrades`,
-which the run adds to its oracle allowance at finalize): once the
-control plane has cut a node off, its out-of-bound clock is the
-experiment working, not an oracle finding.
+violations to *expected*: the controller allows them on its cluster's
+oracle (:meth:`~repro.oracle.oracle.InvariantOracle.allow`) at the
+verdict flip. Once the control plane has cut a node off, its
+out-of-bound clock is the experiment working, not an oracle finding.
 """
 
 from __future__ import annotations
@@ -76,9 +76,6 @@ class MembershipController:
         self.rotations = 0
         self.events: list[MembershipEvent] = []
         self.epoch_history: list[EpochEvidence] = []
-        #: (node, invariant) pairs this controller has downgraded to
-        #: expected (union of all quarantine/eviction blast radii).
-        self.expected_downgrades: set[tuple[str, str]] = set()
         self._collector = EvidenceCollector(self.config.min_observers)
         self._nodes_by_name = {node.name: node for node in cluster.nodes}
         present = set(cluster.present_names)
@@ -274,8 +271,10 @@ class MembershipController:
                     {"verdict": verdict.value, "previous": previous.value},
                 )
             )
-        if verdict in (MembershipVerdict.QUARANTINED, MembershipVerdict.EVICTED):
-            self.expected_downgrades |= {(name, inv) for inv in _DOWNGRADED_INVARIANTS}
+        oracle = self.cluster.oracle
+        cut_off = verdict in (MembershipVerdict.QUARANTINED, MembershipVerdict.EVICTED)
+        if cut_off and oracle is not None:
+            oracle.allow((name, inv) for inv in _DOWNGRADED_INVARIANTS)
 
     # -- enforcement: epoch-key rotation ------------------------------------------
 

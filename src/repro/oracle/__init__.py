@@ -9,12 +9,7 @@ scoped plane policy deciding which runs get an oracle (and a membership
 controller), and the one runner judging them. See ``docs/oracle.md``.
 """
 
-from repro.oracle.expectations import (
-    ANY_NODE,
-    expected_for,
-    is_expected,
-    unexpected_keys,
-)
+from repro.oracle.expectations import ANY_NODE, is_expected
 from repro.oracle.oracle import InvariantOracle, OracleConfig, watch_cluster
 from repro.oracle.policy import (
     MEMBERSHIP_MODES,
@@ -50,12 +45,10 @@ __all__ = [
     "Violation",
     "current_policy",
     "drain_created_oracles",
-    "expected_for",
     "is_expected",
     "oracle_policy",
     "plane_policy",
     "run_planes",
-    "unexpected_keys",
     "violation_score",
     "violation_set",
     "watch_cluster",

@@ -79,9 +79,10 @@ class InvariantOracle:
     """Online checker for one simulation run.
 
     Attach with :meth:`watch` per node (or :func:`watch_cluster`), run the
-    simulation, then :meth:`finalize` with the run's expected set.
-    ``name`` labels the run in reports; it may be set after construction
-    (fleet tasks name the oracle when they adopt it).
+    simulation, then :meth:`finalize`. Whatever breaks an invariant on
+    purpose (an attack, a quarantine) declares it with :meth:`allow` when
+    it acts. ``name`` labels the run in reports; it may be set after
+    construction (fleet tasks name the oracle when they adopt it).
     """
 
     def __init__(
@@ -93,8 +94,8 @@ class InvariantOracle:
         self.violations: list[Violation] = []
         #: Violations dropped by the per-key cap (reported, not recorded).
         self.suppressed = 0
-        #: Expected (node, invariant) pairs, frozen at first finalize.
-        self.expected: Optional[frozenset] = None
+        #: (node, invariant) pairs the run breaks by design (see :meth:`allow`).
+        self.allowed: set[tuple[str, str]] = set()
         self._nodes: dict[str, object] = {}
         self._last_served: dict[str, int] = {}
         self._last_refresh: dict[str, int] = {}
@@ -372,41 +373,32 @@ class InvariantOracle:
 
     # -- results ---------------------------------------------------------------------------
 
-    def finalize(self, expected: Optional[Iterable[tuple[str, str]]] = None) -> list[Violation]:
-        """Run a last scan, freeze the expected set, return all violations.
+    def allow(self, pairs: Iterable[tuple[str, str]]) -> None:
+        """Excuse ``pairs``: the caller is about to break them on purpose."""
+        self.allowed.update(pairs)
 
-        Idempotent: the first caller's ``expected`` wins (an
-        :class:`~repro.experiments.runner.Experiment` finalizes with its
-        scenario's expectations; a fleet wrapper finalizing again must not
-        overwrite them with a generic set).
-        """
+    def finalize(self) -> list[Violation]:
+        """Run a last scan (once) and return all violations."""
         if not self._finalized:
             self._scan(self.sim.now)
             self._finalized = True
-        if expected is not None and self.expected is None:
-            self.expected = frozenset(expected)
         return list(self.violations)
-
-    def expected_keys(self) -> frozenset:
-        """The governing expected set: frozen at finalize, else empty."""
-        return frozenset() if self.expected is None else self.expected
 
     def violation_set(self) -> set[tuple[str, str]]:
         """Distinct (node, invariant) pairs observed."""
         return {violation.key for violation in self.violations}
 
     def unexpected_violations(self) -> list[Violation]:
-        """Violations not covered by the governing expected set."""
-        expected = self.expected_keys()
-        return [v for v in self.violations if not is_expected(v.key, expected)]
+        """Violations not covered by :attr:`allowed`."""
+        return [v for v in self.violations if not is_expected(v.key, self.allowed)]
 
     def score(self) -> float:
         """Severity-weighted fitness of the observed violations.
 
         The search engine's oracle hook (:mod:`repro.hunt.fitness`):
         delegates to :func:`~repro.oracle.violations.violation_score`
-        over *all* violations, expected or not — expected-set filtering
-        is the replay contract's concern, not the fitness landscape's.
+        over *all* violations, allowed or not — allowance filtering is
+        the replay contract's concern, not the fitness landscape's.
         """
         return violation_score(self.violations)
 
@@ -420,7 +412,7 @@ class InvariantOracle:
             + (f", {self.suppressed} suppressed by per-key cap" if self.suppressed else "")
         ]
         for violation in self.violations[:20]:
-            marker = " " if is_expected(violation.key, self.expected_keys()) else "!"
+            marker = " " if is_expected(violation.key, self.allowed) else "!"
             lines.append(
                 f" {marker} t={violation.time_ns / 1e9:10.3f}s {violation.node:>8} "
                 f"{violation.invariant:<16} [{violation.severity}] {violation.detail}"

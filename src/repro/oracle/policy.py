@@ -12,15 +12,17 @@ and outside any scope every plane is off. A spec's ``membership`` block
 opens an inner scope of its own mode and config around its cluster, so
 :meth:`PlaneScope.attach` is the one place an engine is built. Oracle
 modes: ``off``, ``warn`` (report violations), ``strict`` (violations
-outside the scenario's expected set fail the run). Membership modes:
+outside the oracle's allowance fail the run). Membership modes:
 ``off``, ``observe`` (verdicts only), ``enforce`` (verdicts rotate the
 epoch key, cutting non-members off). A scope holds the planes it built until they
 are drained or it exits; then undrained ones pass to the enclosing scope,
 or are released when there is none.
 
 :func:`run_planes` is the one in-process runner: it runs a callable
-under the requested modes, then drains, finalizes, downgrades and judges
-every plane that call built. The fleet's
+under the requested modes, then drains, finalizes and judges every
+plane that call built. The allowance each oracle is judged against is
+its own: attacks and quarantines tell it (:meth:`InvariantOracle.allow`)
+at the point of cause, so no runner, task name or table grants any. The fleet's
 :func:`~repro.fleet.tasks.execute_task` (with the modes a task carries in
 its ``overrides``, so they cross process boundaries with the task) and
 the CLI's serial ``run``, ``run-spec`` and ``reproduce`` all go through it.
@@ -35,7 +37,6 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 from repro.errors import ConfigurationError, OracleViolationError
 from repro.membership.config import MembershipConfig
 from repro.membership.engine import CONTROLLER_MODES, MembershipController
-from repro.oracle.expectations import expected_for
 from repro.oracle.oracle import InvariantOracle, OracleConfig, watch_cluster
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -179,12 +180,11 @@ def run_planes(
     """Run ``fn()`` under the requested plane modes and judge what it built.
 
     Every oracle the call created is finalized — named ``name`` if no
-    :class:`~repro.experiments.runner.Experiment` named it, and, if no
-    experiment froze an expected set from its applied actions, with the
-    bare-cluster allowance of its name (:func:`expected_for`) plus the
-    membership controllers' quarantine downgrades. A strict abort raised
-    inside ``fn`` is caught into :attr:`PlaneRun.failure`; oracles of
-    earlier runs are still judged.
+    :class:`~repro.experiments.runner.Experiment` named it — and judged
+    against its own allowance (:attr:`InvariantOracle.allowed`, filled by
+    whatever broke an invariant on purpose as it acted). A strict abort
+    raised inside ``fn`` is caught into :attr:`PlaneRun.failure`; oracles
+    of earlier runs are still judged.
 
     With no mode requested the call runs as is: the planes it builds
     belong to (and are judged by) the enclosing scope.
@@ -199,12 +199,11 @@ def run_planes(
         except OracleViolationError as exc:
             run.failure = exc
         run.oracles, run.controllers = scope.drain()
-    downgrades = set().union(*(c.expected_downgrades for c in run.controllers))
     unexpected: list["Violation"] = []
     for item in run.oracles:
         if name and not item.name:
             item.name = name
-        item.finalize(expected_for(item.name) | downgrades)
+        item.finalize()
         unexpected.extend(item.unexpected_violations())
     if unexpected and scope.strict and run.failure is None:
         run.failure = unexpected_error(f"run {name!r}" if name else "run", unexpected)

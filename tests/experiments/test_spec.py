@@ -9,11 +9,18 @@ from repro.attacks.delay import CalibrationDelayAttacker
 from repro.errors import ConfigurationError
 from repro.experiments.spec import ExperimentSpec
 from repro.hardened.node import HardenedTriadNode
+from repro.oracle.policy import oracle_policy
 from repro.sim import units
 
 
 SPECS_DIR = Path(__file__).resolve().parents[2] / "examples" / "specs"
 VICTIM_PAIRS = {("node-3", "drift-bound"), ("node-3", "state-soundness")}
+
+
+def allowance(spec):
+    """The oracle allowance a spec's build grants (its applied actions')."""
+    with oracle_policy("warn"):
+        return spec.build().oracle.allowed
 
 
 def minimal_spec(**overrides):
@@ -111,12 +118,10 @@ class TestExecution:
         """The original protocol allows the F− cascade on any node; the
         hardened one, whose honest nodes hold (§V), only the victim."""
         attacks = [{"type": "fminus", "victim": 3, "delay_ms": 100}]
-        original = minimal_spec(attacks=attacks).build()
-        assert original.expected_violations == {
+        assert allowance(minimal_spec(attacks=attacks)) == {
             ("*", "drift-bound"), ("*", "state-soundness"), ("*", "untaint-safety"),
         }
-        hardened = minimal_spec(protocol="hardened", duration_s=20, attacks=attacks).run()
-        assert hardened.expected_violations == VICTIM_PAIRS
+        assert allowance(minimal_spec(protocol="hardened", attacks=attacks)) == VICTIM_PAIRS
 
     def test_hardened_fminus_presets_allow_only_the_victim(self):
         from repro.cli import _build_parser, _service_spec_dict
@@ -125,9 +130,8 @@ class TestExecution:
             ["service", "--attack", "fminus", "--sessions", "1000", "--duration-s", "10"]
         )
         shipped = json.loads((SPECS_DIR / "fminus_hardened.json").read_text())
-        for raw in (_service_spec_dict(args), {**shipped, "duration_s": 10}):
-            experiment = ExperimentSpec.from_dict(raw).run()
-            assert experiment.expected_violations == VICTIM_PAIRS, raw["name"]
+        for raw in (_service_spec_dict(args), shipped):
+            assert allowance(ExperimentSpec.from_dict(raw)) == VICTIM_PAIRS, raw["name"]
 
     def test_aex_onset_attack_applied(self):
         spec = minimal_spec(
@@ -287,10 +291,11 @@ class TestScheduleBuild:
                  "params": {"victim": 3, "mode": "fplus", "delay_ms": 10, "duration_ms": 50}},
             ],
         )
-        experiment = spec.build()
+        with oracle_policy("warn"):
+            experiment = spec.build()
         # blackhole + net-delay register as network adversaries:
         assert len(experiment.attackers) == 2
-        assert experiment.expected_violations
+        assert experiment.oracle.allowed
 
     def test_schedule_creates_paused_source_on_low_aex_node(self):
         spec = minimal_spec(

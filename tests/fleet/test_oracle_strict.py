@@ -7,8 +7,9 @@ tests pin the contract end to end:
 * warn mode attaches violation records to the task's result value and
   :class:`TaskResult`;
 * strict mode fails the task — and therefore the batch — when a
-  violation falls outside the expected set, without burning retries
+  violation falls outside the oracle's allowance, without burning retries
   (oracle violations are deterministic re-runs);
+* a sweep point's allowance comes from its attacker, never its task name;
 * the behaviour is identical in-process (``jobs=1``) and across worker
   processes (``jobs=2``), which exercises
   :class:`~repro.errors.OracleViolationError` pickling.
@@ -16,18 +17,16 @@ tests pin the contract end to end:
 
 import pytest
 
+from repro.attacks.delay import CalibrationDelayAttacker
 from repro.errors import OracleViolationError
 from repro.fleet import FleetPool, FleetTelemetry, RunTask
 from repro.fleet.tasks import execute_task
 from repro.sim.units import MILLISECOND, SECOND
 
 
-def attack_point_task(name, oracle_mode):
-    """A sweep point running the F- attack — guaranteed violations.
-
-    With a name under the ``attack-delay/`` prefix the violations are
-    expected (strict passes); any other name makes them unexpected.
-    """
+def attack_point_task(name, oracle_mode, delay_ns=50 * MILLISECOND):
+    """A sweep point running the F- attack — guaranteed violations, all
+    allowed by its attacker whatever the task's name."""
     return RunTask(
         kind="sweep-point",
         name=name,
@@ -37,7 +36,7 @@ def attack_point_task(name, oracle_mode):
             "sweep": "attack-delay",
             "kwargs": {
                 "mode": "F_MINUS",
-                "delay_ns": 50 * MILLISECOND,
+                "delay_ns": delay_ns,
                 "seed": 400,
                 "settle_ns": 30 * SECOND,
                 "measure_ns": 60 * SECOND,
@@ -47,6 +46,19 @@ def attack_point_task(name, oracle_mode):
     )
 
 
+def strip_allowance(monkeypatch, delay_ns=None):
+    """Make the attacker of one delay (default: every one) declare nothing,
+    so its violations become unexpected. Forked workers inherit the patch."""
+    declare = CalibrationDelayAttacker.expected_violations
+
+    def stripped(self, contained=False):
+        if delay_ns is None or self.added_delay_ns == delay_ns:
+            return set()
+        return declare(self, contained)
+
+    monkeypatch.setattr(CalibrationDelayAttacker, "expected_violations", stripped)
+
+
 class TestExecuteTask:
     def test_warn_mode_attaches_violations_to_value(self):
         value = execute_task(attack_point_task("unregistered-name", "warn"))
@@ -54,9 +66,10 @@ class TestExecuteTask:
         invariants = {v["invariant"] for v in value["violations"]}
         assert "drift-bound" in invariants
 
-    def test_strict_mode_raises_on_unexpected(self):
+    def test_strict_mode_raises_on_unexpected(self, monkeypatch):
+        strip_allowance(monkeypatch)
         with pytest.raises(OracleViolationError) as excinfo:
-            execute_task(attack_point_task("unregistered-name", "strict"))
+            execute_task(attack_point_task("attack-delay/F_MINUS/50ms", "strict"))
         assert "unexpected" in str(excinfo.value)
         assert excinfo.value.violations  # records travel with the error
 
@@ -64,6 +77,10 @@ class TestExecuteTask:
         task = attack_point_task("attack-delay/F_MINUS/50ms", "strict")
         value = execute_task(task)
         assert value["violations"]  # observed, but allowed
+
+    def test_strict_mode_passes_whatever_the_task_name(self):
+        value = execute_task(attack_point_task("unregistered-name", "strict"))
+        assert value["violations"]  # the attacker allowed them, not the name
 
     def test_off_mode_adds_nothing(self):
         task = attack_point_task("unregistered-name", "off")
@@ -80,10 +97,13 @@ class TestExecuteTask:
 
 class TestPoolStrict:
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_strict_violation_fails_the_batch_without_retry(self, jobs):
+    def test_strict_violation_fails_the_batch_without_retry(self, jobs, monkeypatch):
+        strip_allowance(monkeypatch, delay_ns=100 * MILLISECOND)
         tasks = [
-            attack_point_task("attack-delay/F_MINUS/50ms", "strict"),  # expected: ok
-            attack_point_task("rogue-point", "strict"),  # unexpected: fails
+            attack_point_task("attack-delay/F_MINUS/50ms", "strict"),  # allowed: ok
+            attack_point_task(  # allowance stripped: fails
+                "attack-delay/F_MINUS/100ms", "strict", delay_ns=100 * MILLISECOND
+            ),
         ]
         telemetry = FleetTelemetry()
         results = FleetPool(jobs=jobs, retries=2).run(tasks, telemetry=telemetry)

@@ -86,7 +86,7 @@ def capture(scenario_id: str) -> dict:
         "seed": spec["kwargs"]["seed"],
         "duration_ns": spec["duration_ns"],
         "oracle_config": dict(spec["oracle_config"]),
-        "expected_pairs": sorted(list(pair) for pair in experiment.expected_violations),
+        "expected_pairs": sorted(list(pair) for pair in oracle.allowed),
         "violation_pairs": sorted(list(pair) for pair in oracle.violation_set()),
         "unexpected": [v.to_dict() for v in oracle.unexpected_violations()],
         "violations": [v.to_dict() for v in oracle.violations],

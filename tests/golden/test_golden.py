@@ -41,11 +41,11 @@ def test_golden_trace(scenario_id):
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_golden_traces_have_no_unexpected_violations(scenario_id):
-    """Every snapshot's violations stay inside the scenario's expected set.
+    """Every snapshot's violations stay inside the oracle's allowance.
 
     This is what makes ``--oracle strict`` green on the canonical
-    scenarios: the attacks violate exactly what their registered
-    expectation sets allow, nothing else.
+    scenarios: the attacks violate exactly what they allowed the oracle
+    as they were applied, nothing else.
     """
     golden = load_golden(scenario_id)
     assert golden["unexpected"] == []

@@ -5,10 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.cluster import ClusterConfig, TriadCluster
 from repro.errors import ConfigurationError
 from repro.experiments.spec import ExperimentSpec
 from repro.fleet.tasks import RunTask, execute_task
-from repro.oracle.policy import oracle_policy, plane_policy
+from repro.oracle import Violation
+from repro.oracle.policy import oracle_policy, plane_policy, run_planes
+from repro.sim import Simulator
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "specs"
 
@@ -57,8 +60,8 @@ class TestMembershipBlock:
 
 class TestPlaneScope:
     """A ``membership`` block is an inner plane scope: its engine is built
-    by the scope like any other, and its downgrades join the oracle's
-    allowance only at finalize."""
+    by the scope like any other, and its quarantines allow their downgrades
+    on that cluster's oracle alone."""
 
     def test_block_engine_is_built_by_the_enclosing_plane_scope(self):
         spec = ExperimentSpec.from_dict(
@@ -73,17 +76,33 @@ class TestPlaneScope:
         assert experiment.membership.mode == "enforce"
         assert experiment.membership.config.epoch_s == 2.0
 
-    def test_quarantine_downgrades_reach_the_frozen_expected_set(self):
+    def test_quarantine_allows_its_downgrades_on_the_oracle(self):
         raw = json.loads((EXAMPLES / "membership_propagation.json").read_text())
         bare = {key: value for key, value in raw.items() if key != "membership"}
-        declared = ExperimentSpec.from_dict(bare).build().expected_violations
         with oracle_policy("warn"):
+            declared = ExperimentSpec.from_dict(bare).build().oracle.allowed
             experiment = ExperimentSpec.from_dict(raw).run()
-        downgrades = experiment.membership.expected_downgrades
+        downgrades = experiment.oracle.allowed - declared
         assert {("node-3", "drift-bound"), ("node-3", "untaint-safety")} <= downgrades
         assert ("node-1", "drift-bound") not in downgrades
-        assert downgrades <= experiment.oracle.expected
-        assert experiment.expected_violations == declared
+        assert declared <= experiment.oracle.allowed
+
+    def test_a_downgrade_leaves_another_clusters_oracle_unexcused(self):
+        def two_clusters():
+            clusters = [TriadCluster(Simulator(seed=1), ClusterConfig()) for _ in range(2)]
+            clusters[0].membership._quarantine("node-3", None)
+            for cluster in clusters:
+                cluster.oracle._record(
+                    Violation(time_ns=0, node="node-3", invariant="drift-bound", detail="test")
+                )
+            return clusters
+
+        run = run_planes(two_clusters, oracle="strict", membership="observe")
+        quarantined, other = run.value
+        assert quarantined.oracle.unexpected_violations() == []
+        assert other.oracle.allowed == set()
+        assert [v.key for v in other.oracle.unexpected_violations()] == [("node-3", "drift-bound")]
+        assert run.failure is not None
 
 
 class TestChurnBlock:

@@ -220,33 +220,37 @@ class TestUntaintSafety:
 
 
 class TestFinalizeAndReport:
-    def test_finalize_is_idempotent_and_first_expected_wins(self, rig):
+    def test_finalize_is_idempotent_and_allowance_accumulates(self, rig):
         _sim, node, oracle = rig
         node.clock.reading_ns = units.SECOND
-        oracle.finalize(expected={("node-1", "drift-bound"), ("node-1", "state-soundness")})
+        oracle.allow({("node-1", "drift-bound")})
+        oracle.finalize()
         before = list(oracle.violations)
-        oracle.finalize(expected=set())  # must not overwrite the first set
+        oracle.allow({("node-1", "state-soundness")})  # a later cause adds, never replaces
+        oracle.finalize()
         assert oracle.violations == before
+        assert oracle.allowed == {("node-1", "drift-bound"), ("node-1", "state-soundness")}
         assert oracle.unexpected_violations() == []
 
     def test_wildcard_expectation_covers_any_node(self, rig):
         _sim, node, oracle = rig
         node.clock.reading_ns = units.SECOND
-        oracle.finalize(expected={("*", "drift-bound"), ("*", "state-soundness")})
+        oracle.allow({("*", "drift-bound"), ("*", "state-soundness")})
+        oracle.finalize()
         assert oracle.unexpected_violations() == []
 
     def test_unexpected_violations_surface(self, rig):
         _sim, node, oracle = rig
         node.clock.reading_ns = units.SECOND
-        oracle.finalize(expected=set())
+        oracle.finalize()
         assert {v.key for v in oracle.unexpected_violations()} == {
             ("node-1", "drift-bound"),
             ("node-1", "state-soundness"),
         }
 
-    def test_expected_by_sweep_prefix(self, sim):
-        """Bare-cluster sweep points get their allowance by task-name prefix;
-        any other name — a canonical scenario's too — expects nothing."""
+    def test_task_name_grants_nothing(self, sim):
+        """Only a cause calling ``allow`` excuses a violation: a bare oracle
+        under a sweep point's task name is judged like any other."""
 
         def violating_run():
             node = FakeNode(sim, name="node-3")
@@ -256,15 +260,15 @@ class TestFinalizeAndReport:
 
         run = run_planes(violating_run, oracle="strict", name="attack-delay/10ms")
         assert run.value.violations  # drift-bound + state-soundness on node-3
-        assert run.failure is None
-        run = run_planes(violating_run, oracle="strict", name="fig4-fplus-low-aex")
+        assert run.value.allowed == set()
         assert run.failure is not None
 
     def test_render_report(self, rig):
         _sim, node, oracle = rig
         assert oracle.render_report() == "oracle: no violations"
         node.clock.reading_ns = units.SECOND
-        oracle.finalize(expected={("node-1", "drift-bound")})
+        oracle.allow({("node-1", "drift-bound")})
+        oracle.finalize()
         report = oracle.render_report()
         assert "2 violation(s)" in report
         assert "drift-bound" in report

@@ -70,12 +70,12 @@ class TestNoFalseNegatives:
         sim.run(until=sim.now + 2 * units.SECOND)
         oracle.finalize()
 
-        expected_keys = {
+        expected_pairs = {
             (node.name, invariant)
             for node in cluster.nodes
             for invariant in ("drift-bound", "state-soundness")
         }
-        assert oracle.violation_set() == expected_keys, oracle.render_report()
+        assert oracle.violation_set() == expected_pairs, oracle.render_report()
         # Edge triggering: exactly one record per (node, invariant).
         keys = [v.key for v in oracle.violations]
         assert len(keys) == len(set(keys))

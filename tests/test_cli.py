@@ -250,6 +250,7 @@ class TestRunSpec:
 _BAD_SPECS = {
     "zero-nodes": ({"name": "x", "nodes": 0}, "node"),
     "environments-list": ({"name": "x", "environments": [1]}, "environments"),
+    "environments-key": ({"name": "x", "environments": {"a": "low-aex"}}, "node index"),
     "nodes-string": ({"name": "x", "nodes": "3"}, "nodes"),
     "seed-bool": ({"name": "x", "seed": True}, "seed"),
     "duration-string": ({"name": "x", "duration_s": "5"}, "duration_s"),
