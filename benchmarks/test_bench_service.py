@@ -2,7 +2,7 @@
 
 The service layer's promise is that client scale is nearly free: a
 million open-loop sessions run as per-tick distribution draws and
-int-encoded batch records, so the kernel sees one event per tick no
+tuple batch records, so the kernel sees one event per tick no
 matter the request volume. This bench pins that promise with two
 numbers — requests/sim-second (offered load actually processed) and
 sim-seconds/wall-second (what a laptop pays for it) — as the baseline

@@ -9,7 +9,7 @@ ppm conversions (§IV-A2's drift discussion).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -113,25 +113,27 @@ def cdf_at(values: Sequence[float], threshold: float) -> float:
     return sum(1 for v in values if v <= threshold) / len(values)
 
 
-def weighted_percentile(pairs: Sequence[tuple[float, int]], q: float) -> float:
+def weighted_percentile(pairs: Iterable[tuple[float, int]], q: float) -> float:
     """Percentile of a count-weighted sample without expanding it.
 
-    ``pairs`` are ``(value, count)`` records — the service layer's
-    zero-churn request accounting produces millions of requests as a few
-    thousand such pairs. Returns the smallest value whose cumulative
-    count reaches ``q`` of the total (the same convention as the "lower"
-    interpolation of an expanded sample), so results are exact integers
-    when the inputs are.
+    ``pairs`` are ``(value, count)`` records in any order — typically a
+    count-keyed histogram's ``items()``, which is how the service layer
+    holds millions of requests in a few hundred entries. Returns the
+    smallest value whose cumulative count reaches ``q`` of the total (the
+    inverted-CDF percentile of the expanded sample, numpy's
+    ``method="inverted_cdf"``), so results are exact integers when the
+    inputs are. Merging records of equal value cannot change the answer.
     """
     if not 0 <= q <= 1:
         raise ConfigurationError(f"percentile q must be within [0, 1], got {q}")
-    total = sum(count for _, count in pairs)
+    ordered = sorted(pairs)
+    total = sum(count for _, count in ordered)
     if total <= 0:
         raise ConfigurationError("cannot take a percentile of an empty sample")
     threshold = q * total
     cumulative = 0
     value = 0.0
-    for value, count in sorted(pairs):
+    for value, count in ordered:
         cumulative += count
         if cumulative >= threshold:
             return value

@@ -16,7 +16,7 @@ the paper's F+/F−/propagation attacks. See ``docs/service.md``.
 """
 
 from repro.service.config import ARRIVAL_MODELS, REQUEST_KINDS, ServiceConfig
-from repro.service.frontend import FrontEnd, pack_record, unpack_record
+from repro.service.frontend import FrontEnd
 from repro.service.marzullo import (
     QuorumEstimate,
     SourceInterval,
@@ -52,6 +52,4 @@ __all__ = [
     "intersect",
     "majority",
     "outvoted",
-    "pack_record",
-    "unpack_record",
 ]

@@ -13,17 +13,15 @@ session population. Request handling is batch-granular: each tick it
 4. stamps the drained batch with the quorum client's current estimate —
    or refuses the whole batch when no quorum anchor is available.
 
-Queue entries are **int-encoded batch records**: ``(arrival_tick,
-n_timestamp, n_lease, n_timeout)`` packed into a single Python int.
-Requests never exist as objects, so a million-request run allocates a
-few thousand ints — the zero-churn property the service layer needs to
-reach production scale inside a pure-Python kernel.
+Queue entries are plain tuple batch records, ``(arrival_tick,
+n_timestamp, n_lease, n_timeout)``: requests never exist as objects, so
+a million-request run holds one small tuple per queued tick's batch.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.service.metrics import FrontEndMetrics
@@ -31,30 +29,6 @@ from repro.service.metrics import FrontEndMetrics
 if TYPE_CHECKING:  # pragma: no cover
     from repro.service.quorum import QuorumClient
     from repro.service.workload import SessionWorkload
-
-#: Field width of one packed count. Python ints are unbounded so this is
-#: purely a layout constant; 2^32 requests per kind per tick per node is
-#: far beyond any configured queue capacity.
-_SHIFT = 32
-_MASK = (1 << _SHIFT) - 1
-
-
-def pack_record(tick: int, kinds: tuple[int, int, int]) -> int:
-    """Encode (arrival tick, per-kind counts) as one int."""
-    return (
-        ((tick << _SHIFT | kinds[0]) << _SHIFT | kinds[1]) << _SHIFT | kinds[2]
-    )
-
-
-def unpack_record(record: int) -> tuple[int, int, int, int]:
-    """Decode a packed record to (tick, n_timestamp, n_lease, n_timeout)."""
-    n_timeout = record & _MASK
-    record >>= _SHIFT
-    n_lease = record & _MASK
-    record >>= _SHIFT
-    n_timestamp = record & _MASK
-    return (record >> _SHIFT, n_timestamp, n_lease, n_timeout)
-
 
 def _split_proportional(
     kinds: tuple[int, int, int], take: int
@@ -110,7 +84,7 @@ class FrontEnd:
         self.lease_guard_ns = lease_guard_ns
         self.tick_ns = tick_ns
         self.metrics = FrontEndMetrics(name=name)
-        self._queue: deque[int] = deque()
+        self._queue: deque[tuple[int, int, int, int]] = deque()
         self._depth = 0
         #: Fractional service capacity carried between ticks, so a rate
         #: that is not an integer multiple of the tick still drains exactly.
@@ -121,8 +95,8 @@ class FrontEnd:
         """Requests currently waiting for admission."""
         return self._depth
 
-    def tick(self, tick_index: int, now_ns: int, true_now_ns: int) -> None:
-        """Process one batch interval at simulated instant ``now_ns``."""
+    def tick(self, tick_index: int, true_now_ns: int) -> None:
+        """Process one batch interval at true simulated instant ``true_now_ns``."""
         self._admit(tick_index)
         self._expire(tick_index)
         self._drain(tick_index, true_now_ns)
@@ -144,14 +118,14 @@ class FrontEnd:
             self.workload.absorb(shed_total)
         admitted_total = admitted[0] + admitted[1] + admitted[2]
         if admitted_total:
-            self._queue.append(pack_record(tick_index, admitted))
+            self._queue.append((tick_index, admitted[0], admitted[1], admitted[2]))
             self._depth += admitted_total
 
     # -- deadline expiry -----------------------------------------------------------
 
     def _expire(self, tick_index: int) -> None:
         while self._queue:
-            tick, n_ts, n_lease, n_to = unpack_record(self._queue[0])
+            tick, n_ts, n_lease, n_to = self._queue[0]
             if tick_index - tick <= self.deadline_ticks:
                 break
             self._queue.popleft()
@@ -172,13 +146,11 @@ class FrontEnd:
         drained_kinds = [0, 0, 0]
         drained_total = 0
         while budget > 0 and self._queue:
-            record = self._queue.popleft()
-            tick, n_ts, n_lease, n_to = unpack_record(record)
-            kinds = (n_ts, n_lease, n_to)
-            taken, rest = _split_proportional(kinds, budget)
+            tick, n_ts, n_lease, n_to = self._queue.popleft()
+            taken, rest = _split_proportional((n_ts, n_lease, n_to), budget)
             taken_total = taken[0] + taken[1] + taken[2]
             if rest != (0, 0, 0):
-                self._queue.appendleft(pack_record(tick, rest))
+                self._queue.appendleft((tick, rest[0], rest[1], rest[2]))
             budget -= taken_total
             self._depth -= taken_total
             for index in range(3):
@@ -188,7 +160,7 @@ class FrontEnd:
         if drained_total == 0:
             return
 
-        estimate = self._estimate()
+        estimate = self.quorum_client.estimate()
         kinds_tuple = (drained_kinds[0], drained_kinds[1], drained_kinds[2])
         if estimate is None:
             # No quorum agreement: every drained request gets an
@@ -196,16 +168,10 @@ class FrontEnd:
             # poisoned timestamp.
             self.metrics.record_refused(kinds_tuple)
         else:
-            error_ns = estimate - true_now_ns
-            # getattr: tests drive front-ends with scripted quorum stubs
-            # that only implement estimate().
             self.metrics.record_served(
                 kinds_tuple,
-                error_ns,
+                estimate - true_now_ns,
                 self.lease_guard_ns,
-                degraded=getattr(self.quorum_client, "anchor_degraded", False),
+                degraded=self.quorum_client.anchor_degraded,
             )
         self.workload.absorb(drained_total)
-
-    def _estimate(self) -> Optional[int]:
-        return self.quorum_client.estimate()

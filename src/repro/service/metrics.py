@@ -3,11 +3,13 @@
 Per-node state (drift series, state timelines) tells you what the
 *protocol* did; this module measures what the *clients* saw — the metric
 the ROADMAP's production north-star actually cares about and the lens
-every attack should be judged through. All accounting is batch-granular:
-a tick's worth of requests lands as one ``(value, count)`` pair, so a
-million-request run costs a few thousand list entries, and percentiles
-come out of :func:`repro.analysis.stats.weighted_percentile` without
-ever expanding the sample.
+every attack should be judged through. Error and queueing delay are
+count-keyed histograms (``{value_ns: count}``): a tick's served batch
+adds its size to one key, so a million-request run holds only as many
+entries as it saw distinct values — a few hundred, not one per tick —
+and percentiles come out of
+:func:`repro.analysis.stats.weighted_percentile` without ever expanding
+the sample.
 
 Nothing in the report depends on wall-clock time, worker count, or cache
 state: a pinned seed reproduces the report byte-for-byte, which is what
@@ -41,10 +43,10 @@ class FrontEndMetrics:
     #: Served requests whose anchor came from a degraded-mode sync (a
     #: subset of ``served``): answered, but flagged lower-confidence.
     degraded: list[int] = field(default_factory=lambda: [0, 0, 0])
-    #: (abs timestamp error ns, request count) pairs, one per served tick.
-    error_pairs: list[tuple[int, int]] = field(default_factory=list)
-    #: (queueing delay ns, request count) pairs.
-    wait_pairs: list[tuple[int, int]] = field(default_factory=list)
+    #: Served requests per absolute timestamp error: ``{error_ns: count}``.
+    error_histogram: dict[int, int] = field(default_factory=dict)
+    #: Drained requests per queueing delay: ``{wait_ns: count}``.
+    wait_histogram: dict[int, int] = field(default_factory=dict)
     #: Lease-kind requests served while the error exceeded the guard band.
     lease_violations: int = 0
     #: Extremes of the signed client-visible error.
@@ -75,7 +77,7 @@ class FrontEndMetrics:
             if degraded:
                 self.degraded[index] += kinds[index]
         magnitude = abs(error_ns)
-        self.error_pairs.append((magnitude, count))
+        self.error_histogram[magnitude] = self.error_histogram.get(magnitude, 0) + count
         if error_ns < self.min_error_ns:
             self.min_error_ns = error_ns
         if error_ns > self.max_error_ns:
@@ -85,7 +87,7 @@ class FrontEndMetrics:
 
     def record_wait(self, wait_ns: int, count: int) -> None:
         if count > 0:
-            self.wait_pairs.append((wait_ns, count))
+            self.wait_histogram[wait_ns] = self.wait_histogram.get(wait_ns, 0) + count
 
     def record_shed(self, kinds: tuple[int, int, int]) -> None:
         for index in range(3):
@@ -100,9 +102,19 @@ class FrontEndMetrics:
             self.refused[index] += kinds[index]
 
     def error_percentile_ns(self, q: float) -> int:
-        if not self.error_pairs:
-            return 0
-        return int(weighted_percentile(self.error_pairs, q))
+        return _percentile(self.error_histogram, q)
+
+
+def _percentile(histogram: dict[int, int], q: float) -> int:
+    return int(weighted_percentile(histogram.items(), q)) if histogram else 0
+
+
+def _merge(histograms: list[dict[int, int]]) -> dict[int, int]:
+    merged: dict[int, int] = {}
+    for histogram in histograms:
+        for value, count in histogram.items():
+            merged[value] = merged.get(value, 0) + count
+    return merged
 
 
 def _rate(part: int, whole: int) -> float:
@@ -281,16 +293,12 @@ def build_report(
     """Fold per-front-end metrics into one :class:`ServiceReport`."""
     if duration_ns <= 0:
         raise ConfigurationError("cannot report on a service that never ran")
-    error_pairs: list[tuple[int, int]] = []
-    wait_pairs: list[tuple[int, int]] = []
     served_by_kind = [0, 0, 0]
     served = shed = expired = refused = lease_requests = lease_violations = 0
     degraded = 0
     max_abs_error = 0
     frontend_rows: dict[str, dict[str, Any]] = {}
     for metrics in frontends:
-        error_pairs.extend(metrics.error_pairs)
-        wait_pairs.extend(metrics.wait_pairs)
         for index in range(3):
             served_by_kind[index] += metrics.served[index]
         served += metrics.served_total
@@ -314,9 +322,8 @@ def build_report(
             "lease_violations": metrics.lease_violations,
         }
     requests = served + shed + expired + refused
-
-    def percentile(pairs: list[tuple[int, int]], q: float) -> int:
-        return int(weighted_percentile(pairs, q)) if pairs else 0
+    errors = _merge([metrics.error_histogram for metrics in frontends])
+    waits = _merge([metrics.wait_histogram for metrics in frontends])
 
     return ServiceReport(
         name=name,
@@ -332,12 +339,12 @@ def build_report(
         served_by_kind=(served_by_kind[0], served_by_kind[1], served_by_kind[2]),
         lease_requests=lease_requests,
         lease_violations=lease_violations,
-        error_p50_ns=percentile(error_pairs, 0.50),
-        error_p99_ns=percentile(error_pairs, 0.99),
-        error_p999_ns=percentile(error_pairs, 0.999),
+        error_p50_ns=_percentile(errors, 0.50),
+        error_p99_ns=_percentile(errors, 0.99),
+        error_p999_ns=_percentile(errors, 0.999),
         max_abs_error_ns=max_abs_error,
-        wait_p50_ns=percentile(wait_pairs, 0.50),
-        wait_p99_ns=percentile(wait_pairs, 0.99),
+        wait_p50_ns=_percentile(waits, 0.50),
+        wait_p99_ns=_percentile(waits, 0.99),
         requests_per_sim_s=round(requests * SECOND / duration_ns, 3),
         quorum_stats=quorum_stats,
         frontends=frontend_rows,

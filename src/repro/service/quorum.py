@@ -111,7 +111,9 @@ class QuorumClient:
         self.stats = QuorumStats()
         self._anchor_time_ns: Optional[int] = None
         self._anchor_estimate_ns: int = 0
-        self._anchor_degraded = False
+        #: Whether the last anchor ``estimate()`` served came from a
+        #: degraded-mode sync; read it right after a non-None estimate.
+        self.anchor_degraded = False
         #: Consecutive unavailable polls per source (breaker trip counter).
         self._source_failures: dict[str, int] = {}
         #: Source name -> sim instant its open breaker allows a retry.
@@ -124,11 +126,6 @@ class QuorumClient:
             self._anchor_time_ns is not None
             and self.sim.now - self._anchor_time_ns < self.staleness_ns
         )
-
-    @property
-    def anchor_degraded(self) -> bool:
-        """Whether the current anchor came from a degraded-mode sync."""
-        return self.anchored and self._anchor_degraded
 
     def estimate(self) -> Optional[int]:
         """Client-visible trusted time now, or None while unavailable.
@@ -204,13 +201,13 @@ class QuorumClient:
         self.stats.votes_total += consensus.votes
         self._anchor_time_ns = now
         self._anchor_estimate_ns = consensus.midpoint_ns
-        self._anchor_degraded = degraded
+        self.anchor_degraded = degraded
         return self._anchor_estimate_ns
 
     def _fail_sync(self) -> None:
         self.stats.sync_failures += 1
         self._anchor_time_ns = None
-        self._anchor_degraded = False
+        self.anchor_degraded = False
         return None
 
     def _widen(self, interval: SourceInterval) -> SourceInterval:

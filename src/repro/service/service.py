@@ -123,7 +123,7 @@ class TimeService:
             tick_index += 1
             now = self.sim.now
             for frontend in self.frontends:
-                frontend.tick(tick_index, now, now)
+                frontend.tick(tick_index, now)
 
     # -- results --------------------------------------------------------------------
 

@@ -6,7 +6,7 @@ generators. The workload layer therefore keeps sessions *aggregate*: per
 front-end tick it draws "how many sessions fire this tick" from the
 arrival model's distribution (seeded numpy streams, so runs are exactly
 reproducible) and splits the batch across request kinds with one
-multinomial draw. Requests then travel as int-encoded batch records
+multinomial draw. Requests then travel as tuple batch records
 (:mod:`repro.service.frontend`), never as per-request objects — the
 zero-churn design that lets a laptop simulate a 10⁶-session service.
 
@@ -119,8 +119,8 @@ class SessionWorkload:
         count = self._arrivals.draw()
         if count <= 0:
             return (0, 0, 0)
-        split = self._rng.multinomial(count, self._mix)
-        return (int(split[0]), int(split[1]), int(split[2]))
+        n_ts, n_lease, n_to = self._rng.multinomial(count, self._mix).tolist()
+        return (n_ts, n_lease, n_to)
 
     def absorb(self, count: int) -> None:
         if count > 0:

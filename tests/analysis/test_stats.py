@@ -1,6 +1,9 @@
 """Tests for statistics helpers."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.stats import (
     cdf_at,
@@ -10,9 +13,11 @@ from repro.analysis.stats import (
     linear_fit,
     remove_outliers,
     summarize,
+    weighted_percentile,
 )
 from repro.errors import ConfigurationError
 from repro.sim.units import SECOND
+from tests.conftest import examples
 
 
 class TestSummarize:
@@ -116,3 +121,33 @@ class TestDriftRates:
     def test_insufficient_samples(self):
         with pytest.raises(ConfigurationError):
             drift_rate_ppm([(0, 0)])
+
+
+class TestWeightedPercentile:
+    """The service layer folds requests into ``{value: count}`` histograms."""
+
+    @settings(max_examples=examples(200), deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(-50, 50), st.integers(1, 40)), min_size=1, max_size=30
+        ),
+        q=st.sampled_from([0.0, 0.5, 0.99, 0.999, 1.0]),
+    )
+    def test_histogram_fold_matches_the_expanded_sample(self, pairs, q):
+        histogram: dict[int, int] = {}
+        for value, count in pairs:
+            histogram[value] = histogram.get(value, 0) + count
+        expanded = np.repeat([v for v, _ in pairs], [c for _, c in pairs])
+        # The smallest value whose cumulative count reaches q of the total:
+        # numpy's inverted-CDF ("lower") percentile of the expanded sample.
+        expected = np.quantile(expanded, q, method="inverted_cdf")
+        assert weighted_percentile(histogram.items(), q) == expected
+        assert weighted_percentile(pairs, q) == expected
+
+    def test_empty_histogram_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="empty sample"):
+            weighted_percentile({}.items(), 0.5)
+
+    def test_q_outside_the_unit_interval_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="within"):
+            weighted_percentile({1: 1}.items(), 1.5)
