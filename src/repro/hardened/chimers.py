@@ -1,126 +1,118 @@
-"""Marzullo's algorithm and true-chimer selection.
+"""Marzullo's algorithm: the one interval sweep behind every time agreement.
 
 Standard clock synchronization (Marzullo & Owicki 1983; NTP's clock select)
-treats each clock as an **interval** ``[t − e, t + e]`` where ``e`` bounds
-its possible error. Clocks whose intervals share a non-empty intersection
-are mutually *consistent*; the largest such group are the **true-chimers**,
-and the intersection of their intervals is where the true time must lie if
-a majority of clocks is honest.
+treats each clock as an :class:`Interval` — a reading ``t ± e`` is
+``[t − e, t + e]``, where ``e`` bounds its possible error. :func:`marzullo`
+finds the region covered by the most intervals; the sources whose interval
+overlaps that region are the **true-chimers**, and the region is where the
+true time must lie if a majority of clocks is honest.
 
-This is the paper's §V recipe for fixing Triad's peer-untaint policy: an
-F−-infected node's clock races ahead of every honest interval, so it simply
-stops being a true-chimer and its timestamps get ignored — instead of being
-adopted *because* they are largest, as the original policy does.
+Two callers share this sweep:
+
+* the hardened peer-untaint (:func:`majority_chimers`, §V): an
+  F−-infected node's clock races ahead of every honest interval, so it
+  stops being a true-chimer and its timestamps get ignored — instead of
+  being adopted *because* they are largest, as Triad's policy does;
+* the service's quorum client (through :func:`repro.service.marzullo.intersect`),
+  which out-votes every source disjoint from the winning region.
+
+The sweep puts a start edge at every ``lo_ns`` and an end edge at every
+``hi_ns``, with starts ordered before ends at equal offsets, so touching
+intervals ``[a, b]``/``[b, c]`` agree on the single point ``b``. Ties
+between equally-voted regions resolve to the earliest region. O(n log n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
-class ClockReading:
-    """One clock's claimed time with its error bound."""
+class Interval:
+    """One source's claim: the true time lies within [lo_ns, hi_ns]."""
 
-    source: str
-    timestamp_ns: int
-    error_bound_ns: int
+    lo_ns: int
+    hi_ns: int
+    source: str = ""
 
     def __post_init__(self) -> None:
-        if self.error_bound_ns < 0:
+        if self.hi_ns < self.lo_ns:
             raise ConfigurationError(
-                f"error bound must be non-negative, got {self.error_bound_ns}"
+                f"interval from {self.source or 'source'} is inverted: "
+                f"[{self.lo_ns}, {self.hi_ns}]"
             )
-
-    @property
-    def low_ns(self) -> int:
-        return self.timestamp_ns - self.error_bound_ns
-
-    @property
-    def high_ns(self) -> int:
-        return self.timestamp_ns + self.error_bound_ns
 
 
 @dataclass(frozen=True)
-class ChimerResult:
-    """Output of Marzullo's algorithm over a set of readings."""
+class Agreement:
+    """The region covered by the most intervals, and how many cover it."""
 
-    #: Best intersection interval (inclusive bounds).
-    low_ns: int
-    high_ns: int
-    #: Number of readings overlapping the best interval.
-    count: int
-    #: Sources of those readings — the true-chimers.
-    chimers: tuple[str, ...]
+    lo_ns: int
+    hi_ns: int
+    votes: int
 
     @property
     def midpoint_ns(self) -> int:
-        """Centre of the intersection — the synthesized consensus time."""
-        return (self.low_ns + self.high_ns) // 2
+        """Centre of the region — the consensus time a caller adopts."""
+        return (self.lo_ns + self.hi_ns) // 2
 
-    def contains(self, reading: ClockReading) -> bool:
-        """Whether a reading's interval overlaps the consensus interval."""
-        return reading.low_ns <= self.high_ns and reading.high_ns >= self.low_ns
+    def overlaps(self, interval: Interval) -> bool:
+        """Whether ``interval`` shares at least one instant with the region."""
+        return interval.lo_ns <= self.hi_ns and interval.hi_ns >= self.lo_ns
 
 
-def marzullo(readings: Sequence[ClockReading]) -> ChimerResult:
-    """Find the interval overlapped by the maximum number of readings.
+def majority(total: int) -> int:
+    """Votes required for agreement among ``total`` clocks or sources."""
+    if total < 1:
+        raise ConfigurationError(f"quorum must be at least 1, got {total}")
+    return total // 2 + 1
 
-    Classic sweep: every interval contributes a ``+1`` edge at its low end
-    and ``−1`` just past its high end; the best interval is where the
-    running count peaks. Ties are broken toward the earliest (lowest)
-    interval, matching the original algorithm. O(n log n).
+
+def marzullo(intervals: Sequence[Interval]) -> Agreement:
+    """The region contained in the most intervals (Marzullo's algorithm).
+
+    With disjoint inputs the best region is the earliest interval with one
+    vote; callers decide whether that clears their threshold (see
+    :func:`majority`). Raises on an empty input — zero sources have no
+    agreement at all, not a zero-vote one.
     """
-    if not readings:
-        raise ConfigurationError("marzullo needs at least one reading")
-    edges: list[tuple[int, int]] = []
-    for reading in readings:
-        edges.append((reading.low_ns, -1))  # -1 sorts starts before ends at ties
-        edges.append((reading.high_ns, +1))
-    edges.sort()
+    if not intervals:
+        raise ConfigurationError("cannot intersect zero intervals")
+    # (offset, kind): kind 0 = start, 1 = end, so starts sort first.
+    events: list[tuple[int, int]] = []
+    for interval in intervals:
+        events.append((interval.lo_ns, 0))
+        events.append((interval.hi_ns, 1))
+    events.sort()
 
-    best_count = 0
-    best_low = 0
-    best_high = 0
-    current = 0
-    for i, (position, kind) in enumerate(edges):
-        if kind == -1:
-            current += 1
-            if current > best_count:
-                best_count = current
-                best_low = position
-                # The overlap extends to the next edge position.
-                best_high = edges[i + 1][0] if i + 1 < len(edges) else position
+    votes = count = lo_ns = hi_ns = 0
+    for index, (offset, kind) in enumerate(events):
+        if kind == 0:
+            count += 1
+            if count > votes:
+                # The region runs to the next endpoint (there is always
+                # one: at least this interval's own end).
+                votes, lo_ns, hi_ns = count, offset, events[index + 1][0]
         else:
-            current -= 1
-
-    chimers = tuple(
-        reading.source
-        for reading in readings
-        if reading.low_ns <= best_high and reading.high_ns >= best_low
-    )
-    return ChimerResult(low_ns=best_low, high_ns=best_high, count=best_count, chimers=chimers)
+            count -= 1
+    return Agreement(lo_ns=lo_ns, hi_ns=hi_ns, votes=votes)
 
 
 def majority_chimers(
-    readings: Sequence[ClockReading], total_clocks: int
-) -> ChimerResult | None:
+    intervals: Sequence[Interval], total_clocks: int
+) -> Optional[Agreement]:
     """Marzullo restricted to an honest-majority assumption.
 
-    Returns the chimer result only if the best intersection is supported by
-    a strict majority of ``total_clocks`` (the cluster size, not just the
-    readings that happened to arrive); otherwise ``None`` — the caller
-    cannot distinguish honest from compromised clocks and must fall back to
-    the Time Authority.
+    Returns the agreement only if it is supported by a strict majority of
+    ``total_clocks`` (the cluster size, not just the intervals that
+    happened to arrive); otherwise ``None`` — the caller cannot tell honest
+    from compromised clocks and must fall back to the Time Authority.
     """
-    if total_clocks <= 0:
-        raise ConfigurationError(f"total clock count must be positive, got {total_clocks}")
-    if not readings:
+    needed = majority(total_clocks)
+    if not intervals:
         return None
-    result = marzullo(readings)
-    if result.count * 2 <= total_clocks:
-        return None
-    return result
+    agreement = marzullo(intervals)
+    return agreement if agreement.votes >= needed else None

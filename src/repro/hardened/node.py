@@ -32,7 +32,7 @@ from repro.core.node import TriadNode, TriadNodeConfig
 from repro.core.states import NodeState
 from repro.core.untaint import UntaintOutcome
 from repro.errors import ConfigurationError
-from repro.hardened.chimers import ChimerResult, ClockReading, majority_chimers
+from repro.hardened.chimers import Interval, majority_chimers
 from repro.hardened.deadlines import TscDeadlineTimer
 from repro.hardened.registry import ChimerRegistry, ChimerReport
 from repro.hardware.tsc import PAPER_TSC_FREQUENCY_HZ
@@ -44,6 +44,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.calibration import Calibrator
     from repro.hardware.machine import Machine
     from repro.sim.kernel import Simulator
+
+
+def _reading(source: str, timestamp_ns: int, error_bound_ns: int) -> Interval:
+    """A clock reading ``t ± e`` as the interval [t − e, t + e] (``e < 0`` is rejected)."""
+    return Interval(timestamp_ns - error_bound_ns, timestamp_ns + error_bound_ns, source)
 
 
 @dataclass
@@ -183,22 +188,20 @@ class HardenedTriadNode(TriadNode):
             self._mark_synced()
             return
 
-        own_reading = ClockReading(
-            source=self.name,
-            timestamp_ns=self.clock.now_unchecked(),
-            error_bound_ns=self.current_error_bound_ns(),
+        own_reading = _reading(
+            self.name, self.clock.now_unchecked(), self.current_error_bound_ns()
         )
         peer_readings = [
-            ClockReading(
-                source=name,
-                timestamp_ns=response.timestamp_ns,
-                error_bound_ns=max(response.error_bound_ns, 1),
-            )
+            _reading(name, response.timestamp_ns, max(response.error_bound_ns, 1))
             for name, response in responses
         ]
+        readings = peer_readings + [own_reading]
         total_clocks = len(self.peer_names) + 1
-        result = majority_chimers(peer_readings + [own_reading], total_clocks)
-        self._publish_report(peer_readings, result)
+        result = majority_chimers(readings, total_clocks)
+        self._publish_report(
+            peer_readings,
+            () if result is None else tuple(r.source for r in readings if result.overlaps(r)),
+        )
 
         if result is None:
             # No majority-consistent clique: cannot tell honest clocks from
@@ -208,10 +211,10 @@ class HardenedTriadNode(TriadNode):
             self._mark_synced()
             return
 
-        rejected = [r for r in peer_readings if r.source not in result.chimers]
+        rejected = [r for r in peer_readings if not result.overlaps(r)]
         self.hardened_stats.peer_readings_rejected += len(rejected)
 
-        if self.name in result.chimers:
+        if result.overlaps(own_reading):
             # The local clock is itself a true-chimer: no rewrite needed.
             new_now = self.clock.untaint_in_place()
             self.hardened_stats.untaints_in_place += 1
@@ -373,14 +376,11 @@ class HardenedTriadNode(TriadNode):
         self._drift_estimator = DriftEstimator(window_ns=self._drift_estimator.window_ns)
         self._estimator_rewrite_baseline = len(self.clock.reference_rewrites)
 
-    def _publish_report(
-        self, peer_readings: list[ClockReading], result: Optional["ChimerResult"]
-    ) -> None:
+    def _publish_report(self, peer_readings: list[Interval], chimers: tuple[str, ...]) -> None:
         """Publish this consistency check to the §V bulletin board."""
         if self.registry is None:
             return
         observed = tuple(reading.source for reading in peer_readings)
-        chimers = result.chimers if result is not None else ()
         self.registry.publish(
             ChimerReport(
                 time_ns=self.sim.now,

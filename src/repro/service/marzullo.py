@@ -1,125 +1,26 @@
-"""Marzullo's algorithm: interval intersection for quorum time agreement.
+"""The quorum client's entry point into the one Marzullo sweep.
 
 A quorum client asks several Triad nodes for the time and gets back one
-*confidence interval* per source — "the true time is in [lo, hi]" — whose
-width reflects network round-trip uncertainty. Marzullo's algorithm finds
-the sub-interval contained in the largest number of source intervals; a
-source whose interval is disjoint from that best overlap (say, an F−-fast
-node seconds ahead of its honest peers) is simply *out-voted* rather than
-averaged in. This is the same consensus step NTP's clock selection and the
-TrustedTime engine's 3–5-source fan-out use (SNIPPETS.md Snippet 3).
+confidence interval per source; a source disjoint from the best overlap
+(say, an F−-fast node seconds ahead of its honest peers) is *out-voted*
+rather than averaged in. The sweep, the :class:`~repro.hardened.chimers.Interval`
+and :class:`~repro.hardened.chimers.Agreement` types and the majority rule
+all live in :mod:`repro.hardened.chimers`, shared with the hardened
+peer-untaint.
 
-The implementation is a standard endpoint sweep: +1 at every interval
-start, −1 at every end, with starts ordered before ends at equal offsets
-so exactly-touching intervals ``[a, b]``/``[b, c]`` agree on the single
-point ``b``. Ties between equally-voted regions resolve to the earliest
-region, keeping results deterministic.
+:func:`intersect` stays a function of its own, not an alias of
+:func:`~repro.hardened.chimers.marzullo`, so the service's sweeps are a
+call site distinct from the hardened ones: per-layer tracing wraps this
+name alone and counts only service syncs here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.errors import ConfigurationError
+from repro.hardened.chimers import Agreement, Interval, marzullo
 
 
-@dataclass(frozen=True)
-class SourceInterval:
-    """One source's claim: the true time lies within [lo_ns, hi_ns]."""
-
-    lo_ns: int
-    hi_ns: int
-    source: str = ""
-
-    def __post_init__(self) -> None:
-        if self.hi_ns < self.lo_ns:
-            raise ConfigurationError(
-                f"interval from {self.source or 'source'} is inverted: "
-                f"[{self.lo_ns}, {self.hi_ns}]"
-            )
-
-    @property
-    def midpoint_ns(self) -> int:
-        return (self.lo_ns + self.hi_ns) // 2
-
-    def contains(self, time_ns: int) -> bool:
-        return self.lo_ns <= time_ns <= self.hi_ns
-
-
-@dataclass(frozen=True)
-class QuorumEstimate:
-    """The best-overlap region and how many sources voted for it."""
-
-    lo_ns: int
-    hi_ns: int
-    votes: int
-
-    @property
-    def midpoint_ns(self) -> int:
-        """The point estimate a client adopts as its anchor."""
-        return (self.lo_ns + self.hi_ns) // 2
-
-    @property
-    def width_ns(self) -> int:
-        """Residual uncertainty after intersection."""
-        return self.hi_ns - self.lo_ns
-
-
-def majority(quorum: int) -> int:
-    """Votes required for agreement in a fan-out of ``quorum`` sources."""
-    if quorum < 1:
-        raise ConfigurationError(f"quorum must be at least 1, got {quorum}")
-    return quorum // 2 + 1
-
-
-def intersect(intervals: Sequence[SourceInterval]) -> QuorumEstimate:
-    """The region contained in the most intervals (Marzullo's algorithm).
-
-    With disjoint inputs the best region is a single interval with one
-    vote; callers decide whether that clears their agreement threshold
-    (see :func:`majority`). Raises on an empty input — a sync with zero
-    responding sources has no estimate at all, not a zero-vote one.
-    """
-    if not intervals:
-        raise ConfigurationError("cannot intersect zero intervals")
-    # (offset, kind): kind 0 = start, 1 = end, so starts sort first at
-    # equal offsets and touching intervals overlap at the shared point.
-    events: list[tuple[int, int]] = []
-    for interval in intervals:
-        events.append((interval.lo_ns, 0))
-        events.append((interval.hi_ns, 1))
-    events.sort()
-
-    best = 0
-    count = 0
-    best_lo = intervals[0].lo_ns
-    best_hi = intervals[0].hi_ns
-    for index, (offset, kind) in enumerate(events):
-        if kind == 0:
-            count += 1
-            if count > best:
-                best = count
-                best_lo = offset
-                # The best region runs to the next endpoint (there is
-                # always one: at least this interval's own end).
-                best_hi = events[index + 1][0]
-        else:
-            count -= 1
-    return QuorumEstimate(lo_ns=best_lo, hi_ns=best_hi, votes=best)
-
-
-def outvoted(
-    intervals: Sequence[SourceInterval], estimate: QuorumEstimate
-) -> list[SourceInterval]:
-    """Sources whose interval is disjoint from the winning region.
-
-    These are the sources consensus discarded — under the paper's F−
-    propagation attack, the dragged-fast node shows up here while honest
-    nodes keep overlapping.
-    """
-    return [
-        interval
-        for interval in intervals
-        if interval.hi_ns < estimate.lo_ns or interval.lo_ns > estimate.hi_ns
-    ]
+def intersect(intervals: Sequence[Interval]) -> Agreement:
+    """The region contained in the most source intervals."""
+    return marzullo(intervals)

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.service.marzullo import SourceInterval, intersect, majority, outvoted
+from repro.hardened.chimers import Interval, majority
+from repro.service.marzullo import intersect
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -140,7 +141,7 @@ class QuorumClient:
         return self._sync(now)
 
     def _sync(self, now: int) -> Optional[int]:
-        intervals: list[SourceInterval] = []
+        intervals: list[Interval] = []
         for node in self.sources:
             name = node.name
             open_until = self._breaker_open_until.get(name)
@@ -164,11 +165,7 @@ class QuorumClient:
             )
             half_width = rtt // 2 + self.margin_ns
             intervals.append(
-                SourceInterval(
-                    lo_ns=source_estimate - half_width,
-                    hi_ns=source_estimate + half_width,
-                    source=node.name,
-                )
+                Interval(source_estimate - half_width, source_estimate + half_width, name)
             )
         if not intervals:
             return self._fail_sync()
@@ -192,9 +189,10 @@ class QuorumClient:
             if consensus.votes < majority(len(intervals)):
                 return self._fail_sync()
             degraded = True
-        for interval in outvoted(intervals, consensus):
-            name = interval.source
-            self.stats.outvoted[name] = self.stats.outvoted.get(name, 0) + 1
+        for interval in intervals:
+            if not consensus.overlaps(interval):
+                name = interval.source
+                self.stats.outvoted[name] = self.stats.outvoted.get(name, 0) + 1
         self.stats.syncs += 1
         if degraded:
             self.stats.degraded_syncs += 1
@@ -210,13 +208,11 @@ class QuorumClient:
         self.anchor_degraded = False
         return None
 
-    def _widen(self, interval: SourceInterval) -> SourceInterval:
+    def _widen(self, interval: Interval) -> Interval:
         """Scale an interval's half-width by the degraded margin factor."""
         center = (interval.lo_ns + interval.hi_ns) // 2
         half_width = int((interval.hi_ns - interval.lo_ns) // 2 * self.degraded_margin_factor)
-        return SourceInterval(
-            lo_ns=center - half_width, hi_ns=center + half_width, source=interval.source
-        )
+        return Interval(center - half_width, center + half_width, interval.source)
 
     def _note_source_failure(self, name: str, now: int) -> None:
         """Count a dark poll; trip the source's breaker at the threshold."""

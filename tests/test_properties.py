@@ -16,7 +16,7 @@ from repro.core.calibration import CalibrationSample, RegressionCalibrator
 from repro.core.clock import TrustedClock
 from repro.core.states import NodeState, StateTimeline
 from repro.errors import CryptoError
-from repro.hardened.chimers import ClockReading, marzullo
+from repro.hardened.chimers import Agreement, Interval, marzullo
 from repro.hardware.tsc import TimestampCounter
 from repro.net.crypto import SecureChannelKey
 from repro.sim import Simulator
@@ -61,57 +61,75 @@ class TestCryptoProperties:
         assert len(sizes) == 1
 
 
+def _coverage(intervals, point):
+    return sum(1 for i in intervals if i.lo_ns <= point <= i.hi_ns)
+
+
+def _reference(intervals):
+    """O(n²) Marzullo: the earliest region with the most covering intervals.
+
+    Coverage only changes at endpoints, so its maximum is reached at one;
+    the earliest maximal point is an interval start, and the region runs
+    until the first covering interval ends.
+    """
+    points = sorted({p for i in intervals for p in (i.lo_ns, i.hi_ns)})
+    votes = max(_coverage(intervals, p) for p in points)
+    lo = next(p for p in points if _coverage(intervals, p) == votes)
+    hi = min(i.hi_ns for i in intervals if i.lo_ns <= lo <= i.hi_ns)
+    return Agreement(lo_ns=lo, hi_ns=hi, votes=votes)
+
+
 class TestMarzulloProperties:
-    readings = st.lists(
-        st.builds(
-            ClockReading,
-            source=st.uuids().map(str),
-            timestamp_ns=st.integers(min_value=-(10**15), max_value=10**15),
-            error_bound_ns=st.integers(min_value=0, max_value=10**12),
-        ),
-        min_size=1,
-        max_size=12,
+    # A small grid makes shared, touching and degenerate endpoints common;
+    # the wide range keeps magnitudes realistic for nanosecond clocks.
+    offsets = st.integers(min_value=-40, max_value=40) | st.integers(
+        min_value=-(10**15), max_value=10**15
+    )
+    widths = st.integers(min_value=0, max_value=20) | st.integers(min_value=0, max_value=10**12)
+    intervals = st.lists(st.tuples(offsets, widths), min_size=1, max_size=12).map(
+        lambda pairs: [Interval(lo, lo + w, f"s{n}") for n, (lo, w) in enumerate(pairs)]
     )
 
-    @given(readings)
+    @given(intervals)
     @settings(max_examples=120, deadline=None)
-    def test_chimer_count_matches_interval_overlap(self, readings):
-        result = marzullo(readings)
-        overlapping = [
-            r for r in readings if r.low_ns <= result.high_ns and r.high_ns >= result.low_ns
-        ]
-        assert result.count >= 1
-        assert result.low_ns <= result.high_ns
-        # Every source in the chimer set genuinely overlaps the interval.
-        assert set(result.chimers) <= {r.source for r in overlapping}
+    def test_chimer_count_matches_interval_overlap(self, intervals):
+        """Every interval overlapping the region contains it: any other
+        overlap would push coverage above the maximum."""
+        result = marzullo(intervals)
+        overlapping = [i for i in intervals if result.overlaps(i)]
+        assert result.lo_ns <= result.hi_ns
+        assert len(overlapping) == result.votes >= 1
+        assert all(i.lo_ns <= result.lo_ns and result.hi_ns <= i.hi_ns for i in overlapping)
 
-    @given(readings)
-    @settings(max_examples=120, deadline=None)
-    def test_best_interval_is_maximal(self, readings):
-        """No single reading's midpoint is covered by more intervals than
-        the count Marzullo reports."""
-        result = marzullo(readings)
-        for probe in readings:
-            cover = sum(
-                1
-                for r in readings
-                if r.low_ns <= probe.timestamp_ns <= r.high_ns
-            )
-            assert cover <= result.count
+    @given(intervals)
+    @settings(max_examples=200, deadline=None)
+    def test_best_interval_is_maximal(self, intervals):
+        """Votes are the maximum coverage of any endpoint and the region is
+        the earliest one with that coverage (brute-force reference)."""
+        assert marzullo(intervals) == _reference(intervals)
 
-    @given(readings, st.integers(min_value=-(10**12), max_value=10**12))
+    @given(intervals, st.integers(min_value=-(10**12), max_value=10**12))
     @settings(max_examples=60, deadline=None)
-    def test_translation_invariance(self, readings, shift):
-        import dataclasses
+    def test_translation_invariance(self, intervals, shift):
+        result = marzullo(intervals)
+        shifted = [Interval(i.lo_ns + shift, i.hi_ns + shift, i.source) for i in intervals]
+        assert marzullo(shifted) == Agreement(
+            lo_ns=result.lo_ns + shift, hi_ns=result.hi_ns + shift, votes=result.votes
+        )
 
-        result = marzullo(readings)
-        shifted = [
-            dataclasses.replace(r, timestamp_ns=r.timestamp_ns + shift) for r in readings
-        ]
-        shifted_result = marzullo(shifted)
-        assert shifted_result.count == result.count
-        assert shifted_result.low_ns == result.low_ns + shift
-        assert shifted_result.high_ns == result.high_ns + shift
+    @given(intervals.flatmap(lambda xs: st.tuples(st.just(xs), st.permutations(xs))))
+    @settings(max_examples=60, deadline=None)
+    def test_permutation_invariance(self, pair):
+        intervals, permuted = pair
+        assert marzullo(permuted) == marzullo(intervals)
+
+    @given(intervals, offsets, widths)
+    @settings(max_examples=120, deadline=None)
+    def test_overlaps_is_a_nonempty_intersection(self, intervals, lo, width):
+        result = marzullo(intervals)
+        probe = Interval(lo, lo + width)
+        shared = max(probe.lo_ns, result.lo_ns) <= min(probe.hi_ns, result.hi_ns)
+        assert result.overlaps(probe) == shared
 
 
 class TestCalibrationProperties:
