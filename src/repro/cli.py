@@ -479,7 +479,7 @@ def _run_batch(args) -> int:
     for path in spec_paths:
         try:
             tasks.append(_spec_task(json.loads(path.read_text()), args))
-        except (json.JSONDecodeError, ConfigurationError, TypeError) as exc:
+        except (OSError, json.JSONDecodeError, ConfigurationError, TypeError) as exc:
             print(f"invalid spec {path}: {exc}", file=sys.stderr)
             return 1
     pool, cache, telemetry = _fleet_pieces(args)
@@ -819,7 +819,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
         try:
             spec = ExperimentSpec.load(args.spec_path)
-        except ConfigurationError as exc:
+        except (OSError, ConfigurationError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         run, code = _serial_run(args, spec.run)

@@ -83,6 +83,24 @@ class StateTimeline:
             state = change.state
         return state
 
+    def first_ok(self, from_ns: int) -> Optional[int]:
+        """Earliest instant >= ``from_ns`` at which the timeline shows ``OK``."""
+        if self.state_at(from_ns) is NodeState.OK:
+            return from_ns
+        for change in self._changes:
+            if change.time_ns >= from_ns and change.state is NodeState.OK:
+                return change.time_ns
+        return None
+
+    def recovered(self, heal_ns: int, deadline_ns: int) -> bool:
+        """The recovery rule: ``OK`` at some instant in ``[heal, heal + deadline]``.
+
+        The one judgement of a fault plan's recovery contract: the
+        oracle's ``recovery`` invariant and the recovery report both call it.
+        """
+        ok_ns = self.first_ok(heal_ns)
+        return ok_ns is not None and ok_ns <= heal_ns + deadline_ns
+
     def time_in_state(self, state: NodeState, until_ns: Optional[int] = None) -> int:
         """Total nanoseconds spent in ``state`` up to ``until_ns``."""
         if until_ns is None:

@@ -9,11 +9,16 @@ byte-identical across fleet workers.
 MTTR is measured the way a client experiences it: from the instant the
 enclave crashed (service lost) to the first ``OK`` after its restart
 (service regained), not merely from the restart.
+
+``recovered`` is :meth:`StateTimeline.recovered
+<repro.core.states.StateTimeline.recovered>`, the same rule the oracle's
+``recovery`` invariant judges at last heal + deadline, so the two agree
+whenever that instant falls inside the run.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any
 
 from repro.core.states import NodeState
 from repro.faults.plan import FaultPlan
@@ -21,16 +26,6 @@ from repro.sim.units import MILLISECOND, SECOND
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.runner import Experiment
-
-
-def _first_ok_after(timeline, t_ns: int) -> Optional[int]:
-    """Earliest instant >= t_ns at which the timeline shows ``OK``."""
-    if timeline.state_at(t_ns) is NodeState.OK:
-        return t_ns
-    for change in timeline.changes:
-        if change.time_ns >= t_ns and change.state is NodeState.OK:
-            return change.time_ns
-    return None
 
 
 def recovery_report(experiment: "Experiment", plan: FaultPlan) -> dict[str, Any]:
@@ -42,37 +37,22 @@ def recovery_report(experiment: "Experiment", plan: FaultPlan) -> dict[str, Any]
 
     nodes: dict[str, Any] = {}
     mttr_all_ms: list[float] = []
-    recovered_all = True
     for node in cluster.nodes:
         timeline = node.timeline
-        crash_times = [
-            t for t, subject, action in cluster.fault_events
-            if subject == node.name and action == "crash"
+        own = [(t, action) for t, subject, action in cluster.fault_events if subject == node.name]
+        crashes = [t for t, action in own if action == "crash"]
+        first_oks = [timeline.first_ok(t) for t, action in own if action == "restart"]
+        mttr_ms = [
+            None if ok_ns is None else round((ok_ns - crash_ns) / MILLISECOND, 3)
+            for crash_ns, ok_ns in zip(crashes, first_oks)
         ]
-        restart_times = [
-            t for t, subject, action in cluster.fault_events
-            if subject == node.name and action == "restart"
-        ]
-        mttr_ms: list[Optional[float]] = []
-        for crash_ns, restart_ns in zip(crash_times, restart_times):
-            ok_ns = _first_ok_after(timeline, restart_ns)
-            if ok_ns is None:
-                mttr_ms.append(None)
-            else:
-                mttr_ms.append(round((ok_ns - crash_ns) / MILLISECOND, 3))
-        first_ok_post_heal = _first_ok_after(timeline, heal_ns)
-        recovered = (
-            first_ok_post_heal is not None
-            and first_ok_post_heal <= heal_ns + deadline_ns
-        )
-        recovered_all = recovered_all and recovered
         span_ns = now_ns - timeline.changes[0].time_ns
         nodes[node.name] = {
             "crashes": node.stats.crashes,
             "parks": node.stats.parks,
             "retry_backoffs": node.stats.ta_fetch_backoffs,
             "mttr_ms": mttr_ms,
-            "recovered": recovered,
+            "recovered": timeline.recovered(heal_ns, deadline_ns),
             "ok_at_end": timeline.current is NodeState.OK,
             "availability_pct": (
                 round(timeline.availability(now_ns) * 100.0, 3) if span_ns > 0 else 0.0
@@ -87,7 +67,7 @@ def recovery_report(experiment: "Experiment", plan: FaultPlan) -> dict[str, Any]
         ],
         "last_heal_s": round(heal_ns / SECOND, 6),
         "recovery_deadline_s": round(deadline_ns / SECOND, 6),
-        "recovered_all": recovered_all,
+        "recovered_all": all(row["recovered"] for row in nodes.values()),
         "mttr_max_ms": max(mttr_all_ms) if mttr_all_ms else None,
         "nodes": {name: nodes[name] for name in sorted(nodes)},
         "ta": {

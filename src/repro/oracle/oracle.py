@@ -25,12 +25,19 @@ Invariants (see ``docs/oracle.md`` for the full table):
 ``state-soundness``
     A node reporting ``OK`` actually has in-bound drift (the fuzz
     finding violates this: state ``OK``, drift ~15.7 s).
+``recovery``
+    Armed by a fault plan: every node is ``OK`` at some instant within
+    the deadline after the plan's last heal. Judged once, at last heal +
+    deadline, by :meth:`StateTimeline.recovered
+    <repro.core.states.StateTimeline.recovered>` — the rule the recovery
+    report applies too, so the two agree whenever that instant falls
+    inside the run.
 
 The oracle is purely observational. It subscribes to node
 :class:`~repro.core.probes.ProbeHub` taps (zero simulated time) and to
-the kernel's trace hook for interval-gated scans between probe activity;
-it never schedules events, so a run's trace is byte-identical with the
-oracle on or off.
+the kernel's trace hook for interval-gated scans between probe activity
+and for the recovery deadline's instant; it never schedules events, so a
+run's trace is byte-identical with the oracle on or off.
 
 Continuous conditions (drift, soundness, freshness) are **edge
 triggered**: one violation when the condition starts holding, re-armed
@@ -102,15 +109,15 @@ class InvariantOracle:
         #: Edge state: (node, invariant) pairs currently in violation.
         self._active: set[tuple[str, str]] = set()
         self._counts: dict[tuple[str, str], int] = {}
-        self._last_scan_ns: Optional[int] = None
+        self._next_scan_ns = 0
+        #: The first hook instant with work to do: the next scan, or the
+        #: first instant past the recovery deadline if that is earlier.
+        self._wake_ns = 0
         self._hooked = False
         self._finalized = False
-        #: Recovery contract installed by the fault plane (see
-        #: :meth:`expect_recovery`): (heal_ns, deadline_ns, node names or
-        #: None for "all watched").
-        self._recovery: Optional[tuple[int, int, Optional[frozenset]]] = None
-        self._recovered: set[str] = set()
-        self._recovery_flagged: set[str] = set()
+        #: Recovery contract installed by the fault plane until it is
+        #: judged (see :meth:`expect_recovery`): (heal_ns, deadline_ns).
+        self._recovery: Optional[tuple[int, int]] = None
 
     # -- attachment ---------------------------------------------------------------
 
@@ -121,7 +128,8 @@ class InvariantOracle:
         node.probes.subscribe(self._on_probe)
         if not self._hooked:
             self.sim.add_trace_hook(self._on_advance)
-            self._last_scan_ns = self.sim.now
+            self._next_scan_ns = self.sim.now + self.config.check_interval_ns
+            self._rearm()
             self._hooked = True
 
     def detach(self) -> None:
@@ -137,23 +145,18 @@ class InvariantOracle:
         """Watched node names, in attachment order."""
         return list(self._nodes)
 
-    def expect_recovery(
-        self,
-        heal_ns: int,
-        deadline_ns: int,
-        nodes: Optional[Iterable[str]] = None,
-    ) -> None:
+    def expect_recovery(self, heal_ns: int, deadline_ns: int) -> None:
         """Install the fault plane's recovery contract.
 
-        After the last injected fault heals at ``heal_ns``, every node in
-        ``nodes`` (default: all watched honest nodes) must report ``OK``
-        at least once within ``deadline_ns`` — otherwise one ``recovery``
-        violation per straggler is recorded. This is the liveness
-        counterpart of the drift bound: a protocol that survives faults
-        by staying dark forever has not recovered.
+        After the last injected fault heals at ``heal_ns``, every watched
+        node must report ``OK`` at least once within ``deadline_ns`` —
+        otherwise one ``recovery`` violation per straggler is recorded at
+        ``heal_ns + deadline_ns``. This is the liveness counterpart of the
+        drift bound: a protocol that survives faults by staying dark
+        forever has not recovered.
         """
-        names = frozenset(nodes) if nodes is not None else None
-        self._recovery = (heal_ns, deadline_ns, names)
+        self._recovery = (heal_ns, deadline_ns)
+        self._rearm()
 
     # -- event intake --------------------------------------------------------------
 
@@ -166,7 +169,6 @@ class InvariantOracle:
         elif event.kind == "state":
             if event.data.get("state") is NodeState.OK:
                 self._check_clock(self._nodes[event.node], event.time_ns)
-                self._note_recovery(event.node, event.time_ns)
         elif event.kind == "calibration":
             self._mark_refreshed(event.node, event.time_ns)
         elif event.kind == "crash":
@@ -184,20 +186,28 @@ class InvariantOracle:
         self._last_served.pop(event.node, None)
         self._mark_refreshed(event.node, event.time_ns)
         self._active = {key for key in self._active if key[0] != event.node}
-        self._recovered.discard(event.node)
 
     def _on_advance(self, now_ns: int) -> None:
-        if self._last_scan_ns is not None:
-            if now_ns - self._last_scan_ns < self.config.check_interval_ns:
-                return
-        self._scan(now_ns)
+        if now_ns < self._wake_ns:
+            return
+        # The first event past the deadline: every state change up to it
+        # is on the timelines.
+        if self._recovery is not None and now_ns > sum(self._recovery):
+            self._judge_recovery()
+        if now_ns >= self._next_scan_ns:
+            self._scan(now_ns)
+        self._rearm()
+
+    def _rearm(self) -> None:
+        self._wake_ns = self._next_scan_ns
+        if self._recovery is not None:
+            self._wake_ns = min(self._wake_ns, sum(self._recovery) + 1)
 
     def _scan(self, now_ns: int) -> None:
-        self._last_scan_ns = now_ns
+        self._next_scan_ns = now_ns + self.config.check_interval_ns
         for node in self._nodes.values():
             self._check_clock(node, now_ns)
             self._check_freshness(node, now_ns)
-        self._check_recovery(now_ns)
 
     # -- the invariants -------------------------------------------------------------
 
@@ -259,43 +269,22 @@ class InvariantOracle:
             bound_ns=deadline,
         )
 
-    def _note_recovery(self, node_name: str, now_ns: int) -> None:
-        """Record that a node reached OK after the last fault healed."""
-        if self._recovery is None:
-            return
-        heal_ns, _deadline_ns, _names = self._recovery
-        if now_ns >= heal_ns:
-            self._recovered.add(node_name)
-
-    def _check_recovery(self, now_ns: int) -> None:
-        """The recovery invariant: all required nodes OK post-heal in time."""
-        if self._recovery is None:
-            return
-        heal_ns, deadline_ns, names = self._recovery
-        required = names if names is not None else frozenset(self._nodes)
-        if now_ns >= heal_ns:
-            # A node that is OK *right now* has recovered, even if its
-            # last state probe predates the heal.
-            for name in required:
-                node = self._nodes.get(name)
-                if node is not None and getattr(node, "state", None) is NodeState.OK:
-                    self._recovered.add(name)
-        if now_ns < heal_ns + deadline_ns:
-            return
-        for name in sorted(required):
-            if name in self._recovered or name in self._recovery_flagged:
+    def _judge_recovery(self) -> None:
+        """The recovery invariant, judged once at last heal + deadline."""
+        heal_ns, deadline_ns = self._recovery
+        self._recovery = None
+        for name in sorted(self._nodes):
+            if self._nodes[name].timeline.recovered(heal_ns, deadline_ns):
                 continue
-            self._recovery_flagged.add(name)
             self._record(
                 Violation(
-                    time_ns=now_ns,
+                    time_ns=heal_ns + deadline_ns,
                     node=name,
                     invariant="recovery",
                     detail=(
                         f"not OK within {deadline_ns / 1e9:.1f}s of the last "
                         f"fault heal at t={heal_ns / 1e9:.1f}s"
                     ),
-                    measured_ns=now_ns - heal_ns,
                     bound_ns=deadline_ns,
                 )
             )
@@ -378,9 +367,16 @@ class InvariantOracle:
         self.allowed.update(pairs)
 
     def finalize(self) -> list[Violation]:
-        """Run a last scan (once) and return all violations."""
+        """Run a last scan (once) and return all violations.
+
+        A recovery deadline the run reached but no event passed (the run
+        ends at that instant) is judged here.
+        """
         if not self._finalized:
-            self._scan(self.sim.now)
+            now_ns = self.sim.now
+            if self._recovery is not None and now_ns >= sum(self._recovery):
+                self._judge_recovery()
+            self._scan(now_ns)
             self._finalized = True
         return list(self.violations)
 

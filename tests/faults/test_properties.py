@@ -7,7 +7,12 @@ the retry plane, the TA outage is ridden out with backoff, and honest
 nodes stay within drift bounds. The strategy draws arbitrary mixes of
 crashes, a TA outage, a partition, and a loss burst — all constrained
 to heal by ``duration - deadline`` so the oracle can actually judge
-recovery in-run."""
+recovery in-run.
+
+The oracle's ``recovery`` invariant and the recovery report's
+``recovered`` column are one rule on the state timeline, so on any such
+plan and any deadline they name the same late nodes, each at exactly
+last heal + deadline."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,9 +113,8 @@ def fault_schedules(draw):
     return schedule
 
 
-def check_liveness(schedule: list, seed: int) -> None:
-    """Run the property's spec under the strict oracle and check recovery."""
-    spec = ExperimentSpec(
+def _spec(schedule: list, seed: int, deadline_s: float = DEADLINE_S) -> ExperimentSpec:
+    return ExperimentSpec(
         name="faults-liveness-property",
         seed=seed,
         duration_s=DURATION_S,
@@ -118,12 +122,13 @@ def check_liveness(schedule: list, seed: int) -> None:
         environments={index: "triad-like" for index in range(1, NODES + 1)},
         faults={
             "schedule": schedule,
-            "recovery_deadline_s": DEADLINE_S,
+            "recovery_deadline_s": deadline_s,
             "retry": RETRY,
         },
     )
-    with oracle_policy("strict"):
-        experiment = spec.run()  # raises OracleViolationError on any violation
+
+
+def _plan(spec: ExperimentSpec) -> FaultPlan:
     plan = FaultPlan.from_spec(
         spec.faults,
         nodes=spec.nodes,
@@ -131,11 +136,33 @@ def check_liveness(schedule: list, seed: int) -> None:
         duration_s=spec.duration_s,
     )
     assert plan.last_heal_ns + plan.recovery_deadline_ns <= spec.duration_ns
-    report = recovery_report(experiment, plan)
+    return plan
+
+
+def check_liveness(schedule: list, seed: int) -> None:
+    """Run the property's spec under the strict oracle and check recovery."""
+    spec = _spec(schedule, seed)
+    with oracle_policy("strict"):
+        experiment = spec.run()  # raises OracleViolationError on any violation
+    report = recovery_report(experiment, _plan(spec))
     assert report["recovered_all"] is True
     for row in report["nodes"].values():
         assert row["ok_at_end"] is True
         assert row["parks"] == 0
+
+
+def check_agreement(schedule: list, seed: int, deadline_s: float) -> None:
+    """The oracle's recovery violations are exactly the report's late nodes."""
+    spec = _spec(schedule, seed, deadline_s)
+    with oracle_policy("warn"):
+        experiment = spec.run()
+    plan = _plan(spec)
+    report = recovery_report(experiment, plan)
+    late = sorted(name for name, row in report["nodes"].items() if not row["recovered"])
+    violations = [v for v in report["violations"] if v["invariant"] == "recovery"]
+    assert sorted(v["node"] for v in violations) == late
+    for violation in violations:
+        assert violation["time_ns"] == plan.last_heal_ns + plan.recovery_deadline_ns
 
 
 class TestLivenessUnderFaults:
@@ -163,3 +190,17 @@ class TestLivenessUnderFaults:
         # The strict oracle passes this run; only the recovery report
         # notices the late first OK, since an empty plan arms no contract.
         check_liveness([], seed=50)
+
+
+class TestOracleReportAgreement:
+    @given(
+        # An empty plan arms no recovery contract, so it has nothing to agree on.
+        schedule=fault_schedules().filter(bool),
+        seed=st.integers(min_value=1, max_value=50),
+        deadline_s=st.integers(min_value=10, max_value=60).map(lambda tenths: tenths / 10),
+    )
+    @settings(max_examples=examples(8), deadline=None)
+    def test_oracle_and_report_name_the_same_late_nodes(self, schedule, seed, deadline_s):
+        # Every fault heals by t <= 9.5 s and the deadline is at most 6 s,
+        # so the judged instant is always inside the 30 s run.
+        check_agreement(schedule, seed, deadline_s)

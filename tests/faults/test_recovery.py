@@ -1,7 +1,8 @@
 """Pinned recovery acceptance: crash-restart heals within the deadline
 with retry telemetry in the probe stream; bounded-retry parks dark and
 fails the recovery invariant; the quorum service rides out a TA outage +
-node crash in explicit ``degraded`` mode instead of going unavailable."""
+node crash in explicit ``degraded`` mode instead of going unavailable;
+the oracle's ``recovery`` violations and the report's late nodes agree."""
 
 import pytest
 
@@ -192,3 +193,55 @@ class TestServiceDegradation:
         assert data["quorum_stats"]["degraded_syncs"] > 0
         recovery = _report(spec, experiment)
         assert recovery["recovered_all"] is True
+
+
+class TestOracleAgreesWithReport:
+    """The oracle's ``recovery`` verdict and the report's ``recovered``
+    column are one rule on the state timeline, judged at last heal +
+    deadline. Both cases once disagreed: the oracle judged at its next
+    1 s scan and counted any ``OK`` up to then."""
+
+    @staticmethod
+    def _spec(seed, deadline_s):
+        # node-1 crashes at 2 s for 800 ms and the TA is down 3.45–6.45 s,
+        # so the last heal is at 6.45 s.
+        return ExperimentSpec(
+            name="faults-recovery-agreement",
+            seed=seed,
+            duration_s=30.0,
+            nodes=3,
+            environments={index: "triad-like" for index in range(1, 4)},
+            faults={
+                "schedule": [
+                    {"t_s": 2.0, "kind": "node-crash", "node": 1, "down_ms": 800},
+                    {"t_s": 3.45, "kind": "ta-outage", "duration_ms": 3000},
+                ],
+                "recovery_deadline_s": deadline_s,
+                "retry": RETRY,
+            },
+        )
+
+    def test_seed_6_both_name_the_late_nodes_at_the_deadline(self):
+        # The oracle named only node-1, at its t=10 s scan: node-2's first
+        # OK fell between the 9.05 s deadline and that scan.
+        spec = self._spec(seed=6, deadline_s=2.6)
+        with oracle_policy("warn"):
+            experiment = spec.run()
+        report = _report(spec, experiment)
+        late = sorted(name for name, row in report["nodes"].items() if not row["recovered"])
+        assert late == ["node-1", "node-2"]
+        violations = [v for v in report["violations"] if v["invariant"] == "recovery"]
+        assert [v["node"] for v in violations] == late
+        assert {v["time_ns"] for v in violations} == {9_050_000_000}
+
+    def test_seed_3_strict_fails_the_late_node(self):
+        # node-1's first OK after the heal lands past 11.65 s but before
+        # the oracle's next scan at 12 s; strict passed the run.
+        spec = self._spec(seed=3, deadline_s=5.2)
+        with oracle_policy("strict"):
+            with pytest.raises(OracleViolationError) as excinfo:
+                spec.run()
+        assert "node-1/recovery" in str(excinfo.value)
+        assert [(v["node"], v["time_ns"]) for v in excinfo.value.violations] == [
+            ("node-1", 11_650_000_000)
+        ]

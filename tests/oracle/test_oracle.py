@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.probes import ProbeEvent, ProbeHub
-from repro.core.states import NodeState
+from repro.core.states import NodeState, StateTimeline
 from repro.core.untaint import UntaintOutcome
 from repro.errors import ConfigurationError
 from repro.oracle import (
@@ -217,6 +217,46 @@ class TestUntaintSafety:
         untaint(node, 8 * units.SECOND, "peer:node-2", 8 * units.SECOND)
         scan(oracle, node, 9 * units.SECOND)  # 1s since refresh: fresh
         assert oracle.violations == []
+
+
+class TestRecoveryDeadline:
+    """Judged once, from the state timelines, by the first event past
+    last heal + deadline — not by the next interval scan."""
+
+    @staticmethod
+    def _rig(sim):
+        oracle = InvariantOracle(sim)  # scans every 1 s: one lands on the deadline
+        nodes = [FakeNode(sim, name) for name in ("node-1", "node-2")]
+        for node in nodes:
+            node.clock.calibrated = False  # only the recovery contract is judged
+            node.timeline = StateTimeline(0, NodeState.FULL_CALIB)
+            oracle.watch(node)
+        oracle.expect_recovery(heal_ns=units.SECOND, deadline_ns=units.SECOND)
+        return oracle, nodes
+
+    def test_ok_at_the_deadline_instant_counts(self, sim):
+        oracle, (late, punctual) = self._rig(sim)
+
+        def events():
+            yield sim.timeout(units.SECOND)
+            yield sim.timeout(units.SECOND)
+            yield sim.timeout(0)  # a second event at the deadline instant
+            punctual.timeline.record(sim.now, NodeState.OK)
+            yield sim.timeout(1)
+
+        sim.process(events())
+        sim.run(until=2 * units.SECOND + 1)
+        assert [(v.node, v.invariant, v.time_ns) for v in oracle.violations] == [
+            ("node-1", "recovery", 2 * units.SECOND)
+        ]
+        oracle.finalize()
+        assert len(oracle.violations) == 1
+
+    def test_run_ending_at_the_deadline_is_judged_by_finalize(self, sim):
+        oracle, _ = self._rig(sim)
+        sim.run(until=2 * units.SECOND)
+        assert oracle.violations == []
+        assert [v.node for v in oracle.finalize()] == ["node-1", "node-2"]
 
 
 class TestFinalizeAndReport:

@@ -286,6 +286,22 @@ class TestBadInput:
         assert err.startswith(prefix) and word in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("case", ["run-spec-missing", "run-spec-directory", "batch-directory"])
+    def test_unreadable_spec_path_is_one_error_line(self, capsys, tmp_path, case):
+        entry = tmp_path / "entry.json"
+        if case == "run-spec-missing":
+            argv, code, prefix, word = ["run-spec", str(entry)], 2, "error: ", "No such file"
+        elif case == "run-spec-directory":
+            argv, code, prefix, word = ["run-spec", str(tmp_path)], 2, "error: ", "Is a directory"
+        else:
+            entry.mkdir()
+            argv, code = ["batch", str(tmp_path), "--no-cache"], 1
+            prefix, word = f"invalid spec {entry}: ", "Is a directory"
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and word in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestOracleFlag:
     def test_run_benign_warn_is_clean(self, capsys):
