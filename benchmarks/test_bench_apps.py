@@ -130,7 +130,9 @@ def test_applications_under_fminus(benchmark, outcomes):
 def test_applications_healthy_without_attack(benchmark):
     """Control: the same workload on a fault-free cluster is damage-free."""
     outcome = benchmark.pedantic(
-        lambda: run_workload(scenarios.fault_free_triad_like(seed=342), 2 * MINUTE),
+        lambda: run_workload(
+            scenarios.scenario_spec("fig2-fault-free-triad-like", 342).build(), 2 * MINUTE
+        ),
         rounds=1,
         iterations=1,
     )

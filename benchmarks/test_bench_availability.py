@@ -10,16 +10,16 @@ import pytest
 
 from repro.analysis.metrics import unavailable_spans
 from repro.analysis.report import format_table
-from repro.experiments.figures import figure2, figure3, figure4
+from repro.experiments.figures import run_experiment
 from repro.sim.units import HOUR, MINUTE
 
 
 @pytest.fixture(scope="module")
 def runs():
     return {
-        "fig2-30min": figure2(seed=2, duration_ns=30 * MINUTE),
-        "fig3-8h": figure3(seed=3, duration_ns=8 * HOUR),
-        "fig4-fplus": figure4(seed=4, duration_ns=10 * MINUTE),
+        "fig2-30min": run_experiment("fig2", seed=2, duration_ns=30 * MINUTE),
+        "fig3-8h": run_experiment("fig3", seed=3, duration_ns=8 * HOUR),
+        "fig4-fplus": run_experiment("fig4", seed=4, duration_ns=10 * MINUTE),
     }
 
 

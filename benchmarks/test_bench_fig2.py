@@ -9,17 +9,19 @@ TA (Fig. 2b's message-count steps); availability > 98%.
 import pytest
 
 from repro.analysis.stats import drift_rate_ppm
-from repro.experiments.figures import figure2
+from repro.experiments.figures import run_experiment
 from repro.sim.units import MILLISECOND, MINUTE, SECOND
 
 
 @pytest.fixture(scope="module")
 def fig2():
-    return figure2(seed=2, duration_ns=30 * MINUTE)
+    return run_experiment("fig2", seed=2, duration_ns=30 * MINUTE)
 
 
 def test_fig2a_drift(benchmark, fig2):
-    benchmark.pedantic(lambda: figure2(seed=12, duration_ns=5 * MINUTE), rounds=1, iterations=1)
+    benchmark.pedantic(
+        lambda: run_experiment("fig2", seed=12, duration_ns=5 * MINUTE), rounds=1, iterations=1
+    )
     print()
     print(fig2.render("Fig 2: 30 min fault-free, Triad-like AEXs"))
 

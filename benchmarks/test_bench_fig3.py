@@ -8,17 +8,19 @@ clock (the paper reads 50–70 ms off Fig. 3a); availability reaches 99.9%.
 import pytest
 
 from repro.core.states import NodeState
-from repro.experiments.figures import figure3
+from repro.experiments.figures import run_experiment
 from repro.sim.units import HOUR, MILLISECOND
 
 
 @pytest.fixture(scope="module")
 def fig3():
-    return figure3(seed=3, duration_ns=8 * HOUR)
+    return run_experiment("fig3", seed=3, duration_ns=8 * HOUR)
 
 
 def test_fig3a_drift(benchmark, fig3):
-    benchmark.pedantic(lambda: figure3(seed=13, duration_ns=HOUR), rounds=1, iterations=1)
+    benchmark.pedantic(
+        lambda: run_experiment("fig3", seed=13, duration_ns=HOUR), rounds=1, iterations=1
+    )
     print()
     print(fig3.render("Fig 3: 8 h fault-free, low-AEX environment"))
 

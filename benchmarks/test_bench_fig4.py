@@ -9,17 +9,19 @@ and are unaffected.
 import pytest
 
 from repro.analysis.stats import drift_rate_ms_per_s
-from repro.experiments.figures import figure4
+from repro.experiments.figures import run_experiment
 from repro.sim.units import MILLISECOND, MINUTE, SECOND
 
 
 @pytest.fixture(scope="module")
 def fig4():
-    return figure4(seed=4, duration_ns=10 * MINUTE)
+    return run_experiment("fig4", seed=4, duration_ns=10 * MINUTE)
 
 
 def test_fig4_drift(benchmark, fig4):
-    benchmark.pedantic(lambda: figure4(seed=14, duration_ns=3 * MINUTE), rounds=1, iterations=1)
+    benchmark.pedantic(
+        lambda: run_experiment("fig4", seed=14, duration_ns=3 * MINUTE), rounds=1, iterations=1
+    )
     print()
     print(fig4.render("Fig 4: F+ on node-3 (low-AEX victim)"))
 

@@ -9,17 +9,19 @@ between AEXs. The attack does not propagate to honest nodes.
 
 import pytest
 
-from repro.experiments.figures import figure4, figure5
+from repro.experiments.figures import run_experiment
 from repro.sim.units import MILLISECOND, MINUTE
 
 
 @pytest.fixture(scope="module")
 def fig5():
-    return figure5(seed=5, duration_ns=10 * MINUTE)
+    return run_experiment("fig5", seed=5, duration_ns=10 * MINUTE)
 
 
 def test_fig5_oscillating_drift(benchmark, fig5):
-    benchmark.pedantic(lambda: figure5(seed=15, duration_ns=3 * MINUTE), rounds=1, iterations=1)
+    benchmark.pedantic(
+        lambda: run_experiment("fig5", seed=15, duration_ns=3 * MINUTE), rounds=1, iterations=1
+    )
     print()
     print(fig5.render("Fig 5: F+ on node-3 (Triad-like AEXs everywhere)"))
 
@@ -45,7 +47,7 @@ def test_fig5_vs_fig4_aex_rate_bounds_the_attack(benchmark, fig5):
     """Cross-figure claim: frequent AEXs bound the F+ damage; rare AEXs
     let it run away (|drift| ratio of orders of magnitude)."""
     fig4 = benchmark.pedantic(
-        lambda: figure4(seed=4, duration_ns=10 * MINUTE), rounds=1, iterations=1
+        lambda: run_experiment("fig4", seed=4, duration_ns=10 * MINUTE), rounds=1, iterations=1
     )
     bounded = abs(fig5.drift(3).final_drift_ns())
     unbounded = abs(fig4.drift(3).final_drift_ns())

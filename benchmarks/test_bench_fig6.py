@@ -11,7 +11,8 @@ cumulative AEX counts stay ≈0 then grow linearly (Fig. 6b).
 import pytest
 
 from repro.analysis.stats import drift_rate_ms_per_s
-from repro.experiments.figures import figure6
+from repro.experiments.figures import run_experiment
+from repro.experiments.scenarios import fminus_propagation
 from repro.sim.units import MILLISECOND, MINUTE, SECOND
 
 
@@ -20,12 +21,12 @@ SWITCH_NS = 104 * SECOND
 
 @pytest.fixture(scope="module")
 def fig6():
-    return figure6(seed=6, duration_ns=7 * MINUTE, switch_at_ns=SWITCH_NS)
+    return run_experiment("fig6", seed=6, duration_ns=7 * MINUTE)
 
 
 def test_fig6a_drift(benchmark, fig6):
     benchmark.pedantic(
-        lambda: figure6(seed=16, duration_ns=3 * MINUTE, switch_at_ns=60 * SECOND),
+        lambda: fminus_propagation(seed=16, switch_at_ns=60 * SECOND).run(3 * MINUTE),
         rounds=1,
         iterations=1,
     )

@@ -14,24 +14,23 @@ hardening and quantifies the improvement:
 import pytest
 
 from repro.analysis.report import format_table
-from repro.experiments.figures import figure6, figure6_hardened
-from repro.experiments.scenarios import (
-    baseline_fplus_suppressed_aex,
-    hardened_fplus_suppressed_aex,
-)
+from repro.experiments.figures import run_experiment
+from repro.experiments.scenarios import scenario_spec
 from repro.sim.units import MILLISECOND, MINUTE, SECOND
 
 
 @pytest.fixture(scope="module")
 def fminus_pair():
-    baseline = figure6(seed=6, duration_ns=5 * MINUTE)
-    hardened = figure6_hardened(seed=6, duration_ns=5 * MINUTE)
+    baseline = run_experiment("fig6", seed=6, duration_ns=5 * MINUTE)
+    hardened = run_experiment("fig6-hardened", seed=6, duration_ns=5 * MINUTE)
     return baseline, hardened
 
 
 def test_hardening_stops_fminus_propagation(benchmark, fminus_pair):
     benchmark.pedantic(
-        lambda: figure6_hardened(seed=26, duration_ns=2 * MINUTE), rounds=1, iterations=1
+        lambda: run_experiment("fig6-hardened", seed=26, duration_ns=2 * MINUTE),
+        rounds=1,
+        iterations=1,
     )
     baseline, hardened = fminus_pair
     rows = []
@@ -76,9 +75,9 @@ def test_hardened_honest_nodes_reject_infected_readings(benchmark, fminus_pair):
 
 def test_deadlines_bound_suppressed_aex_fplus(benchmark):
     def run_pair():
-        baseline = baseline_fplus_suppressed_aex(seed=7)
+        baseline = scenario_spec("baseline-fplus-suppressed-aex", 7).build()
         baseline.run(5 * MINUTE)
-        hardened = hardened_fplus_suppressed_aex(seed=7)
+        hardened = scenario_spec("hardened-fplus-suppressed-aex", 7).build()
         hardened.run(5 * MINUTE)
         return baseline, hardened
 

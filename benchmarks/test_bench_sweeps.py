@@ -10,18 +10,18 @@ import math
 import pytest
 
 from repro.analysis.report import format_table
-from repro.attacks.delay import AttackMode
 from repro.experiments.sweeps import (
-    aex_rate_sweep,
-    attack_delay_sweep,
-    cluster_size_sweep,
-    jitter_sweep,
+    aex_rate_tasks,
+    attack_delay_tasks,
+    cluster_size_tasks,
+    jitter_tasks,
+    run_point_tasks,
 )
 
 
 def test_attack_delay_sweep_matches_closed_form(benchmark):
     points = benchmark.pedantic(
-        lambda: attack_delay_sweep(AttackMode.F_MINUS), rounds=1, iterations=1
+        lambda: run_point_tasks(attack_delay_tasks()), rounds=1, iterations=1
     )
     print()
     print(format_table(
@@ -41,7 +41,7 @@ def test_attack_delay_sweep_matches_closed_form(benchmark):
 
 
 def test_jitter_sweep_explains_calibration_band(benchmark):
-    points = benchmark.pedantic(jitter_sweep, rounds=1, iterations=1)
+    points = benchmark.pedantic(lambda: run_point_tasks(jitter_tasks()), rounds=1, iterations=1)
     print()
     print(format_table(
         ["sigma", "mean_abs_error_ppm", "error_spread_ppm"],
@@ -58,7 +58,9 @@ def test_jitter_sweep_explains_calibration_band(benchmark):
 
 
 def test_cluster_size_sweep_no_herd_immunity(benchmark):
-    points = benchmark.pedantic(cluster_size_sweep, rounds=1, iterations=1)
+    points = benchmark.pedantic(
+        lambda: run_point_tasks(cluster_size_tasks()), rounds=1, iterations=1
+    )
     print()
     print(format_table(
         ["cluster_size", "honest_nodes", "infected_fraction", "last_infection_s"],
@@ -77,7 +79,7 @@ def test_cluster_size_sweep_no_herd_immunity(benchmark):
 
 
 def test_aex_rate_sweep_availability_tradeoff(benchmark):
-    points = benchmark.pedantic(aex_rate_sweep, rounds=1, iterations=1)
+    points = benchmark.pedantic(lambda: run_point_tasks(aex_rate_tasks()), rounds=1, iterations=1)
     print()
     print(format_table(
         ["mean_inter_aex_s", "availability", "AEXs", "peer_untaints", "TA_refs"],

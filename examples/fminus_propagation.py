@@ -18,7 +18,7 @@ Run:  python examples/fminus_propagation.py
 """
 
 from repro.analysis import EventJournal, forward_jumps, line_plot
-from repro.experiments import figure6
+from repro.experiments import Fig6Result, fminus_propagation
 from repro.sim import units
 
 DURATION = 6 * units.MINUTE
@@ -29,7 +29,8 @@ def main() -> None:
     print(__doc__)
     print(f"simulating {DURATION / units.SECOND:.0f}s (honest AEX onset at "
           f"{SWITCH / units.SECOND:.0f}s)...\n")
-    result = figure6(seed=6, duration_ns=DURATION, switch_at_ns=SWITCH)
+    experiment = fminus_propagation(seed=6, switch_at_ns=SWITCH).run(DURATION)
+    result = Fig6Result(experiment=experiment, duration_ns=DURATION, switch_at_ns=SWITCH)
 
     print(result.render("Fig 6 reproduction: F- attack on node-3"))
 

@@ -10,17 +10,16 @@ Run:  python examples/hardened_cluster.py
 """
 
 from repro.analysis import format_table, line_plot
-from repro.experiments import figure6, figure6_hardened
+from repro.experiments import run_experiment
 from repro.sim import units
 
 DURATION = 5 * units.MINUTE
-SWITCH = 104 * units.SECOND
 
 
 def main() -> None:
     print("running the F- propagation scenario against BOTH protocol versions...\n")
-    baseline = figure6(seed=6, duration_ns=DURATION, switch_at_ns=SWITCH)
-    hardened = figure6_hardened(seed=6, duration_ns=DURATION, switch_at_ns=SWITCH)
+    baseline = run_experiment("fig6", seed=6, duration_ns=DURATION)
+    hardened = run_experiment("fig6-hardened", seed=6, duration_ns=DURATION)
 
     rows = []
     for index in (1, 2, 3):

@@ -17,15 +17,12 @@ import time
 
 from repro.analysis import format_comparison, line_plot
 from repro.experiments import (
+    Fig6Result,
     calibration_ablation,
     figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure6_hardened,
+    fminus_propagation,
     inc_monitor_experiment,
+    run_experiment,
 )
 from repro.sim import units
 
@@ -71,7 +68,7 @@ def main() -> None:
         "match"))
 
     banner("Figure 2: 30 min fault-free, Triad-like AEXs")
-    fig2 = figure2(duration_ns=30 * units.MINUTE // scale)
+    fig2 = run_experiment("fig2", duration_ns=30 * units.MINUTE // scale)
     print(fig2.render("Fig 2"))
     print()
     print(drift_plot(fig2))
@@ -84,7 +81,7 @@ def main() -> None:
         "sawtooth, fastest-clock slope, resets at TA refs", "match"))
 
     banner("Figure 3: 8 h fault-free, low-AEX environment (first hour shown)")
-    fig3 = figure3(duration_ns=8 * units.HOUR // scale)
+    fig3 = run_experiment("fig3", duration_ns=8 * units.HOUR // scale)
     print(fig3.render("Fig 3"))
     print()
     print(fig3.timing_diagram(until_ns=units.HOUR // scale, width=100))
@@ -101,7 +98,7 @@ def main() -> None:
         "Fig3 peer jumps", "50-70 ms", "tens of ms (drift x inter-AEX gap)", "match"))
 
     banner("Figure 4: F+ attack, victim in low-AEX environment")
-    fig4 = figure4(duration_ns=10 * units.MINUTE // scale)
+    fig4 = run_experiment("fig4", duration_ns=10 * units.MINUTE // scale)
     print(fig4.render("Fig 4"))
     print()
     print(drift_plot(fig4, unit="s"))
@@ -113,7 +110,7 @@ def main() -> None:
         "match"))
 
     banner("Figure 5: F+ attack, Triad-like AEXs everywhere")
-    fig5 = figure5(duration_ns=10 * units.MINUTE // scale)
+    fig5 = run_experiment("fig5", duration_ns=10 * units.MINUTE // scale)
     print(fig5.render("Fig 5"))
     print()
     print(drift_plot(fig5))
@@ -122,8 +119,12 @@ def main() -> None:
         f"{fig5.victim_min_drift_ms():.1f} ms", "match"))
 
     banner("Figure 6: F- attack and propagation (honest AEX onset at 104 s)")
-    fig6 = figure6(duration_ns=7 * units.MINUTE // scale,
-                   switch_at_ns=104 * units.SECOND // scale)
+    duration, switch = 7 * units.MINUTE // scale, 104 * units.SECOND // scale
+    fig6 = Fig6Result(
+        experiment=fminus_propagation(switch_at_ns=switch).run(duration),
+        duration_ns=duration,
+        switch_at_ns=switch,
+    )
     print(fig6.render("Fig 6"))
     print()
     print(drift_plot(fig6, unit="s"))
@@ -138,7 +139,7 @@ def main() -> None:
     print(ablation.render())
 
     banner("ABL-HARD: S V hardening vs the F- propagation attack")
-    hardened = figure6_hardened(duration_ns=5 * units.MINUTE // scale)
+    hardened = run_experiment("fig6-hardened", duration_ns=5 * units.MINUTE // scale)
     rows_baseline = fig6.drift(1).final_drift_ns() / 1e6
     rows_hardened = hardened.drift(1).final_drift_ns() / 1e6
     print(f"honest node-1 final drift: baseline {rows_baseline:+.1f} ms "

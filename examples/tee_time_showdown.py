@@ -66,12 +66,12 @@ def t3e_vs_delay_attack():
 
 
 def triad_vs_delay_attack():
-    from repro.experiments import figure6
+    from repro.experiments import fminus_propagation
 
-    result = figure6(seed=6, duration_ns=3 * units.MINUTE, switch_at_ns=60 * units.SECOND)
+    experiment = fminus_propagation(seed=6, switch_at_ns=60 * units.SECOND)
     return (
         "F- undetected: calibration poisoned, cluster infected",
-        result.drift(1).final_drift_ns() / 1e6,
+        experiment.run(3 * units.MINUTE).drift(1).final_drift_ns() / 1e6,
     )
 
 

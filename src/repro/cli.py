@@ -54,18 +54,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Callable, Optional
 
 from repro.experiments.figures import EXPERIMENTS, render_result, run_experiment
+from repro.experiments.sweeps import TASK_EMITTERS, run_point_tasks
 from repro.sim.units import SECOND
-
-#: sweep name -> metric columns of its table.
-_SWEEP_METRICS: dict[str, list[str]] = {
-    "attack-delay": ["skew_measured", "skew_predicted", "drift_ms_per_s"],
-    "jitter": ["mean_abs_error_ppm", "error_spread_ppm"],
-    "cluster-size": ["honest_nodes", "infected_fraction", "last_infection_s"],
-    "aex-rate": ["availability", "aex_count", "peer_untaints", "ta_references"],
-}
 
 
 def _add_oracle_argument(parser: argparse.ArgumentParser) -> None:
@@ -148,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_membership_argument(run)
 
     sweep = sub.add_parser("sweep", help="run a parameter sweep")
-    sweep.add_argument("sweep_name", choices=sorted(_SWEEP_METRICS))
+    sweep.add_argument("sweep_name", choices=sorted(TASK_EMITTERS))
     sweep.add_argument("--seed", type=int, default=None, help="override the sweep's base seed")
     sweep.add_argument(
         "--limit", type=int, default=None, help="run only the first N points of the grid"
@@ -410,37 +404,25 @@ def _spec_task(raw: dict, args):
     )
 
 
-def _sweep_tasks(name: str, seed: Optional[int]) -> list:
-    from repro.attacks.delay import AttackMode
-    from repro.experiments import sweeps
-
-    kwargs = {} if seed is None else {"seed": seed}
-    emitter = sweeps.TASK_EMITTERS[name]
-    if name == "attack-delay":
-        return emitter(AttackMode.F_MINUS, **kwargs)
-    return emitter(**kwargs)
-
-
 def _run_sweep(args) -> int:
     from repro.analysis.report import format_table, to_csv
     from repro.errors import FleetError
-    from repro.experiments import sweeps
 
     invalid = _validate_fleet_flags(args)
     if invalid is not None:
         return invalid
-    tasks = _sweep_tasks(args.sweep_name, args.seed)
+    tasks = TASK_EMITTERS[args.sweep_name](**({} if args.seed is None else {"seed": args.seed}))
     if args.limit is not None:
         tasks = tasks[: args.limit]
     for task in tasks:
         task.overrides.update(_plane_overrides(args))
     pool, cache, telemetry = _fleet_pieces(args)
     try:
-        points = sweeps.run_point_tasks(tasks, pool=pool, cache=cache, telemetry=telemetry)
+        points = run_point_tasks(tasks, pool=pool, cache=cache, telemetry=telemetry)
     except FleetError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 1
-    metrics = _SWEEP_METRICS[args.sweep_name]
+    metrics = list(points[0].metrics)
     rows = [
         [f"{value:.4g}" if isinstance(value, float) else value for value in point.row(metrics)]
         for point in points
@@ -448,8 +430,6 @@ def _run_sweep(args) -> int:
     print(format_table([points[0].parameter] + metrics, rows, title=f"sweep: {args.sweep_name}"))
     _finish_fleet(args, telemetry)
     if args.export:
-        from pathlib import Path
-
         target = Path(args.export)
         target.mkdir(parents=True, exist_ok=True)
         csv_path = target / f"sweep_{args.sweep_name}.csv"
@@ -462,7 +442,6 @@ def _run_sweep(args) -> int:
 
 def _run_batch(args) -> int:
     import json
-    from pathlib import Path
 
     from repro.analysis.report import format_table
     from repro.errors import ConfigurationError
@@ -535,7 +514,7 @@ def _run_reproduce_fleet(args) -> int:
 
 
 def _run_experiment(name: str, seed: Optional[int], duration_s: Optional[float]):
-    if EXPERIMENTS[name][1] is None:
+    if EXPERIMENTS[name].duration_ns is None:
         # fig1 / inc / ablation have no duration or seed knob.
         if duration_s is not None:
             print("note: this experiment has no duration parameter; --duration-s ignored")
@@ -709,7 +688,6 @@ _PRESETS: dict[str, tuple[Callable, tuple[str, ...]]] = {
 def _run_preset(args) -> int:
     """Run a preset subcommand: its flags become a spec, run as a ``spec`` task."""
     import json
-    from pathlib import Path
 
     from repro.errors import ConfigurationError
 
@@ -740,8 +718,6 @@ def _run_preset(args) -> int:
 
 
 def _run_hunt(args) -> int:
-    from pathlib import Path
-
     from repro.errors import ConfigurationError
     from repro.fleet import FleetTelemetry
     from repro.hunt import HuntConfig, HuntEngine
@@ -775,12 +751,17 @@ def _run_hunt(args) -> int:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    export = getattr(args, "export", None)
+    if export and Path(export).exists() and not Path(export).is_dir():
+        # Checked before any run, so a bad target costs no simulation.
+        print(f"error: --export {export} exists and is not a directory", file=sys.stderr)
+        return 2
 
     if args.command == "list":
         width = max(len(name) for name in EXPERIMENTS)
-        for name, (description, duration, _) in sorted(EXPERIMENTS.items()):
-            span = f"{duration / SECOND:.0f}s" if duration else "-"
-            print(f"{name:<{width + 2}} {span:>8}  {description}")
+        for name, row in sorted(EXPERIMENTS.items()):
+            span = "-" if row.duration_ns is None else f"{row.duration_ns / SECOND:.0f}s"
+            print(f"{name:<{width + 2}} {span:>8}  {row.description}")
         return 0
 
     if args.command == "run":
@@ -849,7 +830,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             return _run_reproduce_fleet(args)
 
         import runpy
-        from pathlib import Path
 
         script = Path(__file__).resolve().parents[2] / "examples" / "reproduce_paper.py"
 

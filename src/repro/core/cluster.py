@@ -75,7 +75,6 @@ class ClusterConfig:
     node_config: TriadNodeConfig = field(default_factory=TriadNodeConfig)
     #: Per-node calibrators (None entries use the node default: regression).
     calibrators: Optional[Sequence[Optional[Calibrator]]] = None
-    ta_clock_offset_ns: int = 0
     #: Number of Time Authorities. The base protocol always uses the
     #: first; the hardened discipline loop polls all of them and takes
     #: the surviving median (§V: consistency over *sets* of clocks).
@@ -186,10 +185,7 @@ class TriadCluster:
             for b in node_endpoints[i + 1 :]:
                 _link(a, b)
 
-        self.tas = [
-            TimeAuthority(sim, ta_endpoint, clock_offset_ns=cfg.ta_clock_offset_ns)
-            for ta_endpoint in ta_endpoints
-        ]
+        self.tas = [TimeAuthority(sim, ta_endpoint) for ta_endpoint in ta_endpoints]
         self.ta = self.tas[0]
         self.nodes: list[TriadNode] = []
         for i, endpoint in enumerate(node_endpoints):

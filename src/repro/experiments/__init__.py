@@ -11,33 +11,16 @@ from repro.experiments.figures import (
     IncMonitorResult,
     calibration_ablation,
     figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure6_hardened,
     inc_monitor_experiment,
+    run_experiment,
 )
 from repro.experiments.runner import Experiment
 from repro.experiments.spec import ExperimentSpec
-from repro.experiments.sweeps import (
-    SweepPoint,
-    aex_rate_sweep,
-    attack_delay_sweep,
-    cluster_size_sweep,
-    jitter_sweep,
-)
+from repro.experiments.sweeps import SweepPoint
 from repro.experiments.scenarios import (
     SCENARIOS,
-    baseline_fplus_suppressed_aex,
-    fault_free_low_aex,
-    fault_free_triad_like,
     fminus_propagation,
-    fplus_low_aex,
-    fplus_triad_like,
     hardened_fminus_propagation,
-    hardened_fplus_suppressed_aex,
     scenario_spec,
 )
 
@@ -54,26 +37,11 @@ __all__ = [
     "IncMonitorResult",
     "SCENARIOS",
     "SweepPoint",
-    "aex_rate_sweep",
-    "attack_delay_sweep",
-    "baseline_fplus_suppressed_aex",
-    "cluster_size_sweep",
-    "jitter_sweep",
     "calibration_ablation",
-    "fault_free_low_aex",
-    "fault_free_triad_like",
     "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure6_hardened",
     "fminus_propagation",
-    "fplus_low_aex",
-    "fplus_triad_like",
     "hardened_fminus_propagation",
-    "hardened_fplus_suppressed_aex",
     "inc_monitor_experiment",
+    "run_experiment",
     "scenario_spec",
 ]

@@ -1,15 +1,22 @@
 """Figure/table reproduction: run a scenario, reduce to the paper's series.
 
-One function per paper artefact. Each returns a small result dataclass
+:data:`EXPERIMENTS` has one row per paper artefact. A drift figure's row
+(Figs. 2-6 and Fig. 6 against the §V hardening) names its
+:data:`~repro.experiments.scenarios.SCENARIOS` entry — the one place its
+seed, duration and AEX onset are written — and its result class; the
+other rows (Fig. 1, the INC table, the calibration ablation) name a
+function with a built-in seed and span. Each result is a small dataclass
 holding exactly the data the figure plots (or the table lists) plus a
-``render()`` producing terminal output in the same shape. The benchmark
-files under ``benchmarks/`` call these and assert the qualitative claims.
+``render()`` producing terminal output in the same shape;
+:func:`run_experiment` and :func:`render_result` run and print any row.
+The benchmark files under ``benchmarks/`` call these and assert the
+qualitative claims.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.analysis.metrics import (
     DriftSeries,
@@ -29,14 +36,15 @@ from repro.analysis.stats import (
 from repro.analysis.timeline import render_cluster_timelines
 from repro.core.calibration import MeanOnlyCalibrator, RegressionCalibrator
 from repro.core.cluster import ClusterConfig
-from repro.experiments import scenarios
 from repro.experiments.runner import Experiment
+from repro.experiments.scenarios import scenario_spec
+from repro.experiments.spec import ExperimentSpec
 from repro.hardware.aex import IsolatedCoreAexDelays, TriadLikeAexDelays
 from repro.hardware.cpu import CpuCore
 from repro.hardware.monitor import IncMonitor, PAPER_WINDOW_TICKS
 from repro.hardware.tsc import PAPER_TSC_FREQUENCY_HZ, TimestampCounter
 from repro.sim.kernel import Simulator
-from repro.sim.units import HOUR, MINUTE, SECOND
+from repro.sim.units import HOUR, SECOND
 
 
 # -- Figure 1: inter-AEX delay CDFs ------------------------------------------------
@@ -178,6 +186,11 @@ class DriftFigureResult:
     experiment: Experiment
     duration_ns: int
 
+    @classmethod
+    def of(cls, spec: ExperimentSpec, experiment: Experiment, duration_ns: int):
+        """``experiment``, built from ``spec``, after a run of ``duration_ns``."""
+        return cls(experiment=experiment, duration_ns=duration_ns)
+
     def drift(self, index: int) -> DriftSeries:
         return self.experiment.drift(index)
 
@@ -233,13 +246,6 @@ class Fig2Result(DriftFigureResult):
         return list(zip(grid, counts))
 
 
-def figure2(seed: int = 2, duration_ns: int = 30 * MINUTE) -> Fig2Result:
-    """Fig. 2: 30-minute fault-free run under Triad-like AEXs."""
-    experiment = scenarios.fault_free_triad_like(seed=seed)
-    experiment.run(duration_ns)
-    return Fig2Result(experiment=experiment, duration_ns=duration_ns)
-
-
 # -- Figure 3 ----------------------------------------------------------------------------------
 
 
@@ -264,13 +270,6 @@ class Fig3Result(DriftFigureResult):
         return render_cluster_timelines(self.experiment.cluster.nodes, until_ns, width=width)
 
 
-def figure3(seed: int = 3, duration_ns: int = 8 * HOUR) -> Fig3Result:
-    """Fig. 3: 8-hour fault-free run in the low-AEX environment."""
-    experiment = scenarios.fault_free_low_aex(seed=seed)
-    experiment.run(duration_ns)
-    return Fig3Result(experiment=experiment, duration_ns=duration_ns)
-
-
 # -- Figures 4 & 5 (F+ attack) ---------------------------------------------------------------------
 
 
@@ -288,20 +287,6 @@ class FplusResult(DriftFigureResult):
         return min(self.drift(3).drifts_ms())
 
 
-def figure4(seed: int = 4, duration_ns: int = 10 * MINUTE) -> FplusResult:
-    """Fig. 4: F+ on Node 3, victim kept in the low-AEX environment."""
-    experiment = scenarios.fplus_low_aex(seed=seed)
-    experiment.run(duration_ns)
-    return FplusResult(experiment=experiment, duration_ns=duration_ns)
-
-
-def figure5(seed: int = 5, duration_ns: int = 10 * MINUTE) -> FplusResult:
-    """Fig. 5: F+ on Node 3 with Triad-like AEXs everywhere."""
-    experiment = scenarios.fplus_triad_like(seed=seed)
-    experiment.run(duration_ns)
-    return FplusResult(experiment=experiment, duration_ns=duration_ns)
-
-
 # -- Figure 6 (F− attack & propagation) ---------------------------------------------------------------
 
 
@@ -309,7 +294,14 @@ def figure5(seed: int = 5, duration_ns: int = 10 * MINUTE) -> FplusResult:
 class Fig6Result(DriftFigureResult):
     """Fig. 6a drift + honest-node jumps, Fig. 6b AEX counts."""
 
-    switch_at_ns: int = 104 * SECOND
+    #: the honest nodes' AEX onset (the paper's dashed red line).
+    switch_at_ns: int
+
+    @classmethod
+    def of(cls, spec: ExperimentSpec, experiment: Experiment, duration_ns: int):
+        (onset,) = [attack for attack in spec.attacks if attack["type"] == "aex-onset"]
+        switch_at_ns = int(onset["at_s"] * SECOND)
+        return cls(experiment=experiment, duration_ns=duration_ns, switch_at_ns=switch_at_ns)
 
     def aex_count_series(self, index: int, step_ns: int = 5 * SECOND) -> list[tuple[int, int]]:
         node = self.experiment.node(index)
@@ -330,28 +322,6 @@ class Fig6Result(DriftFigureResult):
         f3 = self.experiment.node(3).stats.latest_frequency_hz
         assert f3 is not None
         return f3 / self.experiment.cluster.machine.tsc.frequency_hz
-
-
-def figure6(
-    seed: int = 6,
-    duration_ns: int = 7 * MINUTE,
-    switch_at_ns: int = 104 * SECOND,
-) -> Fig6Result:
-    """Fig. 6: F− on Node 3; honest AEX onset at t = 104 s."""
-    experiment = scenarios.fminus_propagation(seed=seed, switch_at_ns=switch_at_ns)
-    experiment.run(duration_ns)
-    return Fig6Result(experiment=experiment, duration_ns=duration_ns, switch_at_ns=switch_at_ns)
-
-
-def figure6_hardened(
-    seed: int = 6,
-    duration_ns: int = 7 * MINUTE,
-    switch_at_ns: int = 104 * SECOND,
-) -> Fig6Result:
-    """Fig. 6's scenario with the §V hardened protocol deployed."""
-    experiment = scenarios.hardened_fminus_propagation(seed=seed, switch_at_ns=switch_at_ns)
-    experiment.run(duration_ns)
-    return Fig6Result(experiment=experiment, duration_ns=duration_ns, switch_at_ns=switch_at_ns)
 
 
 # -- ablation: regression vs mean-only calibration (§III-C) ------------------------------------------------
@@ -423,34 +393,67 @@ def calibration_ablation(seed: int = 9, rounds: int = 8) -> CalibrationAblationR
 
 # -- the canonical experiment registry ------------------------------------------------------------
 
-#: Experiment name -> (description, default duration ns, runner). Runners
-#: of the fixed-span experiments (no default duration) ignore their
-#: argument and run with their built-in seed.
-EXPERIMENTS: dict[str, tuple[str, Optional[int], Callable]] = {
-    "fig1": ("Fig. 1a/1b inter-AEX delay CDFs", None, lambda d: figure1()),
-    "inc": ("S IV-A1 INC-monitoring table", None, lambda d: inc_monitor_experiment()),
-    "fig2": ("Fig. 2 fault-free, Triad-like AEXs", 30 * MINUTE, figure2),
-    "fig3": ("Fig. 3 fault-free, low-AEX (8h)", 8 * HOUR, figure3),
-    "fig4": ("Fig. 4 F+ attack, low-AEX victim", 10 * MINUTE, figure4),
-    "fig5": ("Fig. 5 F+ attack, Triad-like AEXs", 10 * MINUTE, figure5),
-    "fig6": ("Fig. 6 F- attack & propagation", 7 * MINUTE, figure6),
-    "fig6-hardened": ("Fig. 6 scenario vs S V hardening", 7 * MINUTE, figure6_hardened),
-    "ablation": ("ABL-CAL calibration estimators", None, lambda d: calibration_ablation()),
+
+@dataclass(frozen=True)
+class FixedExperiment:
+    """A registry row with a built-in seed and span: ``run`` ignores both knobs."""
+
+    description: str
+    runner: Callable[[], Any]
+    duration_ns = None
+
+    def run(self, seed: Optional[int], duration_ns: Optional[int]):
+        return self.runner()
+
+    def render(self, result) -> str:
+        return result.render()
+
+
+@dataclass(frozen=True)
+class DriftFigure:
+    """A registry row naming its :data:`~repro.experiments.scenarios.SCENARIOS`
+    entry, which pins its seed, duration and (Fig. 6) AEX onset."""
+
+    description: str
+    scenario: str
+    result: type[DriftFigureResult]
+
+    @property
+    def duration_ns(self) -> int:
+        return scenario_spec(self.scenario).duration_ns
+
+    def run(self, seed: Optional[int], duration_ns: Optional[int]) -> DriftFigureResult:
+        spec = scenario_spec(self.scenario, seed)
+        duration_ns = spec.duration_ns if duration_ns is None else duration_ns
+        return self.result.of(spec, spec.build().run(duration_ns), duration_ns)
+
+    def render(self, result: DriftFigureResult) -> str:
+        return result.render(self.description)
+
+
+#: Experiment name -> registry row.
+EXPERIMENTS: dict[str, FixedExperiment | DriftFigure] = {
+    "fig1": FixedExperiment("Fig. 1a/1b inter-AEX delay CDFs", figure1),
+    "inc": FixedExperiment("S IV-A1 INC-monitoring table", inc_monitor_experiment),
+    "fig2": DriftFigure(
+        "Fig. 2 fault-free, Triad-like AEXs", "fig2-fault-free-triad-like", Fig2Result
+    ),
+    "fig3": DriftFigure("Fig. 3 fault-free, low-AEX (8h)", "fig3-fault-free-low-aex", Fig3Result),
+    "fig4": DriftFigure("Fig. 4 F+ attack, low-AEX victim", "fig4-fplus-low-aex", FplusResult),
+    "fig5": DriftFigure("Fig. 5 F+ attack, Triad-like AEXs", "fig5-fplus-triad-like", FplusResult),
+    "fig6": DriftFigure("Fig. 6 F- attack & propagation", "fig6-fminus-propagation", Fig6Result),
+    "fig6-hardened": DriftFigure(
+        "Fig. 6 scenario vs S V hardening", "hardened-fminus-propagation", Fig6Result
+    ),
+    "ablation": FixedExperiment("ABL-CAL calibration estimators", calibration_ablation),
 }
 
 
 def run_experiment(name: str, seed: Optional[int] = None, duration_ns: Optional[int] = None):
     """Run one registered experiment (its defaults where ``None``)."""
-    _description, default_duration, runner = EXPERIMENTS[name]
-    if default_duration is None:
-        return runner(None)
-    kwargs = {} if seed is None else {"seed": seed}
-    return runner(duration_ns=default_duration if duration_ns is None else duration_ns, **kwargs)
+    return EXPERIMENTS[name].run(seed, duration_ns)
 
 
 def render_result(name: str, result) -> str:
-    """An experiment's tables; results that need a title get its description."""
-    try:
-        return result.render()
-    except TypeError:
-        return result.render(EXPERIMENTS[name][0])
+    """An experiment's tables, in the form its registry row declares."""
+    return EXPERIMENTS[name].render(result)

@@ -10,9 +10,10 @@ scenarios — an F+/F− adversary at Node 3. A run's oracle allowance is
 what its attacks allow as they are applied (``docs/oracle.md``).
 
 Node numbering follows the paper: Nodes 1 and 2 are always honest; Node 3
-is the compromised one in attack scenarios. The named builders below
-(:func:`fminus_propagation`, ...) build one entry, optionally with another
-seed or, for Fig. 6, another honest-node AEX onset.
+is the compromised one in attack scenarios. ``scenario_spec(name,
+seed).build()`` wires any entry, optionally with another seed;
+:func:`fminus_propagation` and :func:`hardened_fminus_propagation` build
+the two Fig. 6 entries, optionally with another honest-node AEX onset.
 """
 
 from __future__ import annotations
@@ -154,32 +155,6 @@ def scenario_spec(
     return ExperimentSpec.from_dict(raw)
 
 
-# -- fault-free scenarios (paper §IV-A) ---------------------------------------------
-
-
-def fault_free_triad_like(seed: Optional[int] = None) -> Experiment:
-    """Fig. 2 setup: all nodes under Triad-like AEXs, no attacker."""
-    return scenario_spec("fig2-fault-free-triad-like", seed).build()
-
-
-def fault_free_low_aex(seed: Optional[int] = None) -> Experiment:
-    """Fig. 3 setup: all nodes in the low-AEX environment."""
-    return scenario_spec("fig3-fault-free-low-aex", seed).build()
-
-
-# -- attack scenarios (paper §IV-B) ----------------------------------------------------
-
-
-def fplus_low_aex(seed: Optional[int] = None) -> Experiment:
-    """Fig. 4 setup: F+ on Node 3, which the attacker keeps in low-AEX."""
-    return scenario_spec("fig4-fplus-low-aex", seed).build()
-
-
-def fplus_triad_like(seed: Optional[int] = None) -> Experiment:
-    """Fig. 5 setup: F+ on Node 3 with all nodes under Triad-like AEXs."""
-    return scenario_spec("fig5-fplus-triad-like", seed).build()
-
-
 def fminus_propagation(
     seed: Optional[int] = None, switch_at_ns: Optional[int] = None
 ) -> Experiment:
@@ -187,26 +162,8 @@ def fminus_propagation(
     return scenario_spec("fig6-fminus-propagation", seed, switch_at_ns).build()
 
 
-def ta_blackhole_dos(seed: Optional[int] = None) -> Experiment:
-    """TA blackhole DoS: fail-closed starvation, no wrong time."""
-    return scenario_spec("dos-ta-blackhole", seed).build()
-
-
-# -- hardened-protocol scenarios (paper §V) ----------------------------------------------
-
-
 def hardened_fminus_propagation(
     seed: Optional[int] = None, switch_at_ns: Optional[int] = None
 ) -> Experiment:
     """Fig. 6's scenario replayed against the hardened protocol."""
     return scenario_spec("hardened-fminus-propagation", seed, switch_at_ns).build()
-
-
-def hardened_fplus_suppressed_aex(seed: Optional[int] = None) -> Experiment:
-    """§V deadline ablation: F+ victim with AEXs fully suppressed."""
-    return scenario_spec("hardened-fplus-suppressed-aex", seed).build()
-
-
-def baseline_fplus_suppressed_aex(seed: Optional[int] = None) -> Experiment:
-    """Control for :func:`hardened_fplus_suppressed_aex`: base protocol."""
-    return scenario_spec("baseline-fplus-suppressed-aex", seed).build()

@@ -1,27 +1,28 @@
 """Parameter sweeps: how the paper's effects scale beyond its set points.
 
 The paper evaluates single parameter points (100 ms attacker delay, three
-nodes, one network). These sweeps map the surrounding space — each returns
+nodes, one network). These sweeps map the surrounding space; each yields
 a list of :class:`SweepPoint` rows ready for tabulation:
 
-* :func:`attack_delay_sweep` — F± tilt and drift rate vs injected delay
+* ``attack-delay`` — F± tilt and drift rate vs injected delay
   (validates the closed form ``F_calib = F_tsc·(1 ± d/Δs)`` end-to-end);
-* :func:`jitter_sweep` — honest calibration error vs network jitter (the
+* ``jitter`` — honest calibration error vs network jitter (the
   mechanism behind the paper's ±30–220 ppm calibration band);
-* :func:`cluster_size_sweep` — F− infection speed vs cluster size (the
+* ``cluster-size`` — F− infection speed vs cluster size (the
   propagation cascade does not dilute with more honest nodes);
-* :func:`aex_rate_sweep` — availability and drift exposure vs AEX rate
+* ``aex-rate`` — availability and drift exposure vs AEX rate
   (the availability/refresh-frequency trade-off of §IV-B).
 
-Each sweep is the composition of two public pieces: a **point function**
-(``*_point`` — one self-contained measurement, a pure function of its
-arguments) and a **task emitter** (``*_tasks`` — the same grid expressed
-as serializable :class:`~repro.fleet.tasks.RunTask`s). The sweep
-functions emit tasks and hand them to a
-:class:`~repro.fleet.pool.FleetPool`, so ``jobs=4`` fans the grid out
-over worker processes while ``jobs=1`` (the default) runs in-process;
-either way the rows are identical, because every point builds its own
-:class:`~repro.sim.kernel.Simulator` from its own seed.
+A sweep is a **point function** (``*_point`` — one self-contained
+measurement, a pure function of its arguments, in :data:`POINT_FUNCTIONS`)
+and a **task emitter** (``*_tasks`` — the grid as a list of serializable
+:class:`~repro.fleet.tasks.RunTask`, in :data:`TASK_EMITTERS`, which is
+also the CLI's list of sweeps). To run one, hand its tasks to
+:func:`run_point_tasks`: ``run_point_tasks(jitter_tasks(), jobs=4)`` fans
+the grid out over worker processes, ``jobs=1`` (the default) runs
+in-process; either way the rows are identical, because every point
+builds its own :class:`~repro.sim.kernel.Simulator` from its own seed. A
+point's ``metrics`` keys, in order, are its table's columns.
 """
 
 from __future__ import annotations
@@ -170,7 +171,13 @@ def cluster_size_point(
     seed: int = 440,
     duration_ns: int = 3 * MINUTE,
 ) -> SweepPoint:
-    """F− infection of one honest-majority size (see :func:`cluster_size_sweep`)."""
+    """F− infection of one honest-majority size.
+
+    The original policy offers no herd immunity: however many honest
+    nodes exist, each follows the fastest clock it hears. Measures the
+    fraction of honest nodes infected (drift > 1 s) and the time until
+    the last one fell.
+    """
     sim = Simulator(seed=seed)
     cluster = TriadCluster(
         sim,
@@ -220,7 +227,13 @@ def aex_rate_point(
     seed: int = 460,
     duration_ns: int = 5 * MINUTE,
 ) -> SweepPoint:
-    """Availability and TA load for one mean inter-AEX delay."""
+    """Availability and TA load for one mean inter-AEX delay (exponential).
+
+    Calibration exchanges must fit between AEXs: with a 100 ms mean
+    inter-AEX delay, a 1 s-sleep exchange is never AEX-free (the paper's
+    §III-C observation that inter-AEX delays bound the usable waittimes),
+    so every point calibrates with {0, 50 ms} sleeps.
+    """
     sim = Simulator(seed=seed)
     cluster = TriadCluster(
         sim,
@@ -272,7 +285,7 @@ def _point_task(sweep: str, name: str, seed: Optional[int], sim_ns: int, kwargs:
 
 
 def attack_delay_tasks(
-    mode: AttackMode | str,
+    mode: AttackMode | str = AttackMode.F_MINUS,
     delays_ns: Sequence[int] = DEFAULT_ATTACK_DELAYS_NS,
     seed: int = 400,
     settle_ns: int = 30 * SECOND,
@@ -397,76 +410,3 @@ def run_point_tasks(
             )
         )
     return points
-
-
-# -- the sweeps themselves (task emission + pool execution) ----------------------
-
-
-def attack_delay_sweep(
-    mode: AttackMode | str,
-    delays_ns: Sequence[int] = DEFAULT_ATTACK_DELAYS_NS,
-    seed: int = 400,
-    settle_ns: int = 30 * SECOND,
-    measure_ns: int = 60 * SECOND,
-    jobs: int = 1,
-    pool: Optional[FleetPool] = None,
-    cache: Optional[ResultCache] = None,
-    telemetry: Optional[FleetTelemetry] = None,
-) -> list[SweepPoint]:
-    """Victim frequency skew and drift rate as a function of attack delay."""
-    tasks = attack_delay_tasks(mode, delays_ns, seed, settle_ns, measure_ns)
-    return run_point_tasks(tasks, jobs=jobs, pool=pool, cache=cache, telemetry=telemetry)
-
-
-def jitter_sweep(
-    sigmas: Sequence[float] = DEFAULT_JITTER_SIGMAS,
-    median_ns: int = 150 * MICROSECOND,
-    seeds: Sequence[int] = tuple(range(420, 428)),
-    jobs: int = 1,
-    pool: Optional[FleetPool] = None,
-    cache: Optional[ResultCache] = None,
-    telemetry: Optional[FleetTelemetry] = None,
-) -> list[SweepPoint]:
-    """Honest calibration error spread vs network jitter (no attacks)."""
-    tasks = jitter_tasks(sigmas, median_ns, seeds=seeds)
-    return run_point_tasks(tasks, jobs=jobs, pool=pool, cache=cache, telemetry=telemetry)
-
-
-def cluster_size_sweep(
-    sizes: Sequence[int] = DEFAULT_CLUSTER_SIZES,
-    seed: int = 440,
-    duration_ns: int = 3 * MINUTE,
-    jobs: int = 1,
-    pool: Optional[FleetPool] = None,
-    cache: Optional[ResultCache] = None,
-    telemetry: Optional[FleetTelemetry] = None,
-) -> list[SweepPoint]:
-    """F− infection of growing honest majorities.
-
-    The original policy offers no herd immunity: however many honest
-    nodes exist, each follows the fastest clock it hears. Measures the
-    fraction of honest nodes infected (drift > 1 s) and the time until
-    the last one fell.
-    """
-    tasks = cluster_size_tasks(sizes, seed, duration_ns)
-    return run_point_tasks(tasks, jobs=jobs, pool=pool, cache=cache, telemetry=telemetry)
-
-
-def aex_rate_sweep(
-    mean_delays_ns: Sequence[int] = DEFAULT_AEX_MEANS_NS,
-    seed: int = 460,
-    duration_ns: int = 5 * MINUTE,
-    jobs: int = 1,
-    pool: Optional[FleetPool] = None,
-    cache: Optional[ResultCache] = None,
-    telemetry: Optional[FleetTelemetry] = None,
-) -> list[SweepPoint]:
-    """Availability and TA load vs AEX rate (exponential inter-AEX).
-
-    Calibration exchanges must fit between AEXs: with a 100 ms mean
-    inter-AEX delay, a 1 s-sleep exchange is never AEX-free (the paper's
-    §III-C observation that inter-AEX delays bound the usable waittimes),
-    so this sweep calibrates with {0, 50 ms} sleeps throughout.
-    """
-    tasks = aex_rate_tasks(mean_delays_ns, seed, duration_ns)
-    return run_point_tasks(tasks, jobs=jobs, pool=pool, cache=cache, telemetry=telemetry)

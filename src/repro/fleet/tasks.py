@@ -241,7 +241,7 @@ def _run_experiment(task: RunTask) -> dict:
     name = task.payload.get("experiment")
     if name not in EXPERIMENTS:
         raise FleetError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
-    default_duration = EXPERIMENTS[name][1]
+    default_duration = EXPERIMENTS[name].duration_ns
     duration_ns = task.duration_ns or default_duration
     result = run_experiment(name, task.seed, duration_ns)
     # fig1 / inc / ablation: built-in seed and span, no simulated time.

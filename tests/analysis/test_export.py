@@ -11,13 +11,13 @@ from repro.analysis.export import (
     export_states_csv,
 )
 from repro.errors import ConfigurationError
-from repro.experiments import figures
+from repro.experiments.figures import run_experiment
 from repro.sim.units import MINUTE
 
 
 @pytest.fixture(scope="module")
 def result():
-    return figures.figure2(seed=2, duration_ns=3 * MINUTE)
+    return run_experiment("fig2", seed=2, duration_ns=3 * MINUTE)
 
 
 class TestCsvContent:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.analysis.stats import cdf_at
 from repro.experiments import figures
+from repro.experiments.scenarios import fminus_propagation
 from repro.sim import units
 
 
@@ -50,7 +51,7 @@ class TestIncMonitorTable:
 class TestFigure2Short:
     @pytest.fixture(scope="class")
     def fig2(self):
-        return figures.figure2(seed=2, duration_ns=8 * units.MINUTE)
+        return figures.run_experiment("fig2", seed=2, duration_ns=8 * units.MINUTE)
 
     def test_availability_above_98_percent(self, fig2):
         for value in fig2.availability().values():
@@ -72,8 +73,11 @@ class TestFigure2Short:
 class TestFigure6Short:
     @pytest.fixture(scope="class")
     def fig6(self):
-        return figures.figure6(
-            seed=6, duration_ns=3 * units.MINUTE, switch_at_ns=60 * units.SECOND
+        experiment = fminus_propagation(seed=6, switch_at_ns=60 * units.SECOND)
+        return figures.Fig6Result(
+            experiment=experiment.run(3 * units.MINUTE),
+            duration_ns=3 * units.MINUTE,
+            switch_at_ns=60 * units.SECOND,
         )
 
     def test_victim_frequency_skew_is_0_9(self, fig6):

@@ -6,14 +6,15 @@ keep the unit suite guarding the figure plumbing for Figs. 3, 4 and 5.
 
 import pytest
 
-from repro.experiments import figures
+from repro.experiments.figures import run_experiment
+from repro.experiments.scenarios import hardened_fminus_propagation
 from repro.sim.units import MINUTE, SECOND
 
 
 class TestFigure3Fast:
     @pytest.fixture(scope="class")
     def fig3(self):
-        return figures.figure3(seed=3, duration_ns=30 * MINUTE)
+        return run_experiment("fig3", seed=3, duration_ns=30 * MINUTE)
 
     def test_single_full_calibration(self, fig3):
         for index in (1, 2, 3):
@@ -32,7 +33,7 @@ class TestFigure3Fast:
 class TestFigure4Fast:
     @pytest.fixture(scope="class")
     def fig4(self):
-        return figures.figure4(seed=4, duration_ns=4 * MINUTE)
+        return run_experiment("fig4", seed=4, duration_ns=4 * MINUTE)
 
     def test_victim_skew(self, fig4):
         assert fig4.victim_frequency_skew() == pytest.approx(1.1, rel=2e-3)
@@ -53,7 +54,7 @@ class TestFigure4Fast:
 class TestFigure5Fast:
     @pytest.fixture(scope="class")
     def fig5(self):
-        return figures.figure5(seed=5, duration_ns=4 * MINUTE)
+        return run_experiment("fig5", seed=5, duration_ns=4 * MINUTE)
 
     def test_same_tilt_different_dynamics(self, fig5):
         assert fig5.victim_frequency_skew() == pytest.approx(1.1, rel=2e-3)
@@ -67,8 +68,6 @@ class TestFigure5Fast:
 
 class TestFigure6HardenedFast:
     def test_hardened_variant_runs_and_protects(self):
-        result = figures.figure6_hardened(
-            seed=6, duration_ns=3 * MINUTE, switch_at_ns=60 * SECOND
-        )
+        result = hardened_fminus_propagation(seed=6, switch_at_ns=60 * SECOND).run(3 * MINUTE)
         for index in (1, 2):
             assert abs(result.drift(index).final_drift_ns()) < 100 * 1_000_000

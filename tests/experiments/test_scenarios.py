@@ -60,7 +60,7 @@ def test_scenario_entries_round_trip_through_json(name):
 
 class TestAttackScenarios:
     def test_fplus_attacker_attached_to_node3(self):
-        experiment = scenarios.fplus_low_aex(seed=2)
+        experiment = scenarios.scenario_spec("fig4-fplus-low-aex", 2).build()
         assert len(experiment.attackers) == 1
         attacker = experiment.attackers[0]
         assert attacker.mode is AttackMode.F_PLUS
@@ -84,7 +84,7 @@ class TestAttackScenarios:
 
 class TestExperimentRunner:
     def test_run_and_accessors(self):
-        experiment = scenarios.fault_free_triad_like(seed=3)
+        experiment = scenarios.scenario_spec("fig2-fault-free-triad-like", 3).build()
         experiment.run(20 * units.SECOND)
         assert experiment.duration_ns == 20 * units.SECOND
         assert experiment.frequency_mhz(1) == pytest.approx(2900, rel=0.01)
@@ -92,11 +92,11 @@ class TestExperimentRunner:
         assert experiment.drift(1).samples
 
     def test_accessors_before_run_fail(self):
-        experiment = scenarios.fault_free_triad_like(seed=4)
+        experiment = scenarios.scenario_spec("fig2-fault-free-triad-like", 4).build()
         with pytest.raises(ConfigurationError):
             experiment.availability(1)
 
     def test_zero_duration_rejected(self):
-        experiment = scenarios.fault_free_triad_like(seed=5)
+        experiment = scenarios.scenario_spec("fig2-fault-free-triad-like", 5).build()
         with pytest.raises(ConfigurationError):
             experiment.run(0)

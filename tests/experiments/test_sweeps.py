@@ -5,10 +5,11 @@ import pytest
 from repro.attacks.delay import AttackMode
 from repro.experiments.sweeps import (
     SweepPoint,
-    aex_rate_sweep,
-    attack_delay_sweep,
-    cluster_size_sweep,
-    jitter_sweep,
+    aex_rate_tasks,
+    attack_delay_tasks,
+    cluster_size_tasks,
+    jitter_tasks,
+    run_point_tasks,
 )
 from repro.sim.units import MILLISECOND, MINUTE, SECOND
 
@@ -27,11 +28,13 @@ class TestSweepPoint:
 
 class TestAttackDelaySweep:
     def test_fplus_skews_match_prediction(self):
-        points = attack_delay_sweep(
-            AttackMode.F_PLUS,
-            delays_ns=(50 * MILLISECOND,),
-            settle_ns=20 * SECOND,
-            measure_ns=20 * SECOND,
+        points = run_point_tasks(
+            attack_delay_tasks(
+                AttackMode.F_PLUS,
+                delays_ns=(50 * MILLISECOND,),
+                settle_ns=20 * SECOND,
+                measure_ns=20 * SECOND,
+            )
         )
         assert len(points) == 1
         point = points[0]
@@ -43,7 +46,7 @@ class TestAttackDelaySweep:
 
 class TestJitterSweep:
     def test_error_grows_with_jitter(self):
-        points = jitter_sweep(sigmas=(0.05, 0.7), seeds=(500, 501, 502))
+        points = run_point_tasks(jitter_tasks(sigmas=(0.05, 0.7), seeds=(500, 501, 502)))
         assert points[0].metrics["mean_abs_error_ppm"] < points[1].metrics[
             "mean_abs_error_ppm"
         ]
@@ -51,14 +54,14 @@ class TestJitterSweep:
 
 class TestClusterSizeSweep:
     def test_three_node_point_fully_infected(self):
-        points = cluster_size_sweep(sizes=(3,), duration_ns=2 * MINUTE)
+        points = run_point_tasks(cluster_size_tasks(sizes=(3,), duration_ns=2 * MINUTE))
         assert points[0].metrics["infected_fraction"] == 1.0
 
 
 class TestAexRateSweep:
     def test_availability_ordering(self):
-        points = aex_rate_sweep(
-            mean_delays_ns=(SECOND, 30 * SECOND), duration_ns=MINUTE
+        points = run_point_tasks(
+            aex_rate_tasks(mean_delays_ns=(SECOND, 30 * SECOND), duration_ns=MINUTE)
         )
         assert points[0].metrics["availability"] <= points[1].metrics["availability"]
         assert points[0].metrics["aex_count"] > points[1].metrics["aex_count"]

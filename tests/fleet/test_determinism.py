@@ -11,8 +11,7 @@ import multiprocessing
 
 import pytest
 
-from repro.attacks.delay import AttackMode
-from repro.experiments.sweeps import attack_delay_sweep, cluster_size_sweep
+from repro.experiments.sweeps import attack_delay_tasks, cluster_size_tasks, run_point_tasks
 from repro.fleet.cache import ResultCache
 from repro.fleet.telemetry import FleetTelemetry
 from repro.sim.units import MILLISECOND, MINUTE, SECOND
@@ -35,15 +34,15 @@ def _metrics(points):
 @needs_fork
 class TestParallelEqualsSerial:
     def test_attack_delay_sweep_identical_across_jobs(self):
-        serial = attack_delay_sweep(AttackMode.F_MINUS, jobs=1, **ATTACK_KWARGS)
-        two = attack_delay_sweep(AttackMode.F_MINUS, jobs=2, **ATTACK_KWARGS)
-        four = attack_delay_sweep(AttackMode.F_MINUS, jobs=4, **ATTACK_KWARGS)
+        serial = run_point_tasks(attack_delay_tasks(**ATTACK_KWARGS), jobs=1)
+        two = run_point_tasks(attack_delay_tasks(**ATTACK_KWARGS), jobs=2)
+        four = run_point_tasks(attack_delay_tasks(**ATTACK_KWARGS), jobs=4)
         assert _metrics(serial) == _metrics(two) == _metrics(four)
 
     def test_cluster_size_sweep_identical_across_jobs(self):
-        serial = cluster_size_sweep(jobs=1, **CLUSTER_KWARGS)
-        two = cluster_size_sweep(jobs=2, **CLUSTER_KWARGS)
-        four = cluster_size_sweep(jobs=4, **CLUSTER_KWARGS)
+        serial = run_point_tasks(cluster_size_tasks(**CLUSTER_KWARGS), jobs=1)
+        two = run_point_tasks(cluster_size_tasks(**CLUSTER_KWARGS), jobs=2)
+        four = run_point_tasks(cluster_size_tasks(**CLUSTER_KWARGS), jobs=4)
         assert _metrics(serial) == _metrics(two) == _metrics(four)
 
 
@@ -51,12 +50,12 @@ class TestCacheDeterminism:
     def test_cache_hit_reproduces_cold_run_exactly(self, tmp_path):
         cache = ResultCache(tmp_path)
         cold_telemetry = FleetTelemetry()
-        cold = attack_delay_sweep(
-            AttackMode.F_MINUS, cache=cache, telemetry=cold_telemetry, **ATTACK_KWARGS
+        cold = run_point_tasks(
+            attack_delay_tasks(**ATTACK_KWARGS), cache=cache, telemetry=cold_telemetry
         )
         warm_telemetry = FleetTelemetry()
-        warm = attack_delay_sweep(
-            AttackMode.F_MINUS, cache=cache, telemetry=warm_telemetry, **ATTACK_KWARGS
+        warm = run_point_tasks(
+            attack_delay_tasks(**ATTACK_KWARGS), cache=cache, telemetry=warm_telemetry
         )
         assert _metrics(warm) == _metrics(cold)
         assert cold_telemetry.cache_hits == 0
@@ -64,9 +63,9 @@ class TestCacheDeterminism:
 
     def test_different_seed_misses_the_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
-        attack_delay_sweep(AttackMode.F_MINUS, cache=cache, **ATTACK_KWARGS)
+        run_point_tasks(attack_delay_tasks(**ATTACK_KWARGS), cache=cache)
         telemetry = FleetTelemetry()
-        attack_delay_sweep(
-            AttackMode.F_MINUS, seed=999, cache=cache, telemetry=telemetry, **ATTACK_KWARGS
+        run_point_tasks(
+            attack_delay_tasks(seed=999, **ATTACK_KWARGS), cache=cache, telemetry=telemetry
         )
         assert telemetry.cache_hits == 0

@@ -1,7 +1,7 @@
 """Golden-trace capture: canonical scenarios with pinned seeds.
 
-Each entry of :data:`SCENARIOS` is one conformance scenario — a scenario
-builder, a pinned seed, a duration, and the oracle configuration to run
+Each entry of :data:`SCENARIOS` is one conformance scenario — a canonical
+scenario name, a pinned seed, a duration, and the oracle configuration to run
 it under. :func:`capture` replays the scenario with the oracle in
 ``warn`` mode and returns a JSON-able record of everything the oracle
 observed. The simulation kernel is deterministic, so the record is a
@@ -21,23 +21,23 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.experiments import scenarios
+from repro.experiments.scenarios import scenario_spec
 from repro.oracle import OracleConfig, drain_created_oracles, oracle_policy
 from repro.sim.units import SECOND
 
 GOLDEN_DIR = Path(__file__).parent
 DIFF_DIR = GOLDEN_DIR / "_diff"
 
-#: scenario id -> (builder, pinned kwargs, duration, oracle-config kwargs).
+#: scenario id -> (canonical scenario, pinned kwargs, duration, oracle-config kwargs).
 SCENARIOS: dict[str, dict] = {
     "benign": {
-        "builder": scenarios.fault_free_triad_like,
+        "scenario": "fig2-fault-free-triad-like",
         "kwargs": {"seed": 2},
         "duration_ns": 90 * SECOND,
         "oracle_config": {},
     },
     "fplus": {
-        "builder": scenarios.fplus_low_aex,
+        "scenario": "fig4-fplus-low-aex",
         "kwargs": {"seed": 4},
         "duration_ns": 60 * SECOND,
         "oracle_config": {},
@@ -45,7 +45,7 @@ SCENARIOS: dict[str, dict] = {
     # Short fig6 run: honest nodes' AEX onset is at t=104s, so only the
     # F- victim has violated by 90s.
     "fminus": {
-        "builder": scenarios.fminus_propagation,
+        "scenario": "fig6-fminus-propagation",
         "kwargs": {"seed": 6},
         "duration_ns": 90 * SECOND,
         "oracle_config": {},
@@ -53,13 +53,13 @@ SCENARIOS: dict[str, dict] = {
     # Long fig6 run: past the AEX onset the honest nodes adopt the
     # victim's (ahead) timestamps — the full propagation cascade.
     "propagation": {
-        "builder": scenarios.fminus_propagation,
+        "scenario": "fig6-fminus-propagation",
         "kwargs": {"seed": 6},
         "duration_ns": 150 * SECOND,
         "oracle_config": {},
     },
     "dos": {
-        "builder": scenarios.ta_blackhole_dos,
+        "scenario": "dos-ta-blackhole",
         "kwargs": {"seed": 8},
         "duration_ns": 180 * SECOND,
         "oracle_config": {"freshness_deadline_ns": 60 * SECOND},
@@ -73,7 +73,7 @@ def capture(scenario_id: str) -> dict:
     config = OracleConfig(**spec["oracle_config"])
     with oracle_policy("warn", config):
         drain_created_oracles()
-        experiment = spec["builder"](**spec["kwargs"])
+        experiment = scenario_spec(spec["scenario"], **spec["kwargs"]).build()
         try:
             experiment.run(spec["duration_ns"])
         finally:

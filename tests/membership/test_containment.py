@@ -12,7 +12,7 @@ bound within seconds of the onset.
 
 import pytest
 
-from repro.experiments.scenarios import fault_free_triad_like, fminus_propagation
+from repro.experiments.scenarios import fminus_propagation, scenario_spec
 from repro.membership import MembershipVerdict
 from repro.oracle.policy import plane_policy
 from repro.sim.units import MILLISECOND, SECOND
@@ -148,7 +148,7 @@ class TestFalsePositives:
     @pytest.mark.parametrize("seed", [2, 3, 4])
     def test_fault_free_runs_flip_no_verdicts(self, seed):
         with plane_policy(membership="observe"):
-            experiment = fault_free_triad_like(seed=seed)
+            experiment = scenario_spec("fig2-fault-free-triad-like", seed).build()
             experiment.run(12 * SECOND)
         report = experiment.membership.report()
         assert report["events"] == []

@@ -302,6 +302,24 @@ class TestBadInput:
         assert err.startswith(prefix) and word in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["run", "run-spec", "sweep"])
+    def test_export_to_a_file_fails_before_running(self, capsys, tmp_path, command):
+        import json
+
+        target = tmp_path / "taken"
+        target.write_text("")
+        spec_path = tmp_path / "tiny.json"
+        spec_path.write_text(json.dumps({"name": "tiny", "duration_s": 5, "nodes": 1}))
+        argv = {
+            "run": ["run", "fig4", "--duration-s", "5"],
+            "run-spec": ["run-spec", str(spec_path)],
+            "sweep": ["sweep", "jitter", "--limit", "1", "--no-cache"],
+        }[command]
+        assert main(argv + ["--export", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing ran
+        assert captured.err == f"error: --export {target} exists and is not a directory\n"
+
 
 class TestOracleFlag:
     def test_run_benign_warn_is_clean(self, capsys):

@@ -19,7 +19,7 @@ from repro.sim import Simulator, units
 
 class TestFaultFreeOperation:
     def test_cluster_survives_triad_like_aex_storm(self):
-        experiment = scenarios.fault_free_triad_like(seed=201)
+        experiment = scenarios.scenario_spec("fig2-fault-free-triad-like", 201).build()
         experiment.run(60 * units.SECOND)
         for index in (1, 2, 3):
             node = experiment.node(index)
@@ -33,7 +33,7 @@ class TestFaultFreeOperation:
 
     def test_drift_follows_fastest_clock(self):
         """§IV-A2: the node that most underestimates F drags everyone."""
-        experiment = scenarios.fault_free_triad_like(seed=202)
+        experiment = scenarios.scenario_spec("fig2-fault-free-triad-like", 202).build()
         experiment.run(10 * units.MINUTE)
         frequencies = [experiment.node(i).stats.latest_frequency_hz for i in (1, 2, 3)]
         slowest_estimate = min(frequencies)
@@ -51,7 +51,7 @@ class TestFaultFreeOperation:
             assert measured_ppm == pytest.approx(expected_ppm, rel=0.8)
 
     def test_long_run_availability_exceeds_99_percent(self):
-        experiment = scenarios.fault_free_low_aex(seed=203)
+        experiment = scenarios.scenario_spec("fig3-fault-free-low-aex", 203).build()
         experiment.run(units.HOUR)
         for index in (1, 2, 3):
             assert experiment.availability(index) > 0.99
@@ -59,7 +59,7 @@ class TestFaultFreeOperation:
 
 class TestFPlusEndToEnd:
     def test_victim_slow_clock_does_not_propagate(self):
-        experiment = scenarios.fplus_triad_like(seed=204)
+        experiment = scenarios.scenario_spec("fig5-fplus-triad-like", 204).build()
         experiment.run(4 * units.MINUTE)
         # Victim oscillates negative; honest nodes stay near zero.
         assert experiment.drift(3).final_drift_ns() < -10 * units.MILLISECOND
@@ -67,14 +67,14 @@ class TestFPlusEndToEnd:
             assert abs(experiment.drift(index).final_drift_ns()) < 60 * units.MILLISECOND
 
     def test_low_aex_victim_drifts_unbounded(self):
-        experiment = scenarios.fplus_low_aex(seed=205)
+        experiment = scenarios.scenario_spec("fig4-fplus-low-aex", 205).build()
         experiment.run(4 * units.MINUTE)
         drift = experiment.drift(3).final_drift_ns()
         assert drift < -5 * units.SECOND  # ~-91 ms/s, rarely corrected
 
     def test_attack_does_not_hurt_victim_availability(self):
         """§IV-B: fewer AEXs mean *higher* availability for the victim."""
-        experiment = scenarios.fplus_low_aex(seed=206)
+        experiment = scenarios.scenario_spec("fig4-fplus-low-aex", 206).build()
         experiment.run(4 * units.MINUTE)
         assert experiment.availability(3) >= experiment.availability(1)
 
@@ -134,9 +134,9 @@ class TestHardenedEndToEnd:
             assert abs(hardened.drift(index).final_drift_ns()) < 100 * units.MILLISECOND
 
     def test_deadlines_bound_fplus_drift_without_aexs(self):
-        baseline = scenarios.baseline_fplus_suppressed_aex(seed=211)
+        baseline = scenarios.scenario_spec("baseline-fplus-suppressed-aex", 211).build()
         baseline.run(2 * units.MINUTE)
-        hardened = scenarios.hardened_fplus_suppressed_aex(seed=211)
+        hardened = scenarios.scenario_spec("hardened-fplus-suppressed-aex", 211).build()
         hardened.run(2 * units.MINUTE)
         baseline_drift = abs(baseline.drift(3).final_drift_ns())
         hardened_drift = abs(hardened.drift(3).final_drift_ns())
