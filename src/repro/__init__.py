@@ -35,7 +35,6 @@ from repro.errors import (
     CalibrationError,
     ConfigurationError,
     CryptoError,
-    MonitoringAlert,
     ProtocolError,
     ReproError,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "CalibrationError",
     "ConfigurationError",
     "CryptoError",
-    "MonitoringAlert",
     "ProtocolError",
     "ReproError",
     "__version__",

@@ -20,7 +20,6 @@ from repro.errors import ConfigurationError
 from repro.hardware.machine import Machine
 from repro.hardware.tsc import PAPER_TSC_FREQUENCY_HZ
 from repro.net.channel import Network
-from repro.net.crypto import SecureChannelKey, derive_key
 from repro.net.delays import DelayModel
 from repro.net.transport import SecureEndpoint
 from repro.authority.ta import TimeAuthority
@@ -39,14 +38,9 @@ TA_NAME = "time-authority"
 
 
 def _link(a: SecureEndpoint, b: SecureEndpoint) -> None:
-    """Register ``a`` and ``b`` as peers, deriving their shared key once.
-
-    Each end gets its own :class:`SecureChannelKey` over the same bytes,
-    so each direction keeps its own nonce counter.
-    """
-    shared = derive_key(*sorted((a.name, b.name)))
-    a.add_peer(b.name, b.address, SecureChannelKey(shared))
-    b.add_peer(a.name, a.address, SecureChannelKey(shared))
+    """Register ``a`` and ``b`` as each other's peers."""
+    a.register_peer(b)
+    b.register_peer(a)
 
 
 @dataclass
@@ -236,10 +230,6 @@ class TriadCluster:
         self.oracle, self.membership = current_policy().attach(self)
 
     # -- cluster churn -------------------------------------------------------
-
-    def is_present(self, index: int) -> bool:
-        """Whether the index-th node (1-based) is currently in the cluster."""
-        return self._present[self.node(index).name]
 
     @property
     def present_names(self) -> list[str]:

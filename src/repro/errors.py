@@ -21,7 +21,7 @@ class ProtocolError(ReproError):
 
 
 class CryptoError(ReproError):
-    """Authenticated decryption failed (wrong key or tampered ciphertext)."""
+    """Authenticated decryption failed (wrong key or associated data, or a forged payload)."""
 
 
 class CalibrationError(ReproError):
@@ -48,12 +48,3 @@ class OracleViolationError(ReproError):
 
     def __reduce__(self):
         return (self.__class__, (self.args[0], self.violations))
-
-
-class MonitoringAlert(ReproError):
-    """The in-enclave TSC monitor detected a discrepancy.
-
-    Raised (or recorded, depending on policy) when INC-counting over a TSC
-    window deviates beyond the calibrated tolerance — the signal Triad uses
-    to detect TSC rate/offset manipulation.
-    """

@@ -1,7 +1,7 @@
 """Plaintext protocol messages exchanged by Triad participants.
 
-These dataclasses are what goes *inside* the AEAD envelope; the network and
-the adversary never see their fields. Two sub-protocols exist, matching the
+These dataclasses are what goes *inside* the sealed envelope; the network
+and the adversary never see their fields. Two sub-protocols exist, matching the
 paper (§III-B):
 
 * **Node ↔ Time Authority**: :class:`TimeRequest` carries the requested
@@ -24,19 +24,15 @@ from dataclasses import dataclass
 
 
 class _Message:
-    """Pickles as (class, field values) instead of a field-name dict.
+    """Base of the protocol messages: frozen dataclasses, sealed whole.
 
-    Without the field names each message pickles to under 124 bytes even
-    at 64-bit extreme field values, so it seals into one pad block of
-    :mod:`repro.net.crypto`: every message is 156 bytes on the wire,
-    whatever its fields hold.
+    :mod:`repro.net.crypto` seals the message object itself, and every
+    sealed message has the same wire size whatever its fields hold. The
+    receiver gets the sender's object, not a copy, so messages must stay
+    immutable.
     """
 
     __slots__ = ()
-
-    def __reduce__(self):
-        # A dataclass __init__ sets the fields in declaration order.
-        return (type(self), tuple(self.__dict__.values()))
 
 
 @dataclass(frozen=True)

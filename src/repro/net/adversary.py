@@ -2,9 +2,12 @@
 
 Triad's attacker controls the OS/hypervisor of a compromised host, hence
 every datagram entering or leaving that host crosses attacker-controlled
-code. Because payloads are sealed (AEAD), the attacker's entire power over
-traffic is: **observe metadata** (addresses, sizes, timing), **delay**, and
-**drop**. This module provides that capability as composable classes; the
+code. Because payloads are sealed (:mod:`repro.net.crypto`), the attacker's
+entire power over traffic is: **observe metadata** (addresses, sizes,
+timing), **delay**, and **drop**. An adversary decides in
+:meth:`NetworkAdversary.interfere`, which is handed an :class:`Observation`
+and never the datagram or its payload, so that limit is the interface
+itself. This module provides the capability as composable classes; the
 concrete F+/F− calibration attacks in :mod:`repro.attacks.delay` build on
 them.
 
@@ -45,8 +48,8 @@ PASS = Interference()
 class Observation:
     """What an on-path adversary records about one datagram.
 
-    Deliberately excludes the payload plaintext: with AEAD in place the
-    attacker sees only ciphertext, and we don't even hand it the bytes.
+    Deliberately excludes the payload: sealed, it would show the attacker
+    nothing but its size, so the attacker gets the size alone.
     """
 
     time_ns: int

@@ -17,7 +17,7 @@ may be reordered if their sampled delays cross, faithfully modelling UDP.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sized
 
 from repro.errors import ConfigurationError
 from repro.net.adversary import NetworkAdversary
@@ -45,7 +45,7 @@ class Socket:
         self.received_count = 0
         self.sent_count = 0
 
-    def send(self, destination: Address, payload: bytes) -> Datagram:
+    def send(self, destination: Address, payload: Sized) -> Datagram:
         """Transmit a datagram; returns it (for logging/diagnostics)."""
         self.sent_count += 1
         return self.network.send(self.address, destination, payload)
@@ -140,10 +140,6 @@ class Network:
         else:
             self._down_hosts.discard(host)
 
-    def host_is_down(self, host: str) -> bool:
-        """Whether ``host`` is currently detached."""
-        return host in self._down_hosts
-
     def partition(self, name: str, island: "set[str] | frozenset[str] | list[str]") -> None:
         """Open a named partition isolating ``island`` from everyone else.
 
@@ -187,7 +183,7 @@ class Network:
         self.drop_counts[reason] = self.drop_counts.get(reason, 0) + 1
         self.dropped.append(datagram)
 
-    def send(self, source: Address, destination: Address, payload: bytes) -> Datagram:
+    def send(self, source: Address, destination: Address, payload: Sized) -> Datagram:
         """Inject a datagram; delivery (if any) is scheduled asynchronously."""
         datagram = Datagram(
             source=source,

@@ -1,27 +1,28 @@
-"""Authenticated encryption for protocol messages.
+"""Sealed channels for protocol messages.
 
 The paper's implementation encrypts all protocol traffic with AES-256-GCM.
 What the *protocol analysis* needs from the cipher is exactly two
-properties, both of which this module provides functionally (not just as a
-flag on a dataclass):
+properties, and this module models those two, not the cipher bytes:
 
-* **Confidentiality** — an on-path adversary holding only the ciphertext
-  cannot recover the plaintext; in particular it cannot read the requested
-  TA waittime ``s`` and must infer it from timing (§III-C). Plaintexts are
-  padded, so every datagram of a message type has the same size.
-* **Integrity** — any modification of the ciphertext, a wrong key, a stale
-  epoch key or wrong associated data is detected by the receiver, which
-  raises :class:`~repro.errors.CryptoError`. The adversary is therefore
-  limited to delaying, dropping, reordering, and replaying.
+* **Confidentiality** — an on-path adversary learns a datagram's
+  addresses, size and timing, never its content; in particular it cannot
+  read the requested TA waittime ``s`` and must infer it from timing
+  (§III-C). :meth:`SecureChannelKey.seal` returns an opaque envelope whose
+  one visible property is its wire size, :data:`SEALED_BYTES` for every
+  message (the paper's C++ implementation exchanges fixed-size structs),
+  and the adversary is handed only
+  :class:`~repro.net.adversary.Observation` metadata.
+* **Integrity** — an envelope opens only under the key that sealed it and
+  with the same associated data. Another link's key, a stale or withheld
+  epoch secret, other associated data, or a payload that is not an
+  envelope at all raises :class:`~repro.errors.CryptoError`. The adversary
+  is therefore limited to delaying, dropping, reordering, and replaying.
 
-The AEAD is built from standard-library primitives: the keystream is one
-SHAKE-256 squeeze over (key ‖ nonce), XORed onto the padded plaintext as
-one integer, and the tag is a keyed BLAKE2b-128 over (nonce ‖ length-framed
-associated data ‖ ciphertext). This is a *model* of AES-256-GCM: it is
-deterministic, dependency-free, and honest about being simulation-grade
-rather than production-grade crypto (no side-channel hardening, no review),
-but the security *architecture* (what is hidden from whom, what fails
-authentication) matches the paper's implementation exactly.
+A key is an identity rather than bytes: the sorted pair of party names,
+plus the epoch secret after a membership rotation. Holding the identity
+stands for holding the key, and only this module builds envelopes, so an
+envelope cannot be forged — as an AEAD ciphertext cannot without the key.
+No simulated outcome depends on a ciphertext byte, so none is computed.
 
 Nonces are drawn from a per-key counter, mirroring GCM's
 counter-based-nonce deployment mode and keeping simulations reproducible.
@@ -30,25 +31,16 @@ counter-based-nonce deployment mode and keeping simulations reproducible.
 from __future__ import annotations
 
 import hashlib
-import hmac
-import pickle
 from typing import Any
 
 from repro.errors import CryptoError
 
-#: Byte length of symmetric keys (matches AES-256).
+#: Byte length of derived keys and epoch secrets (matches AES-256).
 KEY_BYTES = 32
-#: Byte length of nonces (matches GCM's conventional 96-bit nonce).
-NONCE_BYTES = 12
-#: Byte length of authentication tags (GCM uses 128-bit tags).
-TAG_BYTES = 16
 
-#: Plaintexts are padded to a multiple of this before encryption. The
-#: paper's C++ implementation exchanges fixed-size structs; without
-#: padding, Python's variable-length serialization would leak message
-#: contents (e.g. the magnitude of the requested sleep) through datagram
-#: sizes — a side channel the modelled attacker must not have.
-PAD_BLOCK_BYTES = 128
+#: Wire size of every sealed message: a 12-byte GCM nonce, one 128-byte
+#: block holding the fixed-size message struct, and a 16-byte tag.
+SEALED_BYTES = 12 + 128 + 16
 
 
 def derive_key(*labels: str) -> bytes:
@@ -69,10 +61,10 @@ def derive_epoch_secret(epoch: int, *labels: str) -> bytes:
     """Per-epoch group secret distributed by a membership controller.
 
     The secret itself never travels on the simulated wire: the controller
-    hands it to every *member* endpoint, which folds it into each link key
-    (:meth:`SecureChannelKey.rekey`). A node the controller withholds the
-    secret from keeps sealing with its previous epoch key, and every
-    member rejects those blobs at :meth:`SecureChannelKey.open` — the
+    hands it to every *member* endpoint, which folds it into each link's
+    key (:meth:`SecureChannelKey.rekey`). A node the controller withholds
+    the secret from keeps sealing under its previous epoch key, and every
+    member rejects those envelopes at :meth:`SecureChannelKey.open` — the
     cryptographic cut that makes quarantine enforceable.
     """
     if epoch < 0:
@@ -80,104 +72,73 @@ def derive_epoch_secret(epoch: int, *labels: str) -> bytes:
     return derive_key("membership-epoch", str(epoch), *labels)
 
 
-def _link_key(base_key: bytes, epoch_secret: bytes) -> bytes:
-    """The epoch link key: the base key keyed by the epoch secret."""
-    return hashlib.blake2b(b"rekey:" + base_key, key=epoch_secret, digest_size=KEY_BYTES).digest()
+class _Sealed:
+    """A sealed message on the wire: opaque but for its size."""
 
+    __slots__ = ("key", "associated_data", "nonce", "message")
 
-def _crypt(key: bytes, nonce: bytes, data: bytes) -> bytes:
-    """XOR ``data`` with the SHAKE-256 keystream of (key, nonce), as one integer."""
-    stream = int.from_bytes(hashlib.shake_256(key + nonce).digest(len(data)), "little")
-    return (int.from_bytes(data, "little") ^ stream).to_bytes(len(data), "little")
+    def __init__(self, key: tuple, associated_data: bytes, nonce: int, message: Any) -> None:
+        self.key = key
+        self.associated_data = associated_data
+        self.nonce = nonce
+        self.message = message
 
-
-def _tag(key: bytes, nonce: bytes, associated_data: bytes, ciphertext: bytes) -> bytes:
-    framed = nonce + len(associated_data).to_bytes(8, "little") + associated_data + ciphertext
-    return hashlib.blake2b(framed, key=key, digest_size=TAG_BYTES).digest()
+    def __len__(self) -> int:
+        return SEALED_BYTES
 
 
 class SecureChannelKey:
-    """A shared symmetric key with a nonce counter (one end of a link).
+    """One end of a link: the link's key identity and a nonce counter.
 
-    Each end of a link holds its own object over the same key bytes, so
+    Each end of a link holds its own object over the same identity, so
     each direction keeps its own nonce counter.
     """
 
-    def __init__(self, key: bytes) -> None:
-        if len(key) != KEY_BYTES:
-            raise CryptoError(f"key must be {KEY_BYTES} bytes, got {len(key)}")
-        #: The attestation-time base key; epoch rotation always derives
-        #: from this, never from the previous epoch key, so a node that
-        #: missed epochs re-keys to the current one in a single step.
-        self._base_key = key
-        #: The current key, or None until the first use after a rotation.
-        self._key: bytes | None = key
-        self._epoch_secret = b""
+    def __init__(self, pair: tuple[str, str]) -> None:
+        if len(pair) != 2 or not pair[0] < pair[1]:
+            raise CryptoError(f"a link key names two parties in sorted order, got {pair!r}")
+        self._pair = pair
+        #: (pair, epoch secret), the secret None on the attestation-time key.
+        self._key: tuple = (pair, None)
         self._nonce_counter = 0
         self.epoch = 0
 
     @classmethod
     def between(cls, party_a: str, party_b: str) -> "SecureChannelKey":
         """Key shared by two named parties (order-independent)."""
-        return cls(derive_key(*sorted((party_a, party_b))))
+        return cls((party_a, party_b) if party_a < party_b else (party_b, party_a))
 
     def rekey(self, epoch_secret: bytes, epoch: int) -> None:
-        """Rotate to the key for ``epoch``, derived from the base key.
+        """Rotate to the key for ``epoch``: the pair plus ``epoch_secret``.
 
-        Both ends of a link hold the same base key, so feeding them the
-        same epoch secret yields interoperating keys without any wire
-        exchange. Blobs sealed under any other epoch's key fail the tag
-        check in :meth:`open` — "old-epoch messages rejected" is a
-        consequence of the AEAD, not an extra code path. Epoch 0 restores
-        the base key exactly (useful for tests and symmetry). The epoch
-        key is derived on the link's first :meth:`seal` or :meth:`open`
-        after the rotation, so an idle link costs nothing.
+        Both ends of a link name the same pair, so feeding them the same
+        epoch secret yields interoperating keys without any wire exchange.
+        Envelopes sealed under any other epoch's key fail :meth:`open` —
+        "old-epoch messages rejected" is a consequence of the key, not an
+        extra code path. Rotation never depends on the previous epoch, so
+        a node that missed epochs re-keys to the current one in a single
+        step, and epoch 0 restores the attestation-time key exactly.
         """
         if epoch < 0:
             raise CryptoError(f"epoch must be non-negative, got {epoch}")
-        self._key = self._base_key if epoch == 0 else None
-        self._epoch_secret = epoch_secret
+        self._key = (self._pair, epoch_secret if epoch else None)
         self._nonce_counter = 0
         self.epoch = epoch
 
-    def _current_key(self) -> bytes:
-        if self._key is None:
-            self._key = _link_key(self._base_key, self._epoch_secret)
-        return self._key
-
     # -- AEAD -----------------------------------------------------------------
 
-    def seal(self, message: Any, associated_data: bytes = b"") -> bytes:
-        """Encrypt-and-authenticate ``message`` (any picklable object).
+    def seal(self, message: Any, associated_data: bytes = b"") -> _Sealed:
+        """Encrypt-and-authenticate ``message``; the result is the wire payload."""
+        nonce = self._nonce_counter
+        self._nonce_counter = nonce + 1
+        return _Sealed(self._key, associated_data, nonce, message)
 
-        Returns the wire blob ``nonce ‖ ciphertext ‖ tag``.
-        """
-        serialized = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        length = len(serialized)
-        padded_length = -(-(length + 4) // PAD_BLOCK_BYTES) * PAD_BLOCK_BYTES
-        plaintext = length.to_bytes(4, "little") + serialized + bytes(padded_length - length - 4)
-        key = self._current_key()
-        nonce = self._nonce_counter.to_bytes(NONCE_BYTES, "little")
-        self._nonce_counter += 1
-        ciphertext = _crypt(key, nonce, plaintext)
-        return nonce + ciphertext + _tag(key, nonce, associated_data, ciphertext)
-
-    def open(self, blob: bytes, associated_data: bytes = b"") -> Any:
-        """Verify-and-decrypt a wire blob; raises :class:`CryptoError` on tamper."""
-        if len(blob) < NONCE_BYTES + TAG_BYTES:
-            raise CryptoError("ciphertext too short")
-        key = self._current_key()
-        nonce = blob[:NONCE_BYTES]
-        ciphertext = blob[NONCE_BYTES:-TAG_BYTES]
-        if not hmac.compare_digest(blob[-TAG_BYTES:], _tag(key, nonce, associated_data, ciphertext)):
+    def open(self, sealed: Any, associated_data: bytes = b"") -> Any:
+        """Verify-and-decrypt a wire payload; raises :class:`CryptoError` on tamper."""
+        if (
+            type(sealed) is not _Sealed
+            or sealed.key != self._key
+            or sealed.associated_data != associated_data
+        ):
             raise CryptoError("authentication tag mismatch (tampered or wrong key)")
-        plaintext = _crypt(key, nonce, ciphertext)
-        if len(plaintext) < 4:
-            raise CryptoError("plaintext too short for length header")
-        length = int.from_bytes(plaintext[:4], "little")
-        if length > len(plaintext) - 4:
-            raise CryptoError("corrupt plaintext length header")
-        try:
-            return pickle.loads(plaintext[4 : 4 + length])
-        except Exception as exc:  # pragma: no cover - tag already guarantees integrity
-            raise CryptoError(f"failed to deserialize plaintext: {exc}") from exc
+        return sealed.message

@@ -2,18 +2,20 @@
 
 All Triad communications use UDP (per the paper §IV), so the network layer
 moves self-contained datagrams with no delivery, ordering, or duplication
-guarantees. A datagram's payload is an opaque byte string — by the time a
-message reaches the network it has already been sealed by the AEAD layer
-(:mod:`repro.net.crypto`), so the network (and the adversary embedded in it)
-sees only sizes, addresses, and timing. That is precisely the paper's
-attacker model: the attacker cannot read the requested TA waittime ``s``,
-but can observe and correlate traffic timing to infer it.
+guarantees. A datagram's payload is opaque: by the time a message reaches
+the network it has already been sealed by :mod:`repro.net.crypto` into an
+envelope whose one visible property is its size, so the network (and the
+adversary embedded in it) sees only sizes, addresses, and timing. That is
+precisely the paper's attacker model: the attacker cannot read the
+requested TA waittime ``s``, but can observe and correlate traffic timing
+to infer it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Sized
 
 #: Process-wide datagram id counter (diagnostics only; never protocol-visible).
 _datagram_ids = itertools.count(1)
@@ -36,7 +38,8 @@ class Datagram:
 
     source: Address
     destination: Address
-    payload: bytes
+    #: A sealed envelope, or raw bytes on a bare socket.
+    payload: Sized
     sent_at_ns: int
     datagram_id: int = field(default_factory=lambda: next(_datagram_ids))
 

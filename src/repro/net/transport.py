@@ -5,11 +5,13 @@ message objects addressed by peer *name*. A :class:`SecureEndpoint`:
 
 * seals outgoing messages with the key shared with the destination peer
   and puts them on the network;
-* runs a pump process that unseals incoming datagrams — trying the keys of
-  all registered peers, as UDP gives no session context — and queues
+* runs a pump process that unseals each incoming datagram with the key of
+  the one peer registered at its source address (UDP gives no session
+  context, so the address is all there is to go on) and queues
   :class:`Envelope` objects for consumers;
-* silently drops (but counts) datagrams that fail authentication, which is
-  the correct behaviour for a TEE receiving attacker-forged traffic.
+* silently drops (but counts) datagrams from unknown addresses and those
+  that fail authentication, which is the correct behaviour for a TEE
+  receiving attacker-forged traffic.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class SecureEndpoint:
     # -- peer management -------------------------------------------------------
 
     def register_peer(self, peer: "SecureEndpoint") -> None:
-        """Pair with another endpoint, deriving the shared key from names."""
+        """Pair with another endpoint under the key its name and ours identify."""
         self.add_peer(peer.name, peer.address, SecureChannelKey.between(self.name, peer.name))
 
     def add_peer(self, name: str, address: Address, key: SecureChannelKey) -> None:
@@ -111,8 +113,7 @@ class SecureEndpoint:
         link = self._peers.get(peer_name)
         if link is None:
             raise ConfigurationError(f"{self.name!r} has no peer named {peer_name!r}")
-        blob = link.key.seal(message)
-        self.socket.send(link.address, blob)
+        self.socket.send(link.address, link.key.seal(message))
 
     # -- receiving -----------------------------------------------------------------
 

@@ -79,11 +79,6 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self._state & ST_TRIGGERED
 
-    @property
-    def waiting_on(self) -> Optional[Event]:
-        """The event the process is currently suspended on, if any."""
-        return self._target
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its suspension point.
 

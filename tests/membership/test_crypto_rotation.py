@@ -1,10 +1,20 @@
 """Epoch-key rotation: the cryptographic cut behind quarantine."""
 
+import hashlib
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import ConfigurationError, CryptoError
 from repro.net import crypto
 from repro.net.crypto import SecureChannelKey, derive_epoch_secret
+
+
+def _cluster():
+    from repro.core.cluster import ClusterConfig, TriadCluster
+    from repro.sim.kernel import Simulator
+
+    return TriadCluster(Simulator(seed=1), ClusterConfig(node_count=3))
 
 
 class TestEpochSecret:
@@ -34,6 +44,7 @@ class TestRekey:
         assert a.epoch == b.epoch == 1
 
     def test_old_epoch_blob_is_rejected(self):
+        """A stale sender, or one the epoch secret was withheld from, is cut off."""
         a, b = self._pair()
         stale = a.seal("from the old epoch")
         b.rekey(derive_epoch_secret(1, "cluster"), 1)
@@ -69,34 +80,36 @@ class TestRekey:
         assert b.open(a.seal("epoch five")) == "epoch five"
         assert a.open(b.seal("and back")) == "and back"
 
-    def test_epoch_keys_are_derived_on_first_use_only(self, monkeypatch):
+    def test_rotations_and_traffic_derive_no_key(self, monkeypatch):
+        """A link key is the pair plus the epoch secret: building links,
+        rotating them and sealing under them derive nothing."""
+        secrets = [derive_epoch_secret(epoch, "cluster") for epoch in range(1, 4)]
         derived = []
-        original = crypto._link_key
 
-        def counting(base_key, epoch_secret):
-            derived.append(epoch_secret)
-            return original(base_key, epoch_secret)
+        def sha256(data):
+            derived.append(data)
+            return hashlib.sha256(data)
 
-        monkeypatch.setattr(crypto, "_link_key", counting)
+        # Every derivation hashes through the crypto module's hashlib,
+        # however the caller imported derive_key.
+        monkeypatch.setattr(crypto, "hashlib", SimpleNamespace(sha256=sha256))
         a, b = self._pair()
-        for epoch in range(1, 4):
-            a.rekey(derive_epoch_secret(epoch, "cluster"), epoch)
-            b.rekey(derive_epoch_secret(epoch, "cluster"), epoch)
-        assert derived == []  # rotations with no traffic derive nothing
-        blob = a.seal("first")
-        assert b.open(blob) == "first"
-        assert b.open(a.seal("second")) == "second"
-        # One derivation per end, for the epoch in force at first use.
-        assert derived == [derive_epoch_secret(3, "cluster")] * 2
+        for epoch, secret in enumerate(secrets, start=1):
+            a.rekey(secret, epoch)
+            b.rekey(secret, epoch)
+            assert b.open(a.seal(epoch)) == epoch
+            assert a.open(b.seal(-epoch)) == -epoch
+        cluster = _cluster()
+        node = cluster.nodes[0]
+        node.endpoint.rekey_peer(node.peer_names[0], secrets[0], 1)
+        assert derived == []
 
     def test_rekey_resets_the_nonce_counter(self):
         a, _ = self._pair()
-        first = a.seal("x")
-        a.seal("y")
+        assert [a.seal("x").nonce, a.seal("y").nonce] == [0, 1]
         a.rekey(derive_epoch_secret(1, "cluster"), 1)
-        again = a.seal("x")
-        # Fresh key, fresh counter: the nonce prefix starts at zero again.
-        assert again[:12] == first[:12]
+        # Fresh key, fresh counter: the nonce starts at zero again.
+        assert [a.seal("x").nonce, a.seal("y").nonce] == [0, 1]
 
     def test_negative_epoch_rejected(self):
         a, _ = self._pair()
@@ -105,15 +118,8 @@ class TestRekey:
 
 
 class TestEndpointRotation:
-    def _cluster(self):
-        from repro.core.cluster import ClusterConfig, TriadCluster
-        from repro.sim.kernel import Simulator
-
-        sim = Simulator(seed=1)
-        return TriadCluster(sim, ClusterConfig(node_count=3))
-
     def test_rekey_peer_rotates_one_link(self):
-        cluster = self._cluster()
+        cluster = _cluster()
         node = cluster.nodes[0]
         peer = node.peer_names[0]
         secret = derive_epoch_secret(1, "cluster")
@@ -125,7 +131,7 @@ class TestEndpointRotation:
         assert node.endpoint.peer_epoch(ta) == 0
 
     def test_unknown_peer_raises(self):
-        cluster = self._cluster()
+        cluster = _cluster()
         node = cluster.nodes[0]
         with pytest.raises(ConfigurationError, match="no peer"):
             node.endpoint.rekey_peer("node-99", b"\x00" * 32, 1)
@@ -133,7 +139,7 @@ class TestEndpointRotation:
             node.endpoint.peer_epoch("node-99")
 
     def test_peer_names_exclude_the_time_authority(self):
-        cluster = self._cluster()
+        cluster = _cluster()
         node = cluster.nodes[0]
         ta_names = {ta.name for ta in cluster.tas}
         assert not (set(node.peer_names) & ta_names)

@@ -1,4 +1,4 @@
-"""Tests for the AEAD model: confidentiality, integrity, key handling."""
+"""Tests for the sealed-envelope model: confidentiality, integrity, key handling."""
 
 from dataclasses import fields
 
@@ -8,10 +8,9 @@ from repro.errors import CryptoError
 from repro.messages import PeerTimeRequest, PeerTimeResponse, TimeRequest, TimeResponse
 from repro.net.crypto import (
     KEY_BYTES,
-    NONCE_BYTES,
-    PAD_BLOCK_BYTES,
+    SEALED_BYTES,
     SecureChannelKey,
-    TAG_BYTES,
+    derive_epoch_secret,
     derive_key,
 )
 
@@ -42,8 +41,11 @@ class TestKeyDerivation:
             derive_key()
 
     def test_wrong_key_length_rejected(self):
-        with pytest.raises(CryptoError):
-            SecureChannelKey(b"short")
+        """A key identity is exactly two distinct party names, sorted, so
+        both ends of a link always name the same key."""
+        for pair in [("alice",), ("alice", "bob", "carol"), ("bob", "alice"), ("a", "a")]:
+            with pytest.raises(CryptoError, match="two parties"):
+                SecureChannelKey(pair)
 
 
 class TestRoundTrip:
@@ -62,29 +64,48 @@ class TestRoundTrip:
         assert key.open(blob, associated_data=b"header") == "payload"
 
     def test_nonces_unique_per_message(self, key):
-        blob_a = key.seal("same")
-        blob_b = key.seal("same")
-        assert blob_a[:NONCE_BYTES] != blob_b[:NONCE_BYTES]
-        assert blob_a != blob_b
+        sealed = [key.seal("same") for _ in range(3)]
+        assert [envelope.nonce for envelope in sealed] == [0, 1, 2]
 
 
 class TestIntegrity:
     def test_every_flipped_bit_detected(self, key):
-        blob = key.seal("sensitive")
-        for position in range(len(blob)):
-            tampered = bytearray(blob)
-            tampered[position] ^= 0x01
+        """Flipping any bit of the epoch secret or of the associated data
+        makes the envelope fail to open."""
+        secret = derive_epoch_secret(1, "cluster")
+        sender = SecureChannelKey.between("alice", "bob")
+        sender.rekey(secret, 1)
+        blob = sender.seal("sensitive", associated_data=b"hdr")
+        for position in range(len(secret) * 8):
+            flipped = bytearray(secret)
+            flipped[position // 8] ^= 1 << position % 8
+            key.rekey(bytes(flipped), 1)
             with pytest.raises(CryptoError, match="tag mismatch"):
-                key.open(bytes(tampered))
+                key.open(blob, associated_data=b"hdr")
+        key.rekey(secret, 1)
+        for position in range(3 * 8):
+            flipped = bytearray(b"hdr")
+            flipped[position // 8] ^= 1 << position % 8
+            with pytest.raises(CryptoError, match="tag mismatch"):
+                key.open(blob, associated_data=bytes(flipped))
+        assert key.open(blob, associated_data=b"hdr") == "sensitive"
 
-    def test_truncation_detected(self, key):
-        blob = key.seal("sensitive")
-        with pytest.raises(CryptoError):
-            key.open(blob[:-1])
+    def test_retargeted_envelope_rejected(self, key):
+        """An envelope sealed on one link opens on no other link, at any epoch."""
+        blob = key.seal("for bob")
+        for other in [("alice", "carol"), ("bob", "carol")]:
+            with pytest.raises(CryptoError, match="tag mismatch"):
+                SecureChannelKey(other).open(blob)
+        rotated = SecureChannelKey.between("alice", "bob")
+        rotated.rekey(derive_epoch_secret(1, "cluster"), 1)
+        with pytest.raises(CryptoError, match="tag mismatch"):
+            rotated.open(blob)
 
     def test_too_short_blob_rejected(self, key):
-        with pytest.raises(CryptoError):
-            key.open(b"x" * (NONCE_BYTES + TAG_BYTES - 1))
+        """Bytes are never an envelope, whatever their length."""
+        for blob in [b"", b"x" * 27, bytes(SEALED_BYTES)]:
+            with pytest.raises(CryptoError, match="tag mismatch"):
+                key.open(blob)
 
     def test_wrong_key_rejected(self, key):
         other = SecureChannelKey.between("alice", "carol")
@@ -100,13 +121,18 @@ class TestIntegrity:
         blob = key.seal("payload", associated_data=b"ab")
         with pytest.raises(CryptoError, match="tag mismatch"):
             key.open(blob, associated_data=b"a")
+        with pytest.raises(CryptoError, match="tag mismatch"):
+            key.open(key.seal("payload", associated_data=b"a"), associated_data=b"ab")
 
 
 class TestConfidentiality:
-    def test_plaintext_not_in_ciphertext(self, key):
+    def test_plaintext_not_in_envelope_repr(self, key):
+        """An envelope shows its size, not its content, wherever it is printed."""
         secret = "SLEEP_DURATION_1000000000"
         blob = key.seal(secret)
-        assert secret.encode() not in blob
+        assert secret not in repr(blob)
+        assert secret not in str(blob)
+        assert "alice" not in repr(blob)
 
     def test_sleep_value_not_recoverable_from_bytes(self, key):
         """The attacker's blindness to s — the premise of the F± attacks."""
@@ -127,5 +153,5 @@ class TestConfidentiality:
         """Every protocol message is one size on the wire, whatever it holds."""
         message = message_type(**{field.name: value for field in fields(message_type)})
         blob = key.seal(message)
-        assert len(blob) == NONCE_BYTES + PAD_BLOCK_BYTES + TAG_BYTES == 156
+        assert len(blob) == SEALED_BYTES == 12 + 128 + 16
         assert key.open(blob) == message

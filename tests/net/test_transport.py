@@ -109,13 +109,24 @@ class TestAuthentication:
         assert bob.drain() == []
 
     def test_tampered_datagram_dropped(self, sim, net, pair):
+        """A payload swapped for forged bytes fails authentication and is counted."""
         alice, bob = pair
-        key = SecureChannelKey.between("alice", "bob")
-        blob = bytearray(key.seal("legit"))
-        blob[20] ^= 0xFF
-        net.send(alice.address, bob.address, bytes(blob))
+        for blob in (b"forged", bytes(156)):
+            net.send(alice.address, bob.address, blob)
         sim.run()
-        assert bob.auth_failures == 1
+        assert bob.auth_failures == 2
+        assert bob.drain() == []
+
+    def test_retargeted_envelope_dropped(self, sim, net, pair):
+        """An envelope sealed for the alice-bob link, redirected to carol from
+        alice's address, fails carol's alice-carol key."""
+        alice, bob = pair
+        carol = SecureEndpoint(sim, net, "carol")
+        carol.register_peer(alice)
+        net.send(alice.address, carol.address, SecureChannelKey.between("alice", "bob").seal("hi"))
+        sim.run()
+        assert carol.auth_failures == 1
+        assert carol.drain() == []
 
     def test_replayed_datagram_is_accepted_by_base_protocol(self, sim, net, pair):
         """The AEAD layer itself does not prevent replay — documents the

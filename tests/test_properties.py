@@ -18,7 +18,7 @@ from repro.core.states import NodeState, StateTimeline
 from repro.errors import CryptoError
 from repro.hardened.chimers import Agreement, Interval, marzullo
 from repro.hardware.tsc import TimestampCounter
-from repro.net.crypto import SecureChannelKey
+from repro.net.crypto import SecureChannelKey, derive_epoch_secret
 from repro.sim import Simulator
 from repro.sim.units import SECOND
 
@@ -41,21 +41,32 @@ class TestCryptoProperties:
 
     @given(
         message=st.integers(),
-        position=st.integers(min_value=0, max_value=10_000),
-        flip=st.integers(min_value=1, max_value=255),
+        parties=st.lists(names, min_size=3, max_size=3, unique=True),
+        epochs=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        data=st.tuples(st.binary(max_size=4), st.binary(max_size=4)),
     )
     @settings(max_examples=60, deadline=None)
-    def test_any_tamper_detected(self, message, position, flip):
-        key = SecureChannelKey.between("a", "b")
-        blob = bytearray(key.seal(message))
-        blob[position % len(blob)] ^= flip
-        with pytest.raises(CryptoError):
-            key.open(bytes(blob))
+    def test_any_tamper_detected(self, message, parties, epochs, data):
+        """An envelope opens iff the pair, the epoch secret and the
+        associated data all match; any mismatch raises."""
+        a, b, c = parties
+        sender = SecureChannelKey.between(a, b)
+        sender.rekey(derive_epoch_secret(epochs[0], "cluster"), epochs[0])
+        blob = sender.seal(message, associated_data=data[0])
+        for pair in [(a, b), (b, a), (a, c), (b, c)]:
+            receiver = SecureChannelKey.between(*pair)
+            receiver.rekey(derive_epoch_secret(epochs[1], "cluster"), epochs[1])
+            matches = set(pair) == {a, b} and epochs[0] == epochs[1] and data[0] == data[1]
+            if matches:
+                assert receiver.open(blob, associated_data=data[1]) == message
+            else:
+                with pytest.raises(CryptoError):
+                    receiver.open(blob, associated_data=data[1])
 
     @given(st.lists(st.integers(min_value=0, max_value=10**12), min_size=2, max_size=8))
     @settings(max_examples=30, deadline=None)
     def test_ciphertext_size_independent_of_small_int_values(self, values):
-        """Message size must not leak field magnitudes (padding property)."""
+        """Message size must not leak field magnitudes (constant wire size)."""
         key = SecureChannelKey.between("a", "b")
         sizes = {len(key.seal({"sleep_ns": value})) for value in values}
         assert len(sizes) == 1
