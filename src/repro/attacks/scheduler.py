@@ -23,6 +23,7 @@ a later one through :func:`at` (``node-crash`` always goes through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Optional
 
@@ -122,16 +123,22 @@ class ActionKind:
     defaults: Mapping[str, Any] = field(default_factory=dict)
 
 
-def _integer(value: Any) -> bool:
+def finite(value: Any) -> bool:
+    """Not NaN or ±inf; safe for any value (ints of any size, None)."""
+    return value == value and value not in (math.inf, -math.inf)
+
+
+def integer(value: Any) -> bool:
     return type(value) is int  # bools are ints to isinstance, not here
 
 
-def _number(value: Any) -> bool:
-    return type(value) in (int, float)
+def number(value: Any) -> bool:
+    """A finite int or float: JSON's NaN and Infinity are never valid."""
+    return type(value) in (int, float) and finite(value)
 
 
 def _positive(value: Any, shape: Shape) -> bool:
-    return _number(value) and value > 0
+    return number(value) and value > 0
 
 
 def _node_list(value: Any, shape: Shape) -> bool:
@@ -143,7 +150,7 @@ def _node_list(value: Any, shape: Shape) -> bool:
 #: :func:`node_index`; window params (``duration_ms``, ``down_ms``) set
 #: the heal instant.
 _PARAMS: dict[str, tuple[Callable[[Any, Shape], bool], str]] = {
-    "offset_ticks": (lambda v, shape: _integer(v) and v != 0, "non-zero (integer ticks)"),
+    "offset_ticks": (lambda v, shape: integer(v) and v != 0, "non-zero (integer ticks)"),
     "scale": (_positive, "positive"),
     "mean_us": (_positive, "positive"),
     "delay_ms": (_positive, "positive"),
@@ -152,15 +159,15 @@ _PARAMS: dict[str, tuple[Callable[[Any, Shape], bool], str]] = {
     "mode": (lambda v, shape: v in ("fplus", "fminus"), "'fplus' or 'fminus'"),
     "victims": (_node_list, "a non-empty list"),
     "island": (_node_list, "a non-empty list of node indices"),
-    "ta": (lambda v, shape: _integer(v) and 1 <= v <= shape.ta_count, "an index in 1..{ta_count}"),
+    "ta": (lambda v, shape: integer(v) and 1 <= v <= shape.ta_count, "an index in 1..{ta_count}"),
     "name": (lambda v, shape: isinstance(v, str) and bool(v), "a non-empty string"),
-    "drop_probability": (lambda v, shape: _number(v) and 0 <= v < 1, "in [0, 1)"),
+    "drop_probability": (lambda v, shape: number(v) and 0 <= v < 1, "in [0, 1)"),
 }
 
 
 def node_index(where: str, key: str, value: Any, shape: Shape) -> int:
     """A 1-based node index inside the cluster."""
-    if not _integer(value):
+    if not integer(value):
         raise ConfigurationError(f"{where}: {key} must be an integer, got {value!r}")
     if not 1 <= value <= shape.nodes:
         raise ConfigurationError(
@@ -171,7 +178,7 @@ def node_index(where: str, key: str, value: Any, shape: Shape) -> int:
 
 def instant_ns(where: str, key: str, value: Any) -> int:
     """A non-negative instant in seconds (``t_s``, ``at_s``, ...) as integer ns."""
-    if not _number(value) or value < 0:
+    if not number(value) or value < 0:
         raise ConfigurationError(f"{where}: {key} must be a non-negative number, got {value!r}")
     return int(float(value) * SECOND)
 

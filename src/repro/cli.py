@@ -53,6 +53,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Optional
@@ -755,6 +756,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     if export and Path(export).exists() and not Path(export).is_dir():
         # Checked before any run, so a bad target costs no simulation.
         print(f"error: --export {export} exists and is not a directory", file=sys.stderr)
+        return 2
+    duration_s = getattr(args, "duration_s", None)
+    if duration_s is not None and not math.isfinite(duration_s):
+        print(f"error: --duration-s must be a finite number, got {duration_s}", file=sys.stderr)
         return 2
 
     if args.command == "list":

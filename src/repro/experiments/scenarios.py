@@ -9,9 +9,13 @@ minutes, the Fig. 1b isolated-core environment), and — for the attack
 scenarios — an F+/F− adversary at Node 3. A run's oracle allowance is
 what its attacks allow as they are applied (``docs/oracle.md``).
 
+The four ``sweep-*`` entries are the parameter sweeps' base specs: a
+fast, quiet cluster (constant 100 µs network, 4 monitor calibration
+windows, no machine-wide interrupts).
+
 Node numbering follows the paper: Nodes 1 and 2 are always honest; Node 3
 is the compromised one in attack scenarios. ``scenario_spec(name,
-seed).build()`` wires any entry, optionally with another seed;
+seed).build()`` wires any entry, optionally with another seed or other keys;
 :func:`fminus_propagation` and :func:`hardened_fminus_propagation` build
 the two Fig. 6 entries, optionally with another honest-node AEX onset.
 """
@@ -23,7 +27,7 @@ from typing import Any, Optional
 
 from repro.experiments.runner import Experiment
 from repro.experiments.spec import ExperimentSpec
-from repro.sim.units import SECOND
+from repro.sim.units import MILLISECOND, SECOND
 
 _TRIAD_LIKE = {"1": "triad-like", "2": "triad-like", "3": "triad-like"}
 _LOW_AEX = {"1": "low-aex", "2": "low-aex", "3": "low-aex"}
@@ -34,6 +38,11 @@ _FPLUS = {"type": "fplus", "victim": 3, "delay_ms": 100}
 _FMINUS = {"type": "fminus", "victim": 3, "delay_ms": 100}
 #: Honest Nodes 1 and 2 stay AEX-free until the paper's t = 104 s switch.
 _ONSET = {"type": "aex-onset", "nodes": [1, 2], "at_s": 104}
+_SWEEP = {
+    "machine_wide_mean_s": None,
+    "network_delay": {"model": "constant", "delay_us": 100},
+    "node_config": {"monitor_calibration_samples": 4},
+}
 
 #: Canonical experiment name -> spec dict (without its ``name``).
 SCENARIOS: dict[str, dict[str, Any]] = {
@@ -134,18 +143,59 @@ SCENARIOS: dict[str, dict[str, Any]] = {
         "machine_wide_mean_s": None,
         "attacks": [_FPLUS],
     },
+    # Sweep bases: each point of a sweep (repro.experiments.sweeps) is its
+    # entry with the swept keys replaced. F± tilt vs attacker delay: the
+    # victim settles 30 s, then its drift rate is fitted over 60 s.
+    "sweep-attack-delay": {**_SWEEP, "seed": 400, "duration_s": 90, "attacks": [_FMINUS]},
+    # Honest calibration error of one node vs log-normal network jitter.
+    "sweep-jitter": {
+        **_SWEEP,
+        "seed": 420,
+        "duration_s": 30,
+        "nodes": 1,
+        "network_delay": {"model": "lognormal", "median_us": 150, "sigma": 0.05},
+        "node_config": {**_SWEEP["node_config"], "monitor_enabled": False},
+    },
+    # F− infection vs cluster size: the attacker on the last node.
+    "sweep-cluster-size": {
+        **_SWEEP,
+        "seed": 440,
+        "duration_s": 180,
+        "environments": _TRIAD_LIKE,
+        "attacks": [_FMINUS],
+    },
+    # Availability vs AEX rate: every monitoring core flooded. Exchanges
+    # must fit between AEXs, so calibration sleeps {0, 50 ms} (§III-C).
+    "sweep-aex-rate": {
+        **_SWEEP,
+        "seed": 460,
+        "duration_s": 300,
+        "node_config": {
+            **_SWEEP["node_config"],
+            "calibration_sleeps_ns": [0, 50 * MILLISECOND],
+            "calibration_max_attempts": 1000,
+        },
+        "schedule": [
+            {"t_ns": 0, "primitive": "aex-flood", "params": {"node": node, "mean_us": 100_000}}
+            for node in (1, 2, 3)
+        ],
+    },
 }
 
 
 def scenario_spec(
-    name: str, seed: Optional[int] = None, switch_at_ns: Optional[int] = None
+    name: str,
+    seed: Optional[int] = None,
+    switch_at_ns: Optional[int] = None,
+    keys: Optional[dict[str, Any]] = None,
 ) -> ExperimentSpec:
     """The spec of canonical scenario ``name``.
 
     ``seed`` replaces the entry's pinned seed; ``switch_at_ns`` moves the
-    honest nodes' AEX onset of the Fig. 6 entries.
+    honest nodes' AEX onset of the Fig. 6 entries; ``keys`` replace
+    top-level keys of the entry (its ``name`` too).
     """
-    raw = {"name": name, **copy.deepcopy(SCENARIOS[name])}
+    raw = copy.deepcopy({"name": name, **SCENARIOS[name], **(keys or {})})
     if seed is not None:
         raw["seed"] = seed
     if switch_at_ns is not None:

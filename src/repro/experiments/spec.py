@@ -24,9 +24,14 @@ variant, attacks, duration — that compiles into a wired
 
 ``python -m repro run-spec my.json`` executes it and prints the standard
 drift table; ``drift_interval_s`` (default 1 s) spaces the drift samples
-behind it. Unknown keys are rejected — a typo must fail loudly, not
-silently run a different experiment. The paper's canonical scenarios are
-entries of this format (:data:`repro.experiments.scenarios.SCENARIOS`):
+behind it. ``network_delay`` replaces the paper's LAN delay profile on
+every link (``{"model": "constant", "delay_us": 100}`` or ``{"model":
+"lognormal", "median_us": 150, "sigma": 0.35}``) and ``node_config``
+overrides :class:`~repro.core.node.TriadNodeConfig` fields on every node.
+Unknown keys and non-finite numbers are rejected — a typo must fail
+loudly, not silently run a different experiment. The paper's canonical
+scenarios and the sweeps' base specs are entries of this format
+(:data:`repro.experiments.scenarios.SCENARIOS`):
 :meth:`ExperimentSpec.build` is the only place a scenario is wired.
 
 Everything a spec does to a run at an instant — the scenario-level
@@ -71,7 +76,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -82,19 +87,24 @@ from repro.attacks.scheduler import (
     apply_action,
     check_keys,
     entry_object,
+    finite,
     instant_ns,
+    integer,
     node_index,
+    number,
     syntax_keys,
     validate,
 )
 from repro.core.cluster import ClusterConfig, TriadCluster
+from repro.core.node import TriadNode, TriadNodeConfig
 from repro.errors import ConfigurationError
 from repro.experiments.runner import Experiment
 from repro.hardened.node import HardenedNodeConfig, HardenedTriadNode
 from repro.hardware.aex import ExponentialAexDelays, TriadLikeAexDelays
+from repro.net.delays import ConstantDelay, LogNormalDelay
 from repro.oracle.policy import plane_policy
 from repro.sim.kernel import Simulator
-from repro.sim.units import SECOND
+from repro.sim.units import MICROSECOND, SECOND
 
 #: Recognized protocol variants.
 PROTOCOLS = ("original", "hardened")
@@ -140,16 +150,43 @@ _SPEC_KEYS = {
     "membership",
     "churn",
     "faults",
+    "network_delay",
+    "node_config",
 }
 
 #: Top-level scalar keys -> (the type(s) their value must have, its name);
-#: bools are neither.
+#: bools are neither, and numbers must be finite.
 _SCALARS = {
     **dict.fromkeys(("seed", "nodes", "ta_count"), (numbers.Integral, "an integer")),
     **dict.fromkeys(
-        ("duration_s", "machine_wide_correlation", "drift_interval_s"), (numbers.Real, "a number")
+        ("duration_s", "machine_wide_correlation", "drift_interval_s"),
+        (numbers.Real, "a finite number"),
     ),
-    "machine_wide_mean_s": ((numbers.Real, type(None)), "a number or null"),
+    "machine_wide_mean_s": ((numbers.Real, type(None)), "a finite number or null"),
+}
+
+#: ``network_delay`` models -> (their parameter keys, the model they build).
+_DELAY_MODELS = {
+    "constant": (("delay_us",), lambda p: ConstantDelay(int(float(p["delay_us"]) * MICROSECOND))),
+    "lognormal": (
+        ("median_us", "sigma"),
+        lambda p: LogNormalDelay(int(float(p["median_us"]) * MICROSECOND), float(p["sigma"])),
+    ),
+}
+
+#: ``node_config`` fields -> the type of their default, which decides the
+#: values a spec may give them.
+_NODE_FIELDS = {f.name: type(f.default) for f in fields(TriadNodeConfig)}
+#: Default type -> (accepts(value), what an error says the value must be).
+_FIELD_RULES = {
+    bool: (lambda v: type(v) is bool, "true or false"),
+    int: (lambda v: integer(v) and v >= 0, "a non-negative integer"),
+    float: (lambda v: number(v) and v >= 0, "a non-negative finite number"),
+    tuple: (
+        lambda v: isinstance(v, list) and bool(v) and all(integer(x) and x >= 0 for x in v),
+        "a non-empty list of non-negative integers",
+    ),
+    type(None): (lambda v: v is None or integer(v) and v >= 0, "a non-negative integer or null"),
 }
 
 _CHURN_KEYS = {"absent", "schedule"}
@@ -196,6 +233,12 @@ class ExperimentSpec:
     #: partitions and loss bursts, plus the recovery contract the oracle
     #: judges after the last fault heals.
     faults: Optional[dict[str, Any]] = None
+    #: One-way delay model of every link, ``constant`` (``delay_us``) or
+    #: ``lognormal`` (``median_us``, ``sigma``); None: the paper's LAN profile.
+    network_delay: Optional[dict[str, Any]] = None
+    #: :class:`~repro.core.node.TriadNodeConfig` field overrides for every
+    #: node, on top of the protocol's default config.
+    node_config: Optional[dict[str, Any]] = None
 
     # -- construction & validation -------------------------------------------
 
@@ -204,7 +247,7 @@ class ExperimentSpec:
             raise ConfigurationError("spec needs a name")
         for key, (kind, noun) in _SCALARS.items():
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, kind):
+            if isinstance(value, bool) or not isinstance(value, kind) or not finite(value):
                 raise ConfigurationError(f"{key}: must be {noun}, got {value!r}")
         if self.duration_s <= 0:
             raise ConfigurationError(f"duration must be positive, got {self.duration_s}")
@@ -241,6 +284,38 @@ class ExperimentSpec:
         self._membership = None if self.membership is None else self._membership_plane()
         self._timed += self._churn_actions()
         self._faults = None if self.faults is None else self._fault_plan()
+        self._delay_model = None if self.network_delay is None else self._network_delay()
+        self._node_overrides = {} if self.node_config is None else self._node_config()
+
+    def _network_delay(self):
+        """Compile the ``network_delay`` block into a delay model."""
+        params = dict(entry_object("network_delay", self.network_delay, "block"))
+        model = params.pop("model", None)
+        if model not in _DELAY_MODELS:
+            raise ConfigurationError(
+                f"network_delay.model: unknown model {model!r}; choose from {sorted(_DELAY_MODELS)}"
+            )
+        keys, build = _DELAY_MODELS[model]
+        check_keys("network_delay", model, params, set(keys), set())
+        for key, value in params.items():
+            if not number(value) or value <= 0:
+                raise ConfigurationError(f"network_delay.{key}: must be positive, got {value!r}")
+        return build(params)
+
+    def _node_config(self) -> dict[str, Any]:
+        """Validate the ``node_config`` block into TriadNodeConfig field values."""
+        overrides = {}
+        for key, value in entry_object("node_config", self.node_config, "block").items():
+            if key not in _NODE_FIELDS:
+                raise ConfigurationError(
+                    f"node_config: unknown field {key!r}; choose from {sorted(_NODE_FIELDS)}"
+                )
+            kind = _NODE_FIELDS[key]
+            accepts, expected = _FIELD_RULES[kind]
+            if not accepts(value):
+                raise ConfigurationError(f"node_config.{key}: must be {expected}, got {value!r}")
+            overrides[key] = kind(value) if kind in (tuple, float) else value
+        return overrides
 
     def _membership_plane(self):
         """Lower the ``membership`` block into its (mode, config) plane scope."""
@@ -429,9 +504,9 @@ class ExperimentSpec:
 
     def build(self) -> Experiment:
         """Wire the experiment (does not run it)."""
-        protocol = {}
+        node_class, node_config = TriadNode, TriadNodeConfig()
         if self.protocol == "hardened":
-            protocol = {"node_class": HardenedTriadNode, "node_config": HardenedNodeConfig()}
+            node_class, node_config = HardenedTriadNode, HardenedNodeConfig()
         # Shared-host clusters pin one monitoring core per node; specs may
         # deploy hundreds of nodes, so the host grows beyond the paper's
         # 32 cores when needed (identical machine for nodes <= 32).
@@ -440,7 +515,9 @@ class ExperimentSpec:
             core_count=max(32, self.nodes),
             ta_count=self.ta_count,
             initial_absent=tuple(sorted(self.churn.get("absent", []))) if self.churn else (),
-            **protocol,
+            delay_model=self._delay_model,
+            node_class=node_class,
+            node_config=replace(node_config, **self._node_overrides),
         )
         sim = Simulator(seed=self.seed)
         # A membership block is an inner plane scope, winning over the policy's.

@@ -1,57 +1,37 @@
 """Parameter sweeps: how the paper's effects scale beyond its set points.
 
-The paper evaluates single parameter points (100 ms attacker delay, three
-nodes, one network). These sweeps map the surrounding space; each yields
-a list of :class:`SweepPoint` rows ready for tabulation:
+``attack-delay`` checks the F± closed form ``F_calib = F_tsc·(1 ± d/Δs)``
+end to end, ``jitter`` maps honest calibration error against network
+jitter (the paper's ±30–220 ppm band), ``cluster-size`` shows that the F−
+cascade does not dilute with more honest nodes, and ``aex-rate`` maps
+availability against the AEX rate (§IV-B).
 
-* ``attack-delay`` — F± tilt and drift rate vs injected delay
-  (validates the closed form ``F_calib = F_tsc·(1 ± d/Δs)`` end-to-end);
-* ``jitter`` — honest calibration error vs network jitter (the
-  mechanism behind the paper's ±30–220 ppm calibration band);
-* ``cluster-size`` — F− infection speed vs cluster size (the
-  propagation cascade does not dilute with more honest nodes);
-* ``aex-rate`` — availability and drift exposure vs AEX rate
-  (the availability/refresh-frequency trade-off of §IV-B).
-
-A sweep is a **point function** (``*_point`` — one self-contained
-measurement, a pure function of its arguments, in :data:`POINT_FUNCTIONS`)
-and a **task emitter** (``*_tasks`` — the grid as a list of serializable
-:class:`~repro.fleet.tasks.RunTask`, in :data:`TASK_EMITTERS`, which is
-also the CLI's list of sweeps). To run one, hand its tasks to
-:func:`run_point_tasks`: ``run_point_tasks(jitter_tasks(), jobs=4)`` fans
-the grid out over worker processes, ``jobs=1`` (the default) runs
-in-process; either way the rows are identical, because every point
-builds its own :class:`~repro.sim.kernel.Simulator` from its own seed. A
-point's ``metrics`` keys, in order, are its table's columns.
+A sweep is a row of :data:`SWEEPS`: a base ``sweep-<name>`` entry of
+:data:`~repro.experiments.scenarios.SCENARIOS`, the table value and spec
+keys a point's kwargs give, and the point's metrics. A point is that spec
+run once per seed (jitter's 8 seeds make one point), so its wiring and
+oracle allowance are the spec's own. The ``*_tasks`` emitters
+(:data:`TASK_EMITTERS`, the CLI's sweeps) give the grids as ``sweep-point``
+tasks; :func:`run_point_tasks` runs them, at any ``jobs``, into the same
+:class:`SweepPoint` rows, whose ``metrics`` keys are the table's columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from repro.analysis.metrics import DriftRecorder
 from repro.analysis.stats import drift_rate_ms_per_s
-from repro.attacks.delay import AttackMode, CalibrationDelayAttacker
-from repro.core.cluster import ClusterConfig, TA_NAME, TriadCluster
-from repro.core.node import TriadNodeConfig
+from repro.attacks.delay import AttackMode
 from repro.errors import FleetError
-from repro.fleet.cache import ResultCache
-from repro.fleet.pool import FleetPool
-from repro.fleet.tasks import RunTask
-from repro.fleet.telemetry import FleetTelemetry
-from repro.hardware.aex import ExponentialAexDelays, TriadLikeAexDelays
-from repro.net.delays import ConstantDelay, LogNormalDelay
-from repro.sim.kernel import Simulator
-from repro.sim.units import MICROSECOND, MILLISECOND, MINUTE, SECOND
+from repro.experiments.runner import Experiment
+from repro.experiments.scenarios import scenario_spec
+from repro.experiments.spec import ExperimentSpec
+from repro.fleet import FleetPool, FleetTelemetry, ResultCache, RunTask
+from repro.sim.units import MICROSECOND, MILLISECOND, MINUTE, SECOND, exact_in
 
 #: Default grids (kept as module constants so emitters and CLI agree).
-DEFAULT_ATTACK_DELAYS_NS = (
-    10 * MILLISECOND,
-    50 * MILLISECOND,
-    100 * MILLISECOND,
-    200 * MILLISECOND,
-)
+DEFAULT_ATTACK_DELAYS_NS = tuple(ms * MILLISECOND for ms in (10, 50, 100, 200))
 DEFAULT_JITTER_SIGMAS = (0.05, 0.15, 0.35, 0.7)
 DEFAULT_CLUSTER_SIZES = (3, 5, 7)
 DEFAULT_AEX_MEANS_NS = (100 * MILLISECOND, SECOND, 10 * SECOND, 60 * SECOND)
@@ -71,217 +51,146 @@ class SweepPoint:
         return [self.value] + [self.metrics.get(name, float("nan")) for name in metric_names]
 
 
-def _fast_config(**overrides) -> TriadNodeConfig:
-    defaults = dict(
-        calibration_rounds=2,
-        monitor_calibration_samples=4,
-    )
-    defaults.update(overrides)
-    return TriadNodeConfig(**defaults)
+@dataclass(frozen=True)
+class Sweep:
+    """A base ``SCENARIOS`` entry, the table's first column, and two
+    functions of a point's kwargs: ``point`` gives its value in that column
+    and the spec keys it replaces, ``metrics`` its columns from its runs."""
+
+    scenario: str
+    parameter: str
+    point: Callable[[dict], tuple[float, dict]]
+    metrics: Callable[[list[Experiment], dict], dict]
+
+    def specs(self, kwargs: dict, name: str) -> list[ExperimentSpec]:
+        """A point's runs: its spec once per seed (``seeds``, else ``seed``)."""
+        _, keys = self.point(kwargs)
+        seeds = kwargs.get("seeds", [kwargs.get("seed")])
+        keys = {**keys, "name": name}
+        return [scenario_spec(self.scenario, seed, keys=keys) for seed in seeds]
+
+    def run(self, kwargs: dict, name: str) -> SweepPoint:
+        """The ``sweep-point`` executor: run a point's specs, reduce them to its row."""
+        value, _ = self.point(kwargs)
+        specs = self.specs(kwargs, name)
+        metrics = self.metrics([spec.run() for spec in specs], kwargs)
+        return SweepPoint(self.parameter, value, metrics, sum(s.duration_ns for s in specs))
 
 
-def _as_mode(mode: AttackMode | str) -> AttackMode:
-    return AttackMode[mode] if isinstance(mode, str) else mode
+def _skew(run: Experiment, index: int) -> float:
+    """Node ``index``'s calibrated frequency over the true TSC frequency."""
+    return run.node(index).stats.latest_frequency_hz / run.cluster.machine.tsc.frequency_hz
 
 
-# -- point functions (one self-contained measurement each) -----------------------
+def _attack_delay(kw: dict) -> tuple[float, dict]:
+    """F± (``mode``) of ``delay_ns`` on node 3, for ``settle_ns`` + ``measure_ns``."""
+    mode = kw["mode"].lower().replace("_", "")  # F_PLUS -> fplus
+    attack = {"type": mode, "victim": 3, "delay_ms": exact_in(kw["delay_ns"], MILLISECOND)}
+    duration_s = exact_in(kw["settle_ns"] + kw["measure_ns"], SECOND)
+    return kw["delay_ns"] / 1e6, {"duration_s": duration_s, "attacks": [attack]}
 
 
-def attack_delay_point(
-    mode: AttackMode | str,
-    delay_ns: int,
-    seed: int = 400,
-    settle_ns: int = 30 * SECOND,
-    measure_ns: int = 60 * SECOND,
-) -> SweepPoint:
-    """Victim frequency skew and drift rate for one injected delay."""
-    mode = _as_mode(mode)
-    sim = Simulator(seed=seed)
-    cluster = TriadCluster(
-        sim,
-        ClusterConfig(
-            delay_model=ConstantDelay(100 * MICROSECOND),
-            node_config=_fast_config(),
+def _attack_delay_metrics(runs: list[Experiment], kw: dict) -> dict:
+    """The victim's skew, its closed form, and its drift rate once settled."""
+    (run,) = runs
+    start, end = kw["settle_ns"], kw["settle_ns"] + kw["measure_ns"]
+    sign = 1 if kw["mode"] == "F_PLUS" else -1
+    return {
+        "skew_measured": _skew(run, 3),
+        "skew_predicted": 1 + sign * kw["delay_ns"] / SECOND,
+        "drift_ms_per_s": drift_rate_ms_per_s(
+            [(t, d) for t, d in run.drift(3).samples if start < t <= end]
         ),
-    )
-    attacker = CalibrationDelayAttacker(
-        sim, victim_host="node-3", ta_host=TA_NAME, mode=mode, added_delay_ns=delay_ns
-    )
-    cluster.network.add_adversary(attacker)
-    if cluster.oracle is not None:  # the rule a spec's fplus/fminus attack follows
-        cluster.oracle.allow(attacker.expected_violations())
-    sim.run(until=settle_ns)
-    node = cluster.node(3)
-    samples = []
-
-    def probe():
-        while True:
-            yield sim.timeout(SECOND)
-            samples.append((sim.now, node.drift_ns()))
-
-    sim.process(probe())
-    sim.run(until=settle_ns + measure_ns)
-    skew = node.stats.latest_frequency_hz / cluster.machine.tsc.frequency_hz
-    sign = 1 if mode is AttackMode.F_PLUS else -1
-    return SweepPoint(
-        parameter="attack_delay_ms",
-        value=delay_ns / 1e6,
-        metrics={
-            "skew_measured": skew,
-            "skew_predicted": 1 + sign * delay_ns / SECOND,
-            "drift_ms_per_s": drift_rate_ms_per_s(samples),
-        },
-        sim_ns=settle_ns + measure_ns,
-    )
+    }
 
 
-def jitter_point(
-    sigma: float,
-    median_ns: int = 150 * MICROSECOND,
-    seeds: Sequence[int] = tuple(range(420, 428)),
-    settle_ns: int = 30 * SECOND,
-) -> SweepPoint:
-    """Honest calibration error spread for one jitter level (no attacks)."""
-    errors_ppm = []
-    for seed in seeds:
-        sim = Simulator(seed=seed)
-        cluster = TriadCluster(
-            sim,
-            ClusterConfig(
-                node_count=1,
-                delay_model=LogNormalDelay(median_ns=median_ns, sigma=sigma),
-                node_config=_fast_config(monitor_enabled=False),
-            ),
-        )
-        sim.run(until=settle_ns)
-        frequency = cluster.node(1).stats.latest_frequency_hz
-        errors_ppm.append((frequency / cluster.machine.tsc.frequency_hz - 1) * 1e6)
-    spread = max(errors_ppm) - min(errors_ppm)
-    mean_abs = sum(abs(e) for e in errors_ppm) / len(errors_ppm)
-    return SweepPoint(
-        parameter="jitter_sigma",
-        value=sigma,
-        metrics={"mean_abs_error_ppm": mean_abs, "error_spread_ppm": spread},
-        sim_ns=settle_ns * len(seeds),
-    )
+def _jitter(kw: dict) -> tuple[float, dict]:
+    """Log-normal network delay of ``median_ns`` and ``sigma``, for ``settle_ns``."""
+    median_us = exact_in(kw["median_ns"], MICROSECOND)
+    delay = {"model": "lognormal", "median_us": median_us, "sigma": kw["sigma"]}
+    return kw["sigma"], {"duration_s": exact_in(kw["settle_ns"], SECOND), "network_delay": delay}
 
 
-def cluster_size_point(
-    size: int,
-    seed: int = 440,
-    duration_ns: int = 3 * MINUTE,
-) -> SweepPoint:
-    """F− infection of one honest-majority size.
-
-    The original policy offers no herd immunity: however many honest
-    nodes exist, each follows the fastest clock it hears. Measures the
-    fraction of honest nodes infected (drift > 1 s) and the time until
-    the last one fell.
-    """
-    sim = Simulator(seed=seed)
-    cluster = TriadCluster(
-        sim,
-        ClusterConfig(
-            node_count=size,
-            delay_model=ConstantDelay(100 * MICROSECOND),
-            node_config=_fast_config(),
-        ),
-    )
-    for core in cluster.monitoring_cores:
-        cluster.machine.add_aex_source(core, TriadLikeAexDelays())
-    attacker = CalibrationDelayAttacker(
-        sim,
-        victim_host=f"node-{size}",
-        ta_host=TA_NAME,
-        mode=AttackMode.F_MINUS,
-    )
-    cluster.network.add_adversary(attacker)
-    if cluster.oracle is not None:  # the rule a spec's fplus/fminus attack follows
-        cluster.oracle.allow(attacker.expected_violations())
-    recorder = DriftRecorder(sim, cluster.nodes, interval_ns=SECOND)
-    sim.run(until=duration_ns)
-
-    honest = cluster.nodes[:-1]
-    infected_times = []
-    for node in honest:
-        series = recorder[node.name].samples
-        first_infected = next((t for t, d in series if d > SECOND), None)
-        if first_infected is not None:
-            infected_times.append(first_infected)
-    return SweepPoint(
-        parameter="cluster_size",
-        value=float(size),
-        metrics={
-            "honest_nodes": len(honest),
-            "infected_fraction": len(infected_times) / len(honest),
-            "last_infection_s": (
-                max(infected_times) / SECOND if infected_times else float("nan")
-            ),
-        },
-        sim_ns=duration_ns,
-    )
+def _jitter_metrics(runs: list[Experiment], kw: dict) -> dict:
+    """The lone node's calibration error over the seeds."""
+    errors_ppm = [(_skew(run, 1) - 1) * 1e6 for run in runs]
+    return {
+        "mean_abs_error_ppm": sum(abs(e) for e in errors_ppm) / len(errors_ppm),
+        "error_spread_ppm": max(errors_ppm) - min(errors_ppm),
+    }
 
 
-def aex_rate_point(
-    mean_ns: int,
-    seed: int = 460,
-    duration_ns: int = 5 * MINUTE,
-) -> SweepPoint:
-    """Availability and TA load for one mean inter-AEX delay (exponential).
-
-    Calibration exchanges must fit between AEXs: with a 100 ms mean
-    inter-AEX delay, a 1 s-sleep exchange is never AEX-free (the paper's
-    §III-C observation that inter-AEX delays bound the usable waittimes),
-    so every point calibrates with {0, 50 ms} sleeps.
-    """
-    sim = Simulator(seed=seed)
-    cluster = TriadCluster(
-        sim,
-        ClusterConfig(
-            delay_model=ConstantDelay(100 * MICROSECOND),
-            node_config=_fast_config(
-                calibration_sleeps_ns=(0, 50 * MILLISECOND),
-                calibration_max_attempts=1000,
-            ),
-        ),
-    )
-    for core in cluster.monitoring_cores:
-        cluster.machine.add_aex_source(core, ExponentialAexDelays(mean_ns))
-    sim.run(until=duration_ns)
-    node = cluster.node(1)
-    return SweepPoint(
-        parameter="mean_inter_aex_s",
-        value=mean_ns / SECOND,
-        metrics={
-            "availability": node.timeline.availability(duration_ns),
-            "aex_count": node.stats.aex_count,
-            "peer_untaints": node.stats.peer_untaints,
-            "ta_references": node.stats.ta_references,
-        },
-        sim_ns=duration_ns,
-    )
+def _cluster_size(kw: dict) -> tuple[float, dict]:
+    """``size`` Triad-like nodes, F− on the last, for ``duration_ns``."""
+    size = kw["size"]
+    return float(size), {
+        "duration_s": exact_in(kw["duration_ns"], SECOND),
+        "nodes": size,
+        "environments": {str(index): "triad-like" for index in range(1, size + 1)},
+        "attacks": [{"type": "fminus", "victim": size}],
+    }
 
 
-#: sweep name -> point function (dispatch table of the ``sweep-point`` task kind).
-POINT_FUNCTIONS = {
-    "attack-delay": attack_delay_point,
-    "jitter": jitter_point,
-    "cluster-size": cluster_size_point,
-    "aex-rate": aex_rate_point,
+def _cluster_size_metrics(runs: list[Experiment], kw: dict) -> dict:
+    """Fraction of honest nodes infected (drift > 1 s) and when the last fell."""
+    (run,) = runs
+    honest = run.cluster.nodes[:-1]
+    first = [next((t for t, d in run.recorder[n.name].samples if d > SECOND), None) for n in honest]
+    infected = [t for t in first if t is not None]
+    return {
+        "honest_nodes": len(honest),
+        "infected_fraction": len(infected) / len(honest),
+        "last_infection_s": max(infected) / SECOND if infected else float("nan"),
+    }
+
+
+def _aex_rate(kw: dict) -> tuple[float, dict]:
+    """Every monitoring core flooded with AEXs ``mean_ns`` apart, for ``duration_ns``."""
+    mean_us = exact_in(kw["mean_ns"], MICROSECOND)
+    flood = [
+        {"t_ns": 0, "primitive": "aex-flood", "params": {"node": node, "mean_us": mean_us}}
+        for node in (1, 2, 3)
+    ]
+    duration_s = exact_in(kw["duration_ns"], SECOND)
+    return kw["mean_ns"] / SECOND, {"duration_s": duration_s, "schedule": flood}
+
+
+def _aex_rate_metrics(runs: list[Experiment], kw: dict) -> dict:
+    """Node 1's availability and refresh counts."""
+    (run,) = runs
+    stats = run.node(1).stats
+    return {
+        "availability": run.availability(1),
+        "aex_count": stats.aex_count,
+        "peer_untaints": stats.peer_untaints,
+        "ta_references": stats.ta_references,
+    }
+
+
+#: sweep name -> its row (the dispatch table of the ``sweep-point`` task kind).
+SWEEPS = {
+    "attack-delay": Sweep(
+        "sweep-attack-delay", "attack_delay_ms", _attack_delay, _attack_delay_metrics
+    ),
+    "jitter": Sweep("sweep-jitter", "jitter_sigma", _jitter, _jitter_metrics),
+    "cluster-size": Sweep(
+        "sweep-cluster-size", "cluster_size", _cluster_size, _cluster_size_metrics
+    ),
+    "aex-rate": Sweep("sweep-aex-rate", "mean_inter_aex_s", _aex_rate, _aex_rate_metrics),
 }
 
 
-# -- task emitters (the same grids as serializable RunTasks) ---------------------
-
-
-def _point_task(sweep: str, name: str, seed: Optional[int], sim_ns: int, kwargs: dict) -> RunTask:
-    return RunTask(
-        kind="sweep-point",
-        name=name,
-        seed=seed,
-        duration_ns=sim_ns,
-        payload={"sweep": sweep, "kwargs": kwargs},
-    )
+def _tasks(sweep: str, seed: Optional[int], points: list[tuple[str, dict]]) -> list[RunTask]:
+    """``sweep-point`` tasks of (name, kwargs) pairs. Mapping each point's
+    kwargs rejects a value its spec cannot express before it is queued."""
+    tasks = []
+    for name, kwargs in points:
+        runs = len(kwargs.get("seeds", [None]))
+        _, keys = SWEEPS[sweep].point(kwargs)
+        duration_ns = int(keys["duration_s"] * SECOND) * runs
+        payload = {"sweep": sweep, "kwargs": kwargs}
+        tasks.append(RunTask("sweep-point", name, seed, duration_ns, payload))
+    return tasks
 
 
 def attack_delay_tasks(
@@ -291,23 +200,12 @@ def attack_delay_tasks(
     settle_ns: int = 30 * SECOND,
     measure_ns: int = 60 * SECOND,
 ) -> list[RunTask]:
-    mode_name = _as_mode(mode).name
-    return [
-        _point_task(
-            "attack-delay",
-            f"attack-delay/{mode_name}/{delay_ns / 1e6:g}ms",
-            seed,
-            settle_ns + measure_ns,
-            {
-                "mode": mode_name,
-                "delay_ns": int(delay_ns),
-                "seed": seed,
-                "settle_ns": settle_ns,
-                "measure_ns": measure_ns,
-            },
-        )
-        for delay_ns in delays_ns
-    ]
+    mode = (AttackMode[mode] if isinstance(mode, str) else mode).name
+    timing = {"seed": seed, "settle_ns": settle_ns, "measure_ns": measure_ns}
+    return _tasks("attack-delay", seed, [
+        (f"attack-delay/{mode}/{d / 1e6:g}ms", {"mode": mode, "delay_ns": int(d), **timing})
+        for d in delays_ns
+    ])
 
 
 def jitter_tasks(
@@ -318,41 +216,21 @@ def jitter_tasks(
     settle_ns: int = 30 * SECOND,
 ) -> list[RunTask]:
     """``seeds`` wins when given; else 8 seeds starting at ``seed`` (default 420)."""
-    if seeds is None:
-        base = 420 if seed is None else seed
-        seeds = tuple(range(base, base + 8))
-    return [
-        _point_task(
-            "jitter",
-            f"jitter/sigma={sigma:g}",
-            seeds[0],
-            settle_ns * len(seeds),
-            {
-                "sigma": sigma,
-                "median_ns": median_ns,
-                "seeds": [int(s) for s in seeds],
-                "settle_ns": settle_ns,
-            },
-        )
-        for sigma in sigmas
-    ]
+    base = 420 if seed is None else seed
+    seeds = [int(s) for s in (range(base, base + 8) if seeds is None else seeds)]
+    fixed = {"median_ns": median_ns, "seeds": seeds, "settle_ns": settle_ns}
+    return _tasks("jitter", seeds[0], [
+        (f"jitter/sigma={sigma:g}", {"sigma": sigma, **fixed}) for sigma in sigmas
+    ])
 
 
 def cluster_size_tasks(
-    sizes: Sequence[int] = DEFAULT_CLUSTER_SIZES,
-    seed: int = 440,
-    duration_ns: int = 3 * MINUTE,
+    sizes: Sequence[int] = DEFAULT_CLUSTER_SIZES, seed: int = 440, duration_ns: int = 3 * MINUTE
 ) -> list[RunTask]:
-    return [
-        _point_task(
-            "cluster-size",
-            f"cluster-size/{size}",
-            seed,
-            duration_ns,
-            {"size": int(size), "seed": seed, "duration_ns": duration_ns},
-        )
-        for size in sizes
-    ]
+    fixed = {"seed": seed, "duration_ns": duration_ns}
+    return _tasks("cluster-size", seed, [
+        (f"cluster-size/{size}", {"size": int(size), **fixed}) for size in sizes
+    ])
 
 
 def aex_rate_tasks(
@@ -360,16 +238,10 @@ def aex_rate_tasks(
     seed: int = 460,
     duration_ns: int = 5 * MINUTE,
 ) -> list[RunTask]:
-    return [
-        _point_task(
-            "aex-rate",
-            f"aex-rate/{mean_ns / SECOND:g}s",
-            seed,
-            duration_ns,
-            {"mean_ns": int(mean_ns), "seed": seed, "duration_ns": duration_ns},
-        )
-        for mean_ns in mean_delays_ns
-    ]
+    fixed = {"seed": seed, "duration_ns": duration_ns}
+    return _tasks("aex-rate", seed, [
+        (f"aex-rate/{m / SECOND:g}s", {"mean_ns": int(m), **fixed}) for m in mean_delays_ns
+    ])
 
 
 #: sweep name -> task emitter (what the CLI fans out).
@@ -394,19 +266,8 @@ def run_point_tasks(
     all-or-nothing: a table with silently missing rows would be worse
     than no table).
     """
-    pool = pool or FleetPool(jobs=jobs)
-    results = pool.run(tasks, cache=cache, telemetry=telemetry)
-    points = []
+    results = (pool or FleetPool(jobs=jobs)).run(tasks, cache=cache, telemetry=telemetry)
     for task, result in zip(tasks, results):
         if not result.ok:
             raise FleetError(f"sweep task {task.name!r} failed: {result.error}")
-        raw = result.value["point"]
-        points.append(
-            SweepPoint(
-                parameter=raw["parameter"],
-                value=raw["value"],
-                metrics=dict(raw["metrics"]),
-                sim_ns=int(raw.get("sim_ns", 0)),
-            )
-        )
-    return points
+    return [SweepPoint(**result.value["point"]) for result in results]

@@ -27,6 +27,7 @@ from repro.attacks.scheduler import (
     apply_action,
     entry_object,
     instant_ns,
+    number,
     syntax_keys,
     validate,
 )
@@ -90,11 +91,7 @@ class FaultPlan:
             raise ConfigurationError(f"faults: unknown keys {sorted(unknown)}")
 
         deadline_s = raw.get("recovery_deadline_s", DEFAULT_RECOVERY_DEADLINE_S)
-        if (
-            isinstance(deadline_s, bool)
-            or not isinstance(deadline_s, (int, float))
-            or not deadline_s > 0
-        ):
+        if not number(deadline_s) or deadline_s <= 0:
             raise ConfigurationError(
                 f"faults.recovery_deadline_s: must be a positive number, got {deadline_s!r}"
             )
@@ -189,7 +186,7 @@ def _validate_retry(raw: Any) -> dict[str, Any]:
         field_name, convert = _RETRY_FIELDS[key]
         try:
             converted = convert(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"faults.retry.{key}: {exc}") from exc
         overrides[field_name] = converted
     factor = overrides.get("retry_backoff_factor")

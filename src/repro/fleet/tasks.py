@@ -194,26 +194,14 @@ def result_violations(value: Any) -> list[dict]:
 
 @register_runner("sweep-point")
 def _run_sweep_point(task: RunTask) -> dict:
-    """Execute one sweep point (see ``repro.experiments.sweeps``)."""
-    from repro.experiments import sweeps
+    """Run one sweep point's specs and reduce them (see ``repro.experiments.sweeps``)."""
+    from repro.experiments.sweeps import SWEEPS
 
-    sweep_name = task.payload.get("sweep")
-    point_fn = sweeps.POINT_FUNCTIONS.get(sweep_name)
-    if point_fn is None:
-        raise FleetError(
-            f"unknown sweep {sweep_name!r}; choose from {sorted(sweeps.POINT_FUNCTIONS)}"
-        )
-    kwargs = dict(task.payload.get("kwargs", {}))
-    point = point_fn(**kwargs)
-    return {
-        "point": {
-            "parameter": point.parameter,
-            "value": point.value,
-            "metrics": dict(point.metrics),
-            "sim_ns": point.sim_ns,
-        },
-        "sim_ns": point.sim_ns,
-    }
+    sweep = task.payload.get("sweep")
+    if sweep not in SWEEPS:
+        raise FleetError(f"unknown sweep {sweep!r}; choose from {sorted(SWEEPS)}")
+    point = SWEEPS[sweep].run(dict(task.payload.get("kwargs", {})), task.name)
+    return {"point": asdict(point), "sim_ns": point.sim_ns}
 
 
 @register_runner("spec")

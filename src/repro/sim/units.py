@@ -12,6 +12,10 @@ encoded; all other modules import them instead of hard-coding powers of ten.
 
 from __future__ import annotations
 
+import math
+
+from repro.errors import ConfigurationError
+
 #: One nanosecond (the kernel's base tick).
 NANOSECOND: int = 1
 #: One microsecond in nanoseconds.
@@ -49,6 +53,16 @@ def to_seconds(value_ns: int) -> float:
 def to_milliseconds(value_ns: int) -> float:
     """Convert integer nanoseconds to floating-point milliseconds."""
     return value_ns / MILLISECOND
+
+
+def exact_in(value_ns: int, unit: int) -> float:
+    """``value_ns`` as a float count of ``unit`` that specs turn back into
+    exactly ``value_ns`` (they truncate ``value * unit``); an error if none does."""
+    value = value_ns / unit
+    for candidate in (value, math.nextafter(value, math.inf)):
+        if int(candidate * unit) == value_ns:
+            return candidate
+    raise ConfigurationError(f"{value_ns} ns has no exact value in units of {unit} ns")
 
 
 def format_duration(value_ns: int) -> str:

@@ -8,7 +8,8 @@ import pytest
 from repro.attacks.delay import CalibrationDelayAttacker
 from repro.errors import ConfigurationError
 from repro.experiments.spec import ExperimentSpec
-from repro.hardened.node import HardenedTriadNode
+from repro.hardened.node import HardenedNodeConfig, HardenedTriadNode
+from repro.net.delays import ConstantDelay, LogNormalDelay
 from repro.oracle.policy import oracle_policy
 from repro.sim import units
 
@@ -177,6 +178,59 @@ def _entry(**overrides):
     }
     entry.update(overrides)
     return entry
+
+
+class TestClusterWideKeys:
+    """``network_delay`` and ``node_config`` replace cluster-wide defaults."""
+
+    def test_constant_network_delay(self):
+        spec = minimal_spec(network_delay={"model": "constant", "delay_us": 100})
+        model = spec.build().cluster.config.delay_model
+        assert isinstance(model, ConstantDelay)
+        assert model.delay_ns == 100 * units.MICROSECOND
+
+    def test_lognormal_network_delay(self):
+        spec = minimal_spec(network_delay={"model": "lognormal", "median_us": 150, "sigma": 0.35})
+        model = spec.build().cluster.config.delay_model
+        assert isinstance(model, LogNormalDelay)
+        assert (model.median_ns, model.sigma) == (150 * units.MICROSECOND, 0.35)
+
+    def test_node_config_reaches_every_node(self):
+        spec = minimal_spec(
+            node_config={"monitor_calibration_samples": 4, "calibration_sleeps_ns": [0, 50_000_000]}
+        )
+        for node in spec.build().cluster.nodes:
+            assert node.config.monitor_calibration_samples == 4
+            assert node.config.calibration_sleeps_ns == (0, 50_000_000)
+
+    def test_node_config_overrides_the_hardened_config(self):
+        spec = minimal_spec(protocol="hardened", node_config={"monitor_enabled": False})
+        config = spec.build().cluster.nodes[0].config
+        assert isinstance(config, HardenedNodeConfig)
+        assert config.monitor_enabled is False
+
+    def test_both_keys_survive_json_round_trip(self):
+        spec = minimal_spec(
+            network_delay={"model": "constant", "delay_us": 50},
+            node_config={"ta_fetch_attempt_budget": None, "retry_backoff_factor": 2},
+        )
+        assert ExperimentSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"network_delay": {"model": "constant"}}, "missing keys"),
+            ({"network_delay": {"model": "constant", "delay_us": 1, "x": 2}}, "unknown keys"),
+            ({"network_delay": {"model": "lognormal", "median_us": 1, "sigma": 0}}, "sigma"),
+            ({"node_config": {"calibration_sleeps_ns": []}}, "calibration_sleeps_ns"),
+            ({"node_config": {"calibration_rounds": True}}, "calibration_rounds"),
+            ({"node_config": {"retry_jitter": float("nan")}}, "retry_jitter"),
+            ({"node_config": [1]}, "node_config"),
+        ],
+    )
+    def test_bad_values_name_the_key(self, overrides, message):
+        with pytest.raises(ConfigurationError, match=message):
+            minimal_spec(**overrides)
 
 
 class TestScheduleValidation:

@@ -1,9 +1,14 @@
 """Tests for parameter-sweep utilities (small, fast configurations)."""
 
+import dataclasses
+
 import pytest
 
 from repro.attacks.delay import AttackMode
+from repro.errors import ConfigurationError
+from repro.experiments.scenarios import SCENARIOS
 from repro.experiments.sweeps import (
+    SWEEPS,
     SweepPoint,
     aex_rate_tasks,
     attack_delay_tasks,
@@ -65,3 +70,45 @@ class TestAexRateSweep:
         )
         assert points[0].metrics["availability"] <= points[1].metrics["availability"]
         assert points[0].metrics["aex_count"] > points[1].metrics["aex_count"]
+
+
+def _specs(task):
+    """The specs a ``sweep-point`` task runs."""
+    return SWEEPS[task.payload["sweep"]].specs(task.payload["kwargs"], task.name)
+
+
+class TestPointSpecs:
+    """A point is its sweep's base spec with the swept keys replaced."""
+
+    def test_jitter_point_is_one_spec_over_its_eight_seeds(self):
+        (task,) = jitter_tasks(sigmas=(0.1,))
+        specs = _specs(task)
+        assert [spec.seed for spec in specs] == list(range(420, 428))
+        unseeded = dataclasses.replace(specs[0], seed=0)
+        assert all(dataclasses.replace(spec, seed=0) == unseeded for spec in specs)
+
+    def test_cluster_size_point_replaces_the_swept_keys(self):
+        (task,) = cluster_size_tasks(sizes=(5,))
+        (spec,) = _specs(task)
+        assert (spec.name, spec.seed, spec.nodes) == ("cluster-size/5", 440, 5)
+        assert spec.attacks == [{"type": "fminus", "victim": 5}]
+        assert spec.node_config == SCENARIOS["sweep-cluster-size"]["node_config"]
+
+
+class TestExactValues:
+    """Specs write ns kwargs in ms, µs or s and truncate them back, so a
+    naive conversion turns 2_013_632 ns into 2_013_631 ns."""
+
+    def test_an_arbitrary_attack_delay_reaches_the_attacker(self):
+        (task,) = attack_delay_tasks(delays_ns=(2_013_632,))
+        (spec,) = _specs(task)
+        assert spec.build().attackers[0].added_delay_ns == 2_013_632
+
+    def test_an_arbitrary_jitter_median_reaches_the_delay_model(self):
+        (task,) = jitter_tasks(sigmas=(0.1,), median_ns=128_003, seeds=(1,))
+        (spec,) = _specs(task)
+        assert spec.build().cluster.config.delay_model.median_ns == 128_003
+
+    def test_a_delay_without_an_exact_value_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="no exact value"):
+            attack_delay_tasks(delays_ns=(2**60 + 1,))

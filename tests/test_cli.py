@@ -254,6 +254,60 @@ _BAD_SPECS = {
     "nodes-string": ({"name": "x", "nodes": "3"}, "nodes"),
     "seed-bool": ({"name": "x", "seed": True}, "seed"),
     "duration-string": ({"name": "x", "duration_s": "5"}, "duration_s"),
+    # Non-finite numbers are wrong values, not crashes.
+    "duration-nan": ({"name": "x", "duration_s": float("nan")}, "duration_s"),
+    "duration-infinity": ({"name": "x", "duration_s": float("inf")}, "duration_s"),
+    "drift-interval-nan": ({"name": "x", "drift_interval_s": float("nan")}, "drift_interval_s"),
+    "machine-wide-infinity": (
+        {"name": "x", "machine_wide_mean_s": float("inf")},
+        "machine_wide_mean_s",
+    ),
+    "at-s-nan": (
+        {"name": "x", "attacks": [{"type": "tsc-scale", "scale": 1.1, "at_s": float("nan")}]},
+        "at_s",
+    ),
+    "start-s-infinity": (
+        {"name": "x", "attacks": [{"type": "ta-blackhole", "start_s": float("inf")}]},
+        "start_s",
+    ),
+    "t-s-nan": (
+        {"name": "x", "churn": {"schedule": [{"t_s": float("nan"), "node": 1, "action": "leave"}]}},
+        "t_s",
+    ),
+    "delay-ms-infinity": (
+        {"name": "x", "attacks": [{"type": "fminus", "victim": 3, "delay_ms": float("inf")}]},
+        "delay_ms",
+    ),
+    "down-ms-infinity": (
+        {
+            "name": "x",
+            "faults": {
+                "schedule": [{"t_s": 5, "kind": "node-crash", "node": 1, "down_ms": float("inf")}]
+            },
+        },
+        "down_ms",
+    ),
+    # The cluster-wide keys name themselves (and the field or parameter).
+    "node-config-unknown-field": (
+        {"name": "x", "node_config": {"monitor_samples": 4}},
+        "node_config: unknown field 'monitor_samples'",
+    ),
+    "node-config-wrong-type": (
+        {"name": "x", "node_config": {"monitor_enabled": "no"}},
+        "node_config.monitor_enabled",
+    ),
+    "network-delay-unknown-model": (
+        {"name": "x", "network_delay": {"model": "pareto"}},
+        "network_delay.model",
+    ),
+    "network-delay-zero": (
+        {"name": "x", "network_delay": {"model": "constant", "delay_us": 0}},
+        "network_delay.delay_us",
+    ),
+    "network-delay-negative-sigma": (
+        {"name": "x", "network_delay": {"model": "lognormal", "median_us": 150, "sigma": -0.1}},
+        "network_delay.sigma",
+    ),
 }
 
 
@@ -264,14 +318,14 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "command, case",
         [(command, case) for command in ("run-spec", "batch") for case in _BAD_SPECS]
-        + [("run", None)],
+        + [("run", None), ("run", "nan")],
     )
     def test_reports_the_error_without_a_traceback(self, capsys, tmp_path, command, case):
         import json
 
         path = tmp_path / "bad.json"
         if command == "run":
-            argv, code, word = ["run", "fig6", "--duration-s", "0"], 2, "duration"
+            argv, code, word = ["run", "fig6", "--duration-s", case or "0"], 2, "duration"
             prefix = "error: "
         else:
             raw, word = _BAD_SPECS[case]
@@ -284,7 +338,7 @@ class TestBadInput:
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith(prefix) and word in err
-        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("case", ["run-spec-missing", "run-spec-directory", "batch-directory"])
     def test_unreadable_spec_path_is_one_error_line(self, capsys, tmp_path, case):

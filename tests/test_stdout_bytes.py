@@ -8,6 +8,10 @@ hashes were taken before the figure registry moved onto the
 ``SCENARIOS`` entries and must not move with any change that claims to
 keep the CLI's behaviour. CI's ``scenarios-strict`` job checks the same
 commands with ``sha256sum``.
+
+The full default grid of every sweep is pinned too, as the CSV that
+``sweep <name> --export DIR`` writes: every row of each table. Those
+hashes were taken before sweep points became spec runs.
 """
 
 import hashlib
@@ -45,3 +49,20 @@ def test_stdout_is_pinned(capsys, command):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED[command]
+
+
+#: ``sweep <name> --no-cache --export DIR`` -> sha256 of ``DIR/sweep_<name>.csv``.
+GRID_CSVS = {
+    "attack-delay": "690e4945de14a3585da02af361fc0cdd6baef2352b33c34c0e6c6b8e3532a028",
+    "jitter": "728836debf6578458b43d49b847b008af4f2f094be700a3864771d32c86f65e7",
+    "cluster-size": "862ab75b540d6ec124e7d6abfbcfd2aa5dacd8f896366d129be4e732ddaa4618",
+    "aex-rate": "11a08c94b5c8727784b885ad6fc033425748d2ba14a8e4325eab68de43705a36",
+}
+
+
+@pytest.mark.parametrize("sweep", list(GRID_CSVS))
+def test_full_sweep_grid_csv_is_pinned(capsys, tmp_path, sweep):
+    assert main(["sweep", sweep, "--no-cache", "--export", str(tmp_path)]) == 0
+    capsys.readouterr()
+    csv = (tmp_path / f"sweep_{sweep}.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == GRID_CSVS[sweep]
