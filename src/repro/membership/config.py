@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any
 
+from repro.attacks.scheduler import finite
 from repro.errors import ConfigurationError
 from repro.sim.units import MILLISECOND, SECOND
 
@@ -78,6 +79,8 @@ class MembershipConfig:
     key_label: str = "cluster"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            self._require(finite(getattr(self, f.name)), f.name, "must be a finite number")
         self._require(self.epoch_s > 0, "epoch_s", "must be positive")
         self._require(
             self.probe_interval_ms > 0, "probe_interval_ms", "must be positive"

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Optional
 
+from repro.attacks.scheduler import finite
 from repro.errors import ConfigurationError
 from repro.sim.units import MILLISECOND, MICROSECOND, SECOND
 
@@ -88,6 +89,8 @@ class ServiceConfig:
     breaker_cooldown_ms: float = 2000.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            self._require(finite(getattr(self, f.name)), f.name, "must be a finite number")
         self._require(self.sessions >= 1, "sessions", "need at least one session")
         self._require(
             self.arrival in ARRIVAL_MODELS,

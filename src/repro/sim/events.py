@@ -1,7 +1,7 @@
 """Event primitives for the discrete-event kernel.
 
 The kernel (:mod:`repro.sim.kernel`) schedules :class:`Event` objects on a
-calendar queue keyed by simulated time. Processes (generator coroutines,
+heap of ticks keyed by simulated time. Processes (generator coroutines,
 see :mod:`repro.sim.process`) suspend by yielding events and resume when the
 yielded event fires.
 
@@ -100,7 +100,7 @@ class Event:
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        # The kernel's calendar has exactly one ring per priority 0..2.
+        # Each kernel tick has exactly one FIFO per priority 0..2.
         if type(cls.priority) is not int or not 0 <= cls.priority <= 2:
             raise SimulationError(
                 f"{cls.__name__}.priority must be an int in 0..2, got {cls.priority!r}"

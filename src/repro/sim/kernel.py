@@ -20,30 +20,22 @@ Typical usage::
 
 Queue design (see ``docs/kernel.md`` for the full story)
 --------------------------------------------------------
-The queue is a *calendar* of ``_SLOTS`` one-nanosecond buckets covering the
-window ``[epoch, epoch + _SLOTS)``, one FIFO list per (tick, priority) pair,
-plus an overflow heap for events outside the window or behind the drain
-cursor. Near-future scheduling — the overwhelmingly common case for protocol
-timeouts and AEX arrivals — is a list append; draining walks an occupancy
-bytearray with ``bytes.find`` (memchr speed) to skip empty slots. When the
-window empties, the calendar rebases onto the next heap event and migrates
-everything that now fits.
+The queue is a *heap of ticks*: ``_slots`` maps each occupied tick to three
+FIFO lists, one per priority (each ``None`` until used), and ``_ticks`` is
+a heapq of the slots' keys. Scheduling is a ``dict.get`` and a list append;
+only the first event at a new tick pays a ``heappush`` of an int. Draining
+takes the smallest tick and walks its FIFOs in priority order.
 
-Ordering is preserved because a heap entry for tick ``T`` is always *older*
-(scheduled earlier in wall order) than any ring append at ``T``: events go
-to the heap only while ``T`` is outside the window or behind the cursor, the
-window start and cursor only move forward, and rebase migrates heap entries
-(in heap order) before any new ring append at those ticks can happen. Late
-heap entries — scheduled behind the cursor between ``run()`` calls — are
-drained before the calendar's next slot.
+Ordering needs no further argument: every append happens in wall order, so
+each FIFO holds its (tick, priority) events in schedule order, and draining
+a tick's FIFOs in priority order *is* ``(time, priority, seq)`` order.
 
 Determinism contract: within one tick, events process in ascending priority
 (0 = Timeout, 1 = Event, 2 = Process completion), FIFO within a priority.
-This is exactly the old ``(time, priority, seq)`` heap order. No other
-priority exists: defining an :class:`~repro.sim.events.Event` subclass
-with a priority outside 0..2 raises
-:class:`~repro.sim.events.SimulationError`, so the three rings order every
-event the kernel can see.
+No other priority exists: defining an :class:`~repro.sim.events.Event`
+subclass with a priority outside 0..2 raises
+:class:`~repro.sim.events.SimulationError`, so a tick's three FIFOs order
+every event the kernel can see.
 """
 
 from __future__ import annotations
@@ -66,11 +58,6 @@ from repro.sim.events import (
 )
 from repro.sim.process import Process, ProcessGenerator
 from repro.sim.rng import RngRegistry
-
-#: Width of the calendar window in nanosecond ticks. Wide enough that the
-#: per-node protocol cadence (µs-scale local steps) stays on the fast path;
-#: ms-scale gaps go through a rebase, which lands the next event at slot 0.
-_SLOTS = 8192
 
 _object_new = object.__new__
 
@@ -97,19 +84,12 @@ class Simulator:
 
     def __init__(self, seed: int = 0) -> None:
         self._now: int = 0
-        # Calendar window [epoch, epoch + _SLOTS): one FIFO bucket list per
-        # (tick, priority), occupancy bytearray for memchr-speed skipping.
-        self._epoch: int = 0
-        self._cursor: int = 0
-        self._ring0: list = [None] * _SLOTS  # priority 0: Timeout
-        self._ring1: list = [None] * _SLOTS  # priority 1: Event
-        self._ring2: list = [None] * _SLOTS  # priority 2: Process completion
-        self._occ = bytearray(_SLOTS)
-        # Overflow heap of (time, priority, seq, event). Its identity is
-        # stable for the simulator's lifetime (compaction edits in place),
-        # so hot loops may cache it in a local.
-        self._heap: list[tuple[int, int, int, Event]] = []
-        self._seq: int = 0
+        # tick -> [fifo0, fifo1, fifo2] (Timeout, Event, Process completion),
+        # each None until used; _ticks is a heapq of the keys. Both keep
+        # their identity for the simulator's lifetime (compaction edits in
+        # place), so hot loops may cache them in locals.
+        self._slots: dict[int, list] = {}
+        self._ticks: list[int] = []
         self._cancelled: int = 0
         # Timeout freelist: processed timeouts with no surviving references
         # (checked via sys.getrefcount) are reinitialized in place by
@@ -160,18 +140,14 @@ class Simulator:
             t._waiter = None
             t._callbacks = None
         time = self._now + delay
-        rel = time - self._epoch
-        if self._cursor <= rel < _SLOTS:
-            ring0 = self._ring0
-            bucket = ring0[rel]
-            if bucket is None:
-                ring0[rel] = [t]
-                self._occ[rel] = 1
-            else:
-                bucket.append(t)
+        slot = self._slots.get(time)
+        if slot is None:
+            self._slots[time] = [[t], None, None]
+            heappush(self._ticks, time)
+        elif (fifo := slot[0]) is None:
+            slot[0] = [t]
         else:
-            self._seq += 1
-            heappush(self._heap, (time, 0, self._seq, t))
+            fifo.append(t)
         return t
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
@@ -208,173 +184,106 @@ class Simulator:
         """Enqueue a triggered event for processing after ``delay`` ns."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        prio = event.priority
         time = self._now + delay
-        rel = time - self._epoch
-        if self._cursor <= rel < _SLOTS:
-            ring = self._ring0 if prio == 0 else (self._ring1 if prio == 1 else self._ring2)
-            bucket = ring[rel]
-            if bucket is None:
-                ring[rel] = [event]
-                self._occ[rel] = 1
-            else:
-                bucket.append(event)
+        slot = self._slots.get(time)
+        if slot is None:
+            slot = self._slots[time] = [None, None, None]
+            heappush(self._ticks, time)
+        prio = event.priority
+        fifo = slot[prio]
+        if fifo is None:
+            slot[prio] = [event]
         else:
-            self._seq += 1
-            heappush(self._heap, (time, prio, self._seq, event))
+            fifo.append(event)
 
     # -- cancelled-event reaping ----------------------------------------------
 
     def _note_cancelled(self) -> None:
         """Account one cancelled (dead) queued event; compact when worth it.
 
-        Compaction rewrites the heap without dead entries so long
-        blackhole/net-delay scenarios cannot grow the queue without bound.
-        It is skipped while trace hooks are attached: the oracle's golden
-        traces depend on the exact event-instant stream, and reaping would
-        remove the (otherwise inert) hook invocations at dead-timeout ticks.
+        Compaction filters dead entries out of the queue so long
+        blackhole/net-delay scenarios cannot grow it without bound. It is
+        skipped while trace hooks are attached: the oracle's golden traces
+        depend on the exact event-instant stream, and reaping would remove
+        the (otherwise inert) hook invocations at dead-timeout ticks.
         """
         self._cancelled += 1
         if (
             self._cancelled >= 512
-            and self._cancelled * 2 >= len(self._heap)
+            and self._cancelled * 2 >= len(self._slots)
             and not self._trace_hooks
         ):
-            self._compact_heap()
+            self._compact()
 
-    def _compact_heap(self) -> None:
-        heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[3]._state & ST_DEAD]
-        heapify(heap)
+    def _compact(self) -> None:
+        """Drop dead entries from every tick but the one being drained.
+
+        ``_run`` holds read positions into the current tick's FIFOs, so
+        that tick (``now``) is left as it is; every other tick keeps only
+        its live entries and is removed when none remain.
+        """
+        slots = self._slots
+        for time, slot in list(slots.items()):
+            if time == self._now:
+                continue
+            for prio, fifo in enumerate(slot):
+                if fifo:
+                    slot[prio] = [event for event in fifo if not event._state & ST_DEAD] or None
+            if not any(slot):
+                del slots[time]
+        ticks = self._ticks
+        ticks[:] = slots
+        heapify(ticks)
         self._cancelled = 0
+
+    def _drop_dead_ticks(self) -> None:
+        """Pop leading ticks that hold only dead entries."""
+        slots = self._slots
+        ticks = self._ticks
+        while ticks:
+            slot = slots[ticks[0]]
+            if not all(event._state & ST_DEAD for fifo in slot if fifo for event in fifo):
+                return
+            self._cancelled -= sum(len(fifo) for fifo in slot if fifo)
+            del slots[heappop(ticks)]
 
     # -- queue introspection ----------------------------------------------------
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the queue is empty."""
-        t_heap = self._heap[0][0] if self._heap else None
-        idx = self._occ.find(1, self._cursor)
-        if idx >= 0:
-            t_ring = self._epoch + idx
-            if t_heap is None or t_ring <= t_heap:
-                return t_ring
-        return t_heap
+        return self._ticks[0] if self._ticks else None
 
     # -- the event loop ---------------------------------------------------------
 
-    def _rebase(self) -> None:
-        """Move the window to the next heap event; migrate what now fits.
-
-        Caller guarantees the rings are empty and the heap is not.
-        """
-        heap = self._heap
-        epoch = self._epoch = heap[0][0]
-        self._cursor = 0
-        horizon = epoch + _SLOTS
-        occ = self._occ
-        rings = (self._ring0, self._ring1, self._ring2)
-        while heap and heap[0][0] < horizon:
-            time, prio, _seq, event = heappop(heap)
-            rel = time - epoch
-            ring = rings[prio]
-            bucket = ring[rel]
-            if bucket is None:
-                ring[rel] = [event]
-            else:
-                bucket.append(event)
-            occ[rel] = 1
-
-    def _suspend_slot(self, idx: int, i0: int, i1: int, i2: int) -> None:
-        """Drop the processed prefix of slot ``idx`` after an early exit."""
-        remaining = 0
-        for count, ring in ((i0, self._ring0), (i1, self._ring1), (i2, self._ring2)):
-            bucket = ring[idx]
-            if bucket is not None:
-                if count:
-                    del bucket[:count]
-                if bucket:
-                    remaining += len(bucket)
-                else:
-                    ring[idx] = None
-        if remaining:
-            self._occ[idx] = 1
-            self._cursor = idx
-        else:
-            self._occ[idx] = 0
-            self._cursor = idx + 1
-
-    def _drain_late_heap(self, t_ring: int, limit: Optional[int], stop: Optional[Event]) -> bool:
-        """Process heap entries older than the next calendar slot.
-
-        Late entries appear when code outside the event loop schedules at a
-        tick the drain cursor has already passed (e.g. ``succeed()`` between
-        two ``run()`` calls). Returns True when ``stop`` fired.
-        """
-        heap = self._heap
-        trace_hooks = self._trace_hooks
-        while heap and heap[0][0] < t_ring:
-            when = heap[0][0]
-            if limit is not None and when > limit:
-                return False
-            _, _, _, event = heappop(heap)
-            if not trace_hooks and event._state & ST_DEAD:
-                self._cancelled -= 1
-                continue
-            self._now = when
-            event._process()
-            if trace_hooks:
-                for hook in tuple(trace_hooks):
-                    hook(when)
-            if not event._state & ST_OK and not event._state & ST_DEFUSED:
-                raise event._value
-            if stop is not None and stop._state & ST_PROCESSED:
-                return True
-        return False
+    def _suspend(self, time: int, slot: list, i0: int, i1: int, i2: int) -> None:
+        """Drop the processed prefix of tick ``time`` after an early exit."""
+        for prio, count in enumerate((i0, i1, i2)):
+            if count:
+                del slot[prio][:count]
+        if not any(slot):
+            del self._slots[time]
+            heappop(self._ticks)
 
     def _run(self, limit: Optional[int], stop: Optional[Event]) -> None:
         """Drain events until the queue empties, ``limit`` is passed, or
         ``stop`` is processed. The workhorse behind :meth:`run`.
         """
-        occ = self._occ
-        ring0 = self._ring0
-        ring1 = self._ring1
-        ring2 = self._ring2
-        heap = self._heap
+        slots = self._slots
+        ticks = self._ticks
         trace_hooks = self._trace_hooks
         free_append = self._free.append
-        while True:
-            # Find the next occupied tick.
-            idx = occ.find(1, self._cursor)
-            if idx < 0:
-                # Skip dead (cancelled) heap entries outright when nothing
-                # observes event instants; with hooks attached they must
-                # still produce their hook tick, so they migrate normally.
-                if not trace_hooks:
-                    while heap and heap[0][3]._state & ST_DEAD:
-                        heappop(heap)
-                        self._cancelled -= 1
-                if not heap:
-                    return
-                if limit is not None and heap[0][0] > limit:
-                    return
-                # Rebase puts the next event at rel 0: no re-find needed.
-                self._rebase()
-                idx = 0
-            t = self._epoch + idx
-            if heap and heap[0][0] < t:
-                # Late entries scheduled behind the cursor run first.
-                if limit is not None and heap[0][0] > limit:
-                    return
-                if self._drain_late_heap(t, limit, stop):
-                    return
-                continue
+        while ticks:
+            t = ticks[0]
             if limit is not None and t > limit:
-                self._cursor = idx
+                # Cancelled guards must not outlive the run as queued ticks.
+                if not trace_hooks:
+                    self._drop_dead_ticks()
                 return
             self._now = t
-            # Drain slot `idx` in priority order, FIFO within a priority.
-            # Buckets may appear or grow *while* we drain (same-tick
-            # scheduling), so on an apparently-exhausted ring each branch
+            slot = slots[t]
+            # Drain tick `t` in priority order, FIFO within a priority.
+            # FIFOs may appear or grow *while* we drain (same-tick
+            # scheduling), so on an apparently-exhausted FIFO each branch
             # re-reads its cell and recomputes the cached length before
             # falling through to the next priority. The cached-length
             # compare (`i0 < n0`) keeps the dominant per-event cost to a
@@ -383,13 +292,13 @@ class Simulator:
             n0 = n1 = n2 = 0
             i0 = i1 = i2 = 0
             while True:
-                if i0 < n0 or (s0 := ring0[idx]) is not None and i0 < (n0 := len(s0)):
+                if i0 < n0 or (s0 := slot[0]) is not None and i0 < (n0 := len(s0)):
                     event = s0[i0]
                     i0 += 1
-                elif i1 < n1 or (s1 := ring1[idx]) is not None and i1 < (n1 := len(s1)):
+                elif i1 < n1 or (s1 := slot[1]) is not None and i1 < (n1 := len(s1)):
                     event = s1[i1]
                     i1 += 1
-                elif i2 < n2 or (s2 := ring2[idx]) is not None and i2 < (n2 := len(s2)):
+                elif i2 < n2 or (s2 := slot[2]) is not None and i2 < (n2 := len(s2)):
                     event = s2[i2]
                     i2 += 1
                 else:
@@ -453,71 +362,42 @@ class Simulator:
                         # An unawaited failure: surface it, don't lose it.
                         raise event._value
                     if stop is not None and stop._state & ST_PROCESSED:
-                        self._suspend_slot(idx, i0, i1, i2)
+                        self._suspend(t, slot, i0, i1, i2)
                         return
                 except BaseException:
-                    self._suspend_slot(idx, i0, i1, i2)
+                    self._suspend(t, slot, i0, i1, i2)
                     raise
-                # Recycle: 3 == the `event` local + the bucket entry + the
+                # Recycle: 3 == the `event` local + the FIFO entry + the
                 # getrefcount argument, i.e. nobody else kept a reference.
                 if event.__class__ is Timeout and _getrefcount(event) == 3:
                     event._value = None
                     event._callbacks = None
                     free_append(event)
-            # Slot fully drained: release the bucket lists.
-            if s0 is not None:
-                ring0[idx] = None
-            if s1 is not None:
-                ring1[idx] = None
-            if s2 is not None:
-                ring2[idx] = None
-            occ[idx] = 0
-            self._cursor = idx + 1
+            # Tick fully drained; it is still the heap's smallest key.
+            del slots[t]
+            heappop(ticks)
 
     def step(self) -> None:
         """Process the single next event, advancing the clock to it."""
-        trace_hooks = self._trace_hooks
-        heap = self._heap
-        occ = self._occ
-        while True:
-            idx = occ.find(1, self._cursor)
-            if idx < 0:
-                if not trace_hooks:
-                    while heap and heap[0][3]._state & ST_DEAD:
-                        heappop(heap)
-                        self._cancelled -= 1
-                if not heap:
-                    raise EmptySchedule("no more events scheduled")
-                self._rebase()
-                idx = 0
-            t = self._epoch + idx
-            # Late heap entries (scheduled behind the cursor) run first.
-            while heap and heap[0][0] < t:
-                when, _prio, _seq, event = heappop(heap)
-                if not trace_hooks and event._state & ST_DEAD:
-                    self._cancelled -= 1
-                    continue
-                self._now = when
-                self._dispatch(event, when)
-                return
-            for ring in (self._ring0, self._ring1, self._ring2):
-                bucket = ring[idx]
-                if bucket:
-                    event = bucket[0]
-                    # Remove *before* processing so a callback that raises
-                    # (or recursively steps) never sees it queued twice.
-                    del bucket[0]
-                    if not bucket:
-                        ring[idx] = None
-                    if not trace_hooks and event._state & ST_DEAD:
-                        self._cancelled -= 1
-                        break  # re-scan this slot for the next entry
-                    self._now = t
-                    self._dispatch(event, t)
-                    return
-            else:
-                occ[idx] = 0
-                self._cursor = idx + 1
+        slots = self._slots
+        ticks = self._ticks
+        while ticks:
+            t = ticks[0]
+            slot = slots[t]
+            fifo = slot[0] or slot[1] or slot[2]
+            # Remove *before* processing so a callback that raises (or
+            # recursively steps) never sees it queued twice.
+            event = fifo.pop(0)
+            if not any(slot):
+                del slots[t]
+                heappop(ticks)
+            if not self._trace_hooks and event._state & ST_DEAD:
+                self._cancelled -= 1
+                continue
+            self._now = t
+            self._dispatch(event, t)
+            return
+        raise EmptySchedule("no more events scheduled")
 
     def _dispatch(self, event: Event, when: int) -> None:
         event._process()
@@ -553,7 +433,7 @@ class Simulator:
                     target._state |= ST_DEFUSE_HOOKED
                     target._add_callback(_defuse_on_fire)
             while not target._state & ST_PROCESSED:
-                if not self._heap and self._occ.find(1, self._cursor) < 0:
+                if not self._ticks:
                     raise SimulationError("simulation ran out of events before `until` event fired")
                 self._run(None, target)
             if not target._state & ST_OK:
@@ -570,16 +450,8 @@ class Simulator:
         raise TypeError(f"until must be None, int, or Event, got {type(until).__name__}")
 
     def _queued(self) -> int:
-        """Number of events currently enqueued (rings + heap). O(window)."""
-        count = len(self._heap)
-        idx = self._occ.find(1, self._cursor)
-        while idx >= 0:
-            for ring in (self._ring0, self._ring1, self._ring2):
-                bucket = ring[idx]
-                if bucket:
-                    count += len(bucket)
-            idx = self._occ.find(1, idx + 1)
-        return count
+        """Number of events currently enqueued, dead entries included."""
+        return sum(len(fifo) for slot in self._slots.values() for fifo in slot if fifo)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self._now} queued={self._queued()} seed={self.seed}>"

@@ -1,22 +1,27 @@
-"""Calendar-queue kernel tests: windows, rebase, reaping, priorities.
+"""Tick-heap kernel tests: far-future ticks, resumption, reaping, priorities.
 
-The contract tests in ``test_kernel.py`` pin the user-visible semantics;
-this file exercises the queue *mechanics* introduced by the slot-calendar
-overhaul (see ``docs/kernel.md``): the overflow heap for far-future events,
-window rebase, late entries scheduled behind the drain cursor, cancelled
-event reaping, and the rejection of priorities outside the three rings.
+The contract tests in ``test_kernel.py`` pin the user-visible semantics and
+``test_ordering.py`` checks the firing order against a reference heap; this
+file exercises the queue *mechanics* (see ``docs/kernel.md``): a heap of
+distinct ticks, each holding one FIFO per priority — far-future ticks,
+same-tick FIFO order, ticks scheduled between ``run()`` calls, cancelled
+event reaping, and the rejection of priorities outside the three FIFOs.
 """
 
 import pytest
 
 from repro.sim import Simulator
 from repro.sim.events import Event, SimulationError, Timeout
-from repro.sim.kernel import _SLOTS, EmptySchedule, _defuse_on_fire
+from repro.sim.kernel import EmptySchedule, _defuse_on_fire
+
+#: A far-future delay in ns. 8192 was the width of the calendar window the
+#: tick heap replaced, so the window's boundary cases stay covered.
+_FAR = 8192
 
 
 class TestCalendarWindow:
     def test_far_future_events_fire_in_order(self):
-        """Delays straddling several calendar windows keep time order."""
+        """Far-future delays around and beyond 8192 ns keep time order."""
         sim = Simulator()
         fired = []
 
@@ -24,7 +29,7 @@ class TestCalendarWindow:
             yield sim.timeout(delay)
             fired.append((sim.now, tag))
 
-        delays = [1, _SLOTS - 1, _SLOTS, _SLOTS + 1, 3 * _SLOTS + 7, 10 * _SLOTS]
+        delays = [1, _FAR - 1, _FAR, _FAR + 1, 3 * _FAR + 7, 10 * _FAR]
         for tag, delay in enumerate(delays):
             sim.process(waiter(delay, tag))
         sim.run()
@@ -32,10 +37,10 @@ class TestCalendarWindow:
         assert fired == sorted(fired)
 
     def test_same_tick_fifo_preserved_across_heap_migration(self):
-        """Events at one far-future tick fire in schedule order after rebase."""
+        """Events at one far-future tick fire in schedule order."""
         sim = Simulator()
         order = []
-        when = 5 * _SLOTS + 3
+        when = 5 * _FAR + 3
         for tag in range(8):
             t = sim.timeout(when)
             t._add_callback(lambda _e, tag=tag: order.append(tag))
@@ -46,28 +51,28 @@ class TestCalendarWindow:
     def test_peek_considers_ring_and_heap(self):
         sim = Simulator()
         assert sim.peek() is None
-        sim.timeout(5 * _SLOTS)  # overflow heap
-        assert sim.peek() == 5 * _SLOTS
-        sim.timeout(3)  # calendar ring
+        sim.timeout(5 * _FAR)  # far tick first
+        assert sim.peek() == 5 * _FAR
+        sim.timeout(3)  # a nearer tick becomes the heap top
         assert sim.peek() == 3
 
     def test_step_across_rebase(self):
         sim = Simulator()
         sim.timeout(1)
-        sim.timeout(2 * _SLOTS)
+        sim.timeout(2 * _FAR)
         sim.step()
         assert sim.now == 1
         sim.step()
-        assert sim.now == 2 * _SLOTS
+        assert sim.now == 2 * _FAR
         with pytest.raises(EmptySchedule):
             sim.step()
 
     def test_events_scheduled_behind_cursor_between_runs(self):
         """Regression: a drained slot's tick must still accept new events.
 
-        Scheduling at the current instant after ``run()`` returns lands
-        behind the drain cursor; such events take the late-heap path and
-        must not be silently lost.
+        Scheduling at the current instant after ``run()`` returns lands on
+        a tick that has already been drained and deleted; it must open a
+        fresh tick and not be silently lost.
         """
         sim = Simulator()
         sim.timeout(10)
@@ -86,31 +91,31 @@ class TestCalendarWindow:
 class TestCancelledReaping:
     def test_cancelled_far_future_timeouts_are_compacted(self):
         sim = Simulator()
-        timeouts = [sim.timeout(2 * _SLOTS + i) for i in range(4096)]
-        assert len(sim._heap) == 4096
+        timeouts = [sim.timeout(2 * _FAR + i) for i in range(4096)]
+        assert sim._queued() == 4096
         for timeout in timeouts:
             timeout.cancel()
-        assert len(sim._heap) < 1024
+        assert sim._queued() < 1024
 
     def test_queue_stays_bounded_under_cancel_churn(self):
         """The ta-blackhole shape: guard timers armed and cancelled forever.
 
-        Without reaping the heap would grow by 256 entries per round; with
+        Without reaping the queue would grow by 256 entries per round; with
         it the high-water mark stays within a small constant of one round.
         """
         sim = Simulator()
         high_water = 0
         for _ in range(64):
-            guards = [sim.timeout(2 * _SLOTS + i) for i in range(256)]
+            guards = [sim.timeout(2 * _FAR + i) for i in range(256)]
             for guard in guards:
                 guard.cancel()
-            high_water = max(high_water, len(sim._heap))
+            high_water = max(high_water, sim._queued())
         assert high_water <= 1024
         sim.run()  # dead entries drain without firing anything
 
     def test_cancel_is_idempotent(self):
         sim = Simulator()
-        timeout = sim.timeout(2 * _SLOTS)
+        timeout = sim.timeout(2 * _FAR)
         timeout.cancel()
         timeout.cancel()
         assert sim._cancelled == 1
@@ -141,7 +146,7 @@ class TestCancelledReaping:
             reply.succeed("pong")
 
         def requester():
-            guard = sim.timeout(3 * _SLOTS)
+            guard = sim.timeout(3 * _FAR)
             result = yield sim.any_of([reply, guard])
             assert reply in result
 
@@ -149,8 +154,8 @@ class TestCancelledReaping:
         sim.process(requester())
         sim.run(until=10)
         # The guard lost the race, was detached, and has already been
-        # reaped from the overflow heap — not stranded until 3*_SLOTS.
-        assert not sim._heap
+        # reaped from the queue — not stranded until 3*_FAR.
+        assert sim._queued() == 0
         assert sim._cancelled == 0
 
 

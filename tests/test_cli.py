@@ -308,6 +308,43 @@ _BAD_SPECS = {
         {"name": "x", "network_delay": {"model": "lognormal", "median_us": 150, "sigma": -0.1}},
         "network_delay.sigma",
     ),
+    # The membership and service blocks reject non-finite numbers too.
+    "membership-epoch-s-infinity": (
+        {"name": "x", "membership": {"mode": "observe", "epoch_s": float("inf")}},
+        "membership.epoch_s",
+    ),
+    "membership-probe-interval-ms-infinity": (
+        {"name": "x", "membership": {"mode": "observe", "probe_interval_ms": float("inf")}},
+        "membership.probe_interval_ms",
+    ),
+    "membership-suspect-threshold-ms-infinity": (
+        {"name": "x", "membership": {"mode": "observe", "suspect_threshold_ms": float("inf")}},
+        "membership.suspect_threshold_ms",
+    ),
+    "service-tick-ms-infinity": (
+        {"name": "x", "service": {"sessions": 10, "tick_ms": float("inf")}},
+        "service.tick_ms",
+    ),
+    "service-service-rate-rps-infinity": (
+        {"name": "x", "service": {"sessions": 10, "service_rate_rps": float("inf")}},
+        "service.service_rate_rps",
+    ),
+    "service-lease-guard-ms-infinity": (
+        {"name": "x", "service": {"sessions": 10, "lease_guard_ms": float("inf")}},
+        "service.lease_guard_ms",
+    ),
+    "service-rtt-margin-us-infinity": (
+        {"name": "x", "service": {"sessions": 10, "rtt_margin_us": float("inf")}},
+        "service.rtt_margin_us",
+    ),
+    "service-rate-rps-infinity": (
+        {"name": "x", "service": {"sessions": 10, "rate_rps": float("inf")}},
+        "service.rate_rps",
+    ),
+    "service-per-session-rps-infinity": (
+        {"name": "x", "service": {"sessions": 10, "per_session_rps": float("inf")}},
+        "service.per_session_rps",
+    ),
 }
 
 
@@ -339,6 +376,20 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith(prefix) and word in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["membership", "--epoch-s", "inf"], "membership.epoch_s"),
+            (["service", "--rate-rps", "inf"], "service.rate_rps"),
+            (["service", "--arrival", "closed", "--think-ms", "inf"], "service.think_ms"),
+        ],
+    )
+    def test_preset_rejects_a_non_finite_flag(self, capsys, argv, key):
+        assert main(argv + ["--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing ran
+        assert captured.err == f"error: {key}: must be a finite number\n"
 
     @pytest.mark.parametrize("case", ["run-spec-missing", "run-spec-directory", "batch-directory"])
     def test_unreadable_spec_path_is_one_error_line(self, capsys, tmp_path, case):
