@@ -83,6 +83,13 @@ membership-smoke:
 	python -m repro membership --attack churn --nodes 5 --duration-s 20 \
 		--no-cache --jobs 2 --json out/membership-smoke/churn-j2.json
 	cmp out/membership-smoke/churn-j1.json out/membership-smoke/churn-j2.json
+	python -m repro membership --attack churn --nodes 1000 --duration-s 3 \
+		--no-cache --json out/membership-smoke/churn1000-j1.json
+	python -m repro membership --attack churn --nodes 1000 --duration-s 3 \
+		--no-cache --jobs 2 --json out/membership-smoke/churn1000-j2.json
+	cmp out/membership-smoke/churn1000-j1.json out/membership-smoke/churn1000-j2.json
+	echo "c92821e183fccda44ead3d6a713e71baf2c123e25daf697e0674e5ddfbb3286b  out/membership-smoke/churn1000-j1.json" \
+		| sha256sum --check --strict -
 	python -m repro membership --oracle strict --no-cache \
 		--json out/membership-smoke/propagation.json
 	python -m repro membership --attack benign --duration-s 15 --no-cache \

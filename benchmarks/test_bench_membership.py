@@ -1,14 +1,16 @@
 """EXT-MEMBERSHIP — epoch membership engine throughput at cluster scale.
 
-The membership plane's cost is per-epoch, per-link work: probe scoring
-against the member median, verdict transitions, and (in enforce mode) an
-AEAD re-key of every non-quarantined peer link. On a full mesh that is
-O(n²) per epoch, so cluster size is the axis that matters. This bench
-pins a 200-node enforce-mode run with live churn — node-epochs scored
-per wall-second is the headline — as the baseline for any future
-sparse-topology or incremental-rekey work. Contracts (epoch count,
-rotation count, pinned-seed determinism) are asserted; absolute
-throughput is hardware-dependent and only printed.
+The membership plane's cost is per-epoch work: probe scoring against
+the member median, verdict transitions, and (in enforce mode) handing
+the epoch secret to each member endpoint — O(n) per epoch, since a peer
+link re-keys only at its first use after the epoch moved. Links and
+keys are built on first use too, so the full mesh's O(n²) is paid only
+for the pairs that carry traffic. This bench pins a 200-node
+enforce-mode run with live churn — node-epochs scored per wall-second is
+the headline; ``membership_curve.py`` runs the same shape at 200–1000
+nodes. Contracts (epoch count, rotation count, pinned-seed determinism)
+are asserted; absolute throughput is hardware-dependent and only
+printed.
 """
 
 import json

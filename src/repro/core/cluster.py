@@ -21,7 +21,7 @@ from repro.hardware.machine import Machine
 from repro.hardware.tsc import PAPER_TSC_FREQUENCY_HZ
 from repro.net.channel import Network
 from repro.net.delays import DelayModel
-from repro.net.transport import SecureEndpoint
+from repro.net.transport import PeerDirectory, SecureEndpoint
 from repro.authority.ta import TimeAuthority
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,12 +35,6 @@ def node_name(index: int) -> str:
 
 
 TA_NAME = "time-authority"
-
-
-def _link(a: SecureEndpoint, b: SecureEndpoint) -> None:
-    """Register ``a`` and ``b`` as each other's peers."""
-    a.register_peer(b)
-    b.register_peer(a)
 
 
 @dataclass
@@ -84,9 +78,10 @@ class ClusterConfig:
     #: :class:`repro.attacks.byzantine.ByzantineTriadNode`.
     node_classes: Optional[Sequence[Optional[type]]] = None
     #: 1-based indices of nodes absent at simulation start (cluster churn).
-    #: Absent nodes are constructed dormant — fully wired with endpoint and
-    #: keys, but running no threads — with their host detached from the
-    #: network fabric; :meth:`TriadCluster.join` brings them online later.
+    #: Absent nodes are constructed dormant — wired with an endpoint on the
+    #: cluster's peer directory, but running no threads — with their host
+    #: detached from the network fabric; :meth:`TriadCluster.join` brings
+    #: them online later.
     initial_absent: Sequence[int] = ()
 
 
@@ -167,17 +162,23 @@ class TriadCluster:
             if cfg.ta_count == 1
             else [f"{TA_NAME}-{i + 1}" for i in range(cfg.ta_count)]
         )
-        ta_endpoints = [SecureEndpoint(sim, self.network, name) for name in ta_names]
-        node_endpoints = [
-            SecureEndpoint(sim, self.network, node_name(i + 1)) for i in range(cfg.node_count)
+        # One directory per role, shared: a node may talk to the TAs, then
+        # every node in index order; a TA to the nodes only. Links and keys
+        # are built on first use (repro.net.transport), so wiring is O(n).
+        node_directory = PeerDirectory()
+        ta_directory = PeerDirectory()
+        ta_endpoints = [
+            SecureEndpoint(sim, self.network, name, directory=ta_directory) for name in ta_names
         ]
+        node_endpoints = [
+            SecureEndpoint(sim, self.network, node_name(i + 1), directory=node_directory)
+            for i in range(cfg.node_count)
+        ]
+        for endpoint in ta_endpoints:
+            node_directory.add(endpoint.name, endpoint.address, rotates=False)
         for endpoint in node_endpoints:
-            for ta_endpoint in ta_endpoints:
-                _link(endpoint, ta_endpoint)
-        # Pairs in index order: each endpoint lists its node peers ascending.
-        for i, a in enumerate(node_endpoints):
-            for b in node_endpoints[i + 1 :]:
-                _link(a, b)
+            node_directory.add(endpoint.name, endpoint.address)
+            ta_directory.add(endpoint.name, endpoint.address, rotates=False)
 
         self.tas = [TimeAuthority(sim, ta_endpoint) for ta_endpoint in ta_endpoints]
         self.ta = self.tas[0]

@@ -11,9 +11,12 @@ median (:mod:`repro.membership.evidence`). Once per epoch it:
    path back (see :class:`~repro.membership.verdicts.MembershipVerdict`);
 2. synchronizes with cluster churn (departed nodes become ``absent``,
    rejoining nodes enter on ``probation``);
-3. in ``enforce`` mode, rotates the cluster's epoch secret: every member
-   endpoint folds the new secret into its node-link keys
-   (:meth:`~repro.net.crypto.SecureChannelKey.rekey`), so a node the
+3. in ``enforce`` mode, rotates the cluster's epoch secret: it hands the
+   new secret to each member endpoint once
+   (:meth:`~repro.net.transport.SecureEndpoint.enter_epoch`), and each of
+   that endpoint's node links folds it into its key at its next seal or
+   open (:meth:`~repro.net.crypto.SecureChannelKey.rekey`). Rotation is
+   O(n) in the cluster size, however many links carry traffic. A node the
    secret is withheld from fails authentication in both directions — the
    cryptographic cut that makes quarantine more than a label. The Time
    Authority links never rotate: the TA is the trust root, which both
@@ -279,22 +282,21 @@ class MembershipController:
     # -- enforcement: epoch-key rotation ------------------------------------------
 
     def _rotate_epoch_key(self, present: set[str]) -> None:
-        """Hand the fresh epoch secret to every member endpoint.
+        """Hand the fresh epoch secret to every member endpoint: O(n).
 
-        Members re-key *all* their node links (including links toward
-        cut-off nodes), so member↔member traffic interoperates while
-        traffic to or from a non-member fails the AEAD tag check in both
-        directions. TA links are left alone. Datagrams in flight across
-        the rotation instant are lost — the modeled rotation cost.
+        Each member's node links (including links toward cut-off nodes)
+        pick the epoch up at their next seal or open, so member↔member
+        traffic interoperates while traffic to or from a non-member fails
+        the AEAD tag check in both directions. TA links never rotate.
+        Datagrams in flight across the rotation instant are lost — the
+        modeled rotation cost.
         """
         from repro.net.crypto import derive_epoch_secret
 
         secret = derive_epoch_secret(self.epoch, self.config.key_label)
         for node in self.cluster.nodes:
-            if node.name not in present or not self._verdicts[node.name].member:
-                continue
-            for peer in node.peer_names:
-                node.endpoint.rekey_peer(peer, secret, self.epoch)
+            if node.name in present and self._verdicts[node.name].member:
+                node.endpoint.enter_epoch(secret, self.epoch)
         self.rotations += 1
 
     # -- reporting -----------------------------------------------------------------

@@ -24,7 +24,7 @@ from repro.net.delays import (
     paper_lan_delay,
 )
 from repro.net.message import Address, Datagram
-from repro.net.transport import Envelope, PeerLink, SecureEndpoint
+from repro.net.transport import Envelope, PeerDirectory, PeerLink, SecureEndpoint
 
 __all__ = [
     "Address",
@@ -38,6 +38,7 @@ __all__ = [
     "NetworkAdversary",
     "Observation",
     "PASS",
+    "PeerDirectory",
     "PeerLink",
     "RuleBasedAdversary",
     "SecureChannelKey",

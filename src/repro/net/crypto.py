@@ -61,8 +61,9 @@ def derive_epoch_secret(epoch: int, *labels: str) -> bytes:
     """Per-epoch group secret distributed by a membership controller.
 
     The secret itself never travels on the simulated wire: the controller
-    hands it to every *member* endpoint, which folds it into each link's
-    key (:meth:`SecureChannelKey.rekey`). A node the controller withholds
+    hands it to every *member* endpoint, and each of that endpoint's node
+    links folds it into its key (:meth:`SecureChannelKey.rekey`) at the
+    link's next seal or open. A node the controller withholds
     the secret from keeps sealing under its previous epoch key, and every
     member rejects those envelopes at :meth:`SecureChannelKey.open` — the
     cryptographic cut that makes quarantine enforceable.
@@ -93,6 +94,8 @@ class SecureChannelKey:
     Each end of a link holds its own object over the same identity, so
     each direction keeps its own nonce counter.
     """
+
+    __slots__ = ("_pair", "_key", "_nonce_counter", "epoch")
 
     def __init__(self, pair: tuple[str, str]) -> None:
         if len(pair) != 2 or not pair[0] < pair[1]:

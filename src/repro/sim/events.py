@@ -56,6 +56,9 @@ ST_DEFUSE_HOOKED = 16
 #: Cancelled while queued: no waiters remain and the kernel is free to
 #: reap the entry instead of processing it (see ``docs/kernel.md``).
 ST_DEAD = 32
+#: A dead event the kernel has dropped from its queue; ``_tick`` holds the
+#: tick it was queued at, so re-awaiting it can queue it again.
+ST_REAPED = 64
 
 
 class SimulationError(Exception):
@@ -91,7 +94,8 @@ class Event:
     order) at the event's scheduled time.
     """
 
-    __slots__ = ("sim", "_state", "_value", "_waiter", "_callbacks")
+    # ``_tick`` is written only when the kernel reaps the event (ST_REAPED).
+    __slots__ = ("sim", "_state", "_value", "_waiter", "_callbacks", "_tick")
 
     #: Sort key within a single timestamp; lower runs first. Timeouts use
     #: priority 0, plain events 1, and process-completion events 2, so that
@@ -166,10 +170,17 @@ class Event:
         """Clear a dead mark: someone re-awaited a detached event.
 
         An interrupted process may re-yield its original (still pending)
-        timeout, so reap-marking must be reversible until processing.
+        timeout, so reap-marking must be reversible until processing. An
+        entry the kernel already dropped is queued again at its old tick,
+        or now if that tick has passed.
         """
-        self._state &= ~ST_DEAD
-        self.sim._cancelled -= 1
+        state = self._state
+        self._state = state & ~(ST_DEAD | ST_REAPED)
+        sim = self.sim
+        if state & ST_REAPED:
+            sim._schedule(self, max(self._tick - sim._now, 0))
+        else:
+            sim._cancelled -= 1
 
     def _add_callback(self, callback: Callback) -> None:
         """Register ``callback`` without materializing the public list."""

@@ -50,6 +50,7 @@ from repro.sim.events import (
     ST_DEFUSED,
     ST_OK,
     ST_PROCESSED,
+    ST_REAPED,
     AllOf,
     AnyOf,
     Event,
@@ -60,6 +61,15 @@ from repro.sim.process import Process, ProcessGenerator
 from repro.sim.rng import RngRegistry
 
 _object_new = object.__new__
+
+
+def _reaped(event: Event, time: int) -> bool:
+    """Mark a dead ``event`` dropped from tick ``time``; False if it is live."""
+    if not event._state & ST_DEAD:
+        return False
+    event._state |= ST_REAPED
+    event._tick = time
+    return True
 
 
 def _defuse_on_fire(event: Event) -> None:
@@ -219,22 +229,31 @@ class Simulator:
         """Drop dead entries from every tick but the one being drained.
 
         ``_run`` holds read positions into the current tick's FIFOs, so
-        that tick (``now``) is left as it is; every other tick keeps only
+        that tick (``now``) is left as it is, and its dead entries the
+        drain has not reached stay counted; every other tick keeps only
         its live entries and is removed when none remain.
         """
         slots = self._slots
+        cancelled = 0
         for time, slot in list(slots.items()):
             if time == self._now:
+                cancelled += sum(
+                    1
+                    for fifo in slot
+                    if fifo
+                    for event in fifo
+                    if event._state & (ST_DEAD | ST_REAPED) == ST_DEAD
+                )
                 continue
             for prio, fifo in enumerate(slot):
                 if fifo:
-                    slot[prio] = [event for event in fifo if not event._state & ST_DEAD] or None
+                    slot[prio] = [event for event in fifo if not _reaped(event, time)] or None
             if not any(slot):
                 del slots[time]
         ticks = self._ticks
         ticks[:] = slots
         heapify(ticks)
-        self._cancelled = 0
+        self._cancelled = cancelled
 
     def _drop_dead_ticks(self) -> None:
         """Pop leading ticks that hold only dead entries."""
@@ -244,8 +263,12 @@ class Simulator:
             slot = slots[ticks[0]]
             if not all(event._state & ST_DEAD for fifo in slot if fifo for event in fifo):
                 return
-            self._cancelled -= sum(len(fifo) for fifo in slot if fifo)
-            del slots[heappop(ticks)]
+            time = heappop(ticks)
+            for fifo in slot:
+                for event in fifo or ():
+                    _reaped(event, time)
+                    self._cancelled -= 1
+            del slots[time]
 
     # -- queue introspection ----------------------------------------------------
 
@@ -305,6 +328,8 @@ class Simulator:
                     break
                 state = event._state
                 if state & ST_DEAD and not trace_hooks:
+                    event._state = state | ST_REAPED
+                    event._tick = t
                     self._cancelled -= 1
                     continue
                 # ---- inline Event._process ------------------------------
@@ -391,7 +416,7 @@ class Simulator:
             if not any(slot):
                 del slots[t]
                 heappop(ticks)
-            if not self._trace_hooks and event._state & ST_DEAD:
+            if not self._trace_hooks and _reaped(event, t):
                 self._cancelled -= 1
                 continue
             self._now = t

@@ -6,8 +6,11 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import ConfigurationError, CryptoError
+from repro.messages import PeerTimeRequest
 from repro.net import crypto
 from repro.net.crypto import SecureChannelKey, derive_epoch_secret
+from repro.net.transport import SecureEndpoint
+from repro.sim.units import MILLISECOND
 
 
 def _cluster():
@@ -100,8 +103,14 @@ class TestRekey:
             assert b.open(a.seal(epoch)) == epoch
             assert a.open(b.seal(-epoch)) == -epoch
         cluster = _cluster()
-        node = cluster.nodes[0]
-        node.endpoint.rekey_peer(node.peer_names[0], secrets[0], 1)
+        node, peer = cluster.nodes[0], cluster.nodes[1]
+        for endpoint in (node.endpoint, peer.endpoint):
+            endpoint.enter_epoch(secrets[0], 1)
+        # The first seal builds the link and picks the epoch up; the
+        # peer's first open does the same on its side.
+        node.endpoint.send(peer.name, PeerTimeRequest(request_id=10**6))
+        cluster.sim.run(until=5 * MILLISECOND)
+        assert peer.endpoint.auth_failures == 0
         assert derived == []
 
     def test_rekey_resets_the_nonce_counter(self):
@@ -118,14 +127,28 @@ class TestRekey:
 
 
 class TestEndpointRotation:
-    def test_rekey_peer_rotates_one_link(self):
+    def test_rekey_peer_rotates_one_link(self, monkeypatch):
+        """Entering an epoch moves every node link's epoch; only the link
+        that carries traffic rotates, once, through ``rekey_peer``."""
         cluster = _cluster()
         node = cluster.nodes[0]
         peer = node.peer_names[0]
-        secret = derive_epoch_secret(1, "cluster")
+        pickups = []
+        rekey_peer = SecureEndpoint.rekey_peer
+
+        def recording(endpoint, name, epoch_secret, epoch):
+            pickups.append((endpoint.name, name, epoch))
+            rekey_peer(endpoint, name, epoch_secret, epoch)
+
+        monkeypatch.setattr(SecureEndpoint, "rekey_peer", recording)
         assert node.endpoint.peer_epoch(peer) == 0
-        node.endpoint.rekey_peer(peer, secret, 1)
-        assert node.endpoint.peer_epoch(peer) == 1
+        node.endpoint.enter_epoch(derive_epoch_secret(1, "cluster"), 1)
+        assert [node.endpoint.peer_epoch(name) for name in node.peer_names] == [1, 1]
+        assert pickups == []
+        node.endpoint.send(peer, PeerTimeRequest(request_id=10**6))
+        node.endpoint.send(peer, PeerTimeRequest(request_id=10**6 + 1))
+        assert pickups == [(node.name, peer, 1)]
+        assert list(node.endpoint._links) == [peer]
         # Other links are untouched — notably the TA link.
         ta = cluster.tas[0].name
         assert node.endpoint.peer_epoch(ta) == 0

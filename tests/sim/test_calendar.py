@@ -136,6 +136,45 @@ class TestCancelledReaping:
         assert sim.now == 50
         assert sim._cancelled == 0
 
+    def _reawait(self, sim, timeout):
+        fired = []
+
+        def p():
+            fired.append(((yield timeout), sim.now))
+
+        sim.process(p())
+        sim.run()
+        return fired
+
+    def test_timeout_reaped_by_compaction_can_be_reawaited(self):
+        """A compacted entry is queued again, at its own tick, when re-awaited."""
+        sim = Simulator()
+        timeouts = [sim.timeout(2 * _FAR + i, value=i) for i in range(600)]
+        for timeout in timeouts:
+            timeout.cancel()
+        assert sim._queued() < 600  # compaction dropped the entries
+        assert self._reawait(sim, timeouts[7]) == [(7, 2 * _FAR + 7)]
+        assert sim._cancelled == 0
+
+    def test_timeout_reaped_at_the_run_limit_can_be_reawaited(self):
+        """``run(until=t)`` drops dead ticks past ``t``; re-awaiting restores one."""
+        sim = Simulator()
+        timeout = sim.timeout(100_000)
+        timeout.cancel()
+        sim.run(until=10)
+        assert sim._queued() == 0
+        assert self._reawait(sim, timeout) == [(None, 100_000)]
+        assert sim._cancelled == 0
+
+    def test_timeout_reaped_at_its_tick_fires_at_once_when_reawaited(self):
+        """A dead entry skipped at its own tick has expired: it fires now."""
+        sim = Simulator()
+        timeout = sim.timeout(5)
+        timeout.cancel()
+        sim.run(until=10)
+        assert self._reawait(sim, timeout) == [(None, 10)]
+        assert sim._cancelled == 0
+
     def test_losing_anyof_guard_is_reapable(self):
         """``any_of([reply, guard])`` must not strand the losing guard."""
         sim = Simulator()
