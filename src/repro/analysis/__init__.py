@@ -1,7 +1,7 @@
 """Measurement probes, statistics, and report rendering."""
 
 from repro.analysis.asciiplot import line_plot
-from repro.analysis.export import export_experiment
+from repro.analysis.export import experiment_csvs, write_csvs
 from repro.analysis.journal import EventJournal, ProtocolEvent, node_events
 from repro.analysis.metrics import (
     DriftRecorder,
@@ -43,7 +43,7 @@ __all__ = [
     "drift_rate_ms_per_s",
     "drift_rate_ppm",
     "empirical_cdf",
-    "export_experiment",
+    "experiment_csvs",
     "format_comparison",
     "format_table",
     "forward_jumps",
@@ -57,4 +57,5 @@ __all__ = [
     "time_grid",
     "to_csv",
     "unavailable_spans",
+    "write_csvs",
 ]

@@ -66,8 +66,19 @@ def export_jumps_csv(result: "DriftFigureResult") -> str:
     return to_csv(["node", "time_s", "jump_ms", "source"], rows)
 
 
-def export_experiment(result: "DriftFigureResult", directory: str | Path) -> list[Path]:
-    """Write all of an experiment's series into ``directory``.
+def experiment_csvs(result: "DriftFigureResult") -> dict[str, str]:
+    """Every series of an experiment as CSV text, keyed by file name."""
+    return {
+        "drift.csv": export_drift_csv(result),
+        "frequencies.csv": export_frequencies_csv(result),
+        "availability.csv": export_availability_csv(result),
+        "states.csv": export_states_csv(result),
+        "jumps.csv": export_jumps_csv(result),
+    }
+
+
+def write_csvs(csvs: dict[str, str], directory: str | Path) -> list[Path]:
+    """Write ``csvs`` (file name -> text) into ``directory``.
 
     Returns the written paths. The directory is created if missing; it
     must either not exist yet or be a directory (never a file).
@@ -76,15 +87,8 @@ def export_experiment(result: "DriftFigureResult", directory: str | Path) -> lis
     if target.exists() and not target.is_dir():
         raise ConfigurationError(f"{target} exists and is not a directory")
     target.mkdir(parents=True, exist_ok=True)
-    outputs = {
-        "drift.csv": export_drift_csv(result),
-        "frequencies.csv": export_frequencies_csv(result),
-        "availability.csv": export_availability_csv(result),
-        "states.csv": export_states_csv(result),
-        "jumps.csv": export_jumps_csv(result),
-    }
     written = []
-    for name, content in outputs.items():
+    for name, content in csvs.items():
         path = target / name
         path.write_text(content)
         written.append(path)

@@ -1,5 +1,12 @@
 """Command-line interface: ``python -m repro <command>``.
 
+Every command that simulates (all but ``list`` and ``hunt``, which drives
+its own fleet batches) builds :class:`~repro.fleet.tasks.RunTask` values
+and runs them through one helper around
+:meth:`~repro.fleet.pool.FleetPool.run`, in-process at ``--jobs 1``: what
+it prints comes from the task values, so a command prints the same bytes
+at any ``--jobs``, and every command reports the oracle the same way.
+
 Commands
 --------
 ``list``
@@ -45,9 +52,10 @@ Commands
     finding into a minimal spec-JSON reproducer. Deterministic per
     ``--seed``/``--budget`` regardless of ``--jobs``.
 ``reproduce``
-    Run everything (delegates to ``examples/reproduce_paper.py``'s logic
-    via the same figure functions) and print the paper-vs-measured lines;
-    ``--jobs N`` instead runs every experiment through the fleet pool.
+    Run every canonical experiment as one fleet ``experiment`` task each
+    and print its tables under ``=== <name> ===``; ``--quick`` runs each
+    drift figure for a quarter of its duration. The paper-vs-measured
+    comparison is ``examples/reproduce_paper.py`` (``make reproduce``).
 """
 
 from __future__ import annotations
@@ -58,8 +66,8 @@ import sys
 from pathlib import Path
 from typing import Callable, Optional
 
-from repro.experiments.figures import EXPERIMENTS, render_result, run_experiment
-from repro.experiments.sweeps import TASK_EMITTERS, run_point_tasks
+from repro.experiments.figures import EXPERIMENTS
+from repro.experiments.sweeps import TASK_EMITTERS
 from repro.sim.units import SECOND
 
 
@@ -301,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     reproduce = sub.add_parser("reproduce", help="run every experiment and print the summary")
     reproduce.add_argument(
-        "--quick", action="store_true", help="scale durations down 4x (serial mode only)"
+        "--quick", action="store_true", help="run each drift figure for a quarter of its duration"
     )
     _add_fleet_arguments(reproduce)
     return parser
@@ -318,23 +326,6 @@ def _validate_fleet_flags(args) -> Optional[int]:
     return None
 
 
-def _fleet_pieces(args):
-    """(pool, cache, telemetry) configured from the shared fleet flags."""
-    from repro.fleet import FleetPool, FleetTelemetry, ResultCache
-
-    pool = FleetPool(jobs=args.jobs)
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    telemetry = FleetTelemetry(stream=sys.stderr)
-    return pool, cache, telemetry
-
-
-def _finish_fleet(args, telemetry) -> None:
-    print(telemetry.render_summary(), file=sys.stderr)
-    if args.telemetry:
-        path = telemetry.write_jsonl(args.telemetry)
-        print(f"wrote telemetry JSONL to {path}", file=sys.stderr)
-
-
 def _plane_overrides(args) -> dict:
     """The ``--oracle``/``--membership`` modes a fleet task carries.
 
@@ -348,38 +339,49 @@ def _plane_overrides(args) -> dict:
     }
 
 
-def _serial_run(args, fn: Callable):
-    """Run ``fn()`` in-process under the ``--oracle``/``--membership`` planes.
+def _run_tasks(args, tasks: list) -> list:
+    """Run ``tasks`` through :meth:`FleetPool.run`: how every command simulates.
 
-    Returns ``(run, exit_code)`` (see :func:`repro.oracle.policy.run_planes`).
-    Oracle reports go to stderr so stdout stays byte-identical to a
-    plane-free run. ``exit_code`` is 1 when the oracle failed the run, 2
-    when the run was misconfigured (``run.value`` is ``None`` in both
-    cases), else 0.
+    Commands with fleet flags get the result cache (unless ``--no-cache``),
+    progress and a summary on stderr, and ``--telemetry``; ``run`` and
+    ``run-spec`` run their one task in-process, uncached and quiet. Every
+    task's oracle reports, and why a strict oracle failed it, go to
+    stderr, so stdout stays byte-identical to a plane-free run.
     """
-    from repro.errors import ConfigurationError
-    from repro.oracle.policy import PlaneRun, run_planes
+    from repro.fleet import FleetPool, FleetTelemetry, ResultCache
 
-    try:
-        run = run_planes(fn, oracle=args.oracle, membership=args.membership)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PlaneRun(), 2
-    for oracle in run.oracles:
-        if oracle.violations:
-            print(oracle.render_report(), file=sys.stderr)
-    if run.failure is not None:
-        print(f"oracle: {run.failure}", file=sys.stderr)
-    return run, int(run.failure is not None)
+    fleet = hasattr(args, "jobs")
+    cache = ResultCache(args.cache_dir) if fleet and not args.no_cache else None
+    telemetry = FleetTelemetry(stream=sys.stderr) if fleet else None
+    pool = FleetPool(jobs=args.jobs if fleet else 1)
+    results = pool.run(tasks, cache=cache, telemetry=telemetry)
+    for result in results:
+        for report in result.oracle_reports:
+            print(report, file=sys.stderr)
+    if fleet:
+        print(telemetry.render_summary(), file=sys.stderr)
+        if args.telemetry:
+            path = telemetry.write_jsonl(args.telemetry)
+            print(f"wrote telemetry JSONL to {path}", file=sys.stderr)
+    return results
 
 
-#: What ``run-spec`` and ``batch`` print of a spec run: the drift table,
-#: then the renderings of these planes when attached.
+def _task(args, kind: str, name: str, payload: dict, seed=None, duration_ns=None):
+    """A fleet task under the plane flags; ``--export`` asks for its CSVs."""
+    from repro.fleet import RunTask
+
+    if getattr(args, "export", None):
+        payload["export"] = True
+    return RunTask(kind, name, seed, duration_ns, payload, _plane_overrides(args))
+
+
+#: What a ``spec`` or ``experiment`` task prints: the drift table, then
+#: the renderings of these planes when attached.
 _SPEC_SECTIONS = ("table", "service", "membership")
 
 
 def _render_sections(value: dict, sections: tuple) -> str:
-    """The named sections a ``spec`` task value has, blank-line separated."""
+    """The named sections a task value has, blank-line separated."""
     texts = {name: plane["rendered"] for name, plane in value["planes"].items()}
     texts["table"] = value["rendered"]
     return "\n\n".join(texts[name] for name in sections if name in texts)
@@ -392,34 +394,76 @@ def _spec_task(raw: dict, args):
     worker runs.
     """
     from repro.experiments.spec import ExperimentSpec
-    from repro.fleet import RunTask
 
     spec = ExperimentSpec.from_dict(raw)
-    return RunTask(
-        kind="spec",
-        name=spec.name,
-        seed=spec.seed,
-        duration_ns=spec.duration_ns,
-        payload={"spec": raw},
-        overrides=_plane_overrides(args),
-    )
+    return _task(args, "spec", spec.name, {"spec": raw}, spec.seed, spec.duration_ns)
+
+
+def _spec_file_task(path, args):
+    """The fleet ``spec`` task of the spec JSON file at ``path``."""
+    from repro.experiments.spec import ExperimentSpec
+
+    return _spec_task(ExperimentSpec.parse(Path(path).read_text()), args)
+
+
+def _experiment_task(args):
+    """``run``'s one ``experiment`` task; a note on stdout for an ignored knob."""
+    from repro.errors import ConfigurationError
+
+    name, seed = args.experiment, args.seed
+    duration_ns = None if args.duration_s is None else int(args.duration_s * SECOND)
+    if EXPERIMENTS[name].duration_ns is None:
+        # fig1 / inc / ablation have no duration or seed knob.
+        if duration_ns is not None:
+            print("note: this experiment has no duration parameter; --duration-s ignored")
+        if seed is not None:
+            print("note: this experiment runs with its built-in seed; --seed ignored")
+        seed = duration_ns = None
+    elif duration_ns is not None and duration_ns <= 0:
+        raise ConfigurationError(f"--duration-s must be positive, got {args.duration_s}")
+    return _task(args, "experiment", name, {"experiment": name}, seed, duration_ns)
+
+
+def _run_single(args) -> int:
+    """``run`` and ``run-spec``: one task's sections, then its CSVs with ``--export``."""
+    from repro.analysis.export import write_csvs
+    from repro.errors import ConfigurationError
+
+    try:
+        if args.command == "run":
+            task = _experiment_task(args)
+        else:
+            task = _spec_file_task(args.spec_path, args)
+    except (OSError, ConfigurationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    (result,) = _run_tasks(args, [task])
+    if not result.ok:
+        if not result.oracle_reports:  # a failing oracle has said why
+            print(f"{args.command} FAILED: {result.error}", file=sys.stderr)
+        return 1
+    print(_render_sections(result.value, _SPEC_SECTIONS))
+    if args.export:
+        if "export" not in result.value:
+            print(f"note: {args.experiment} has no exportable series")
+        else:
+            paths = write_csvs(result.value["export"], args.export)
+            print(f"\nwrote {len(paths)} CSV files to {args.export}/")
+    return 0
 
 
 def _run_sweep(args) -> int:
     from repro.analysis.report import format_table, to_csv
     from repro.errors import FleetError
+    from repro.experiments.sweeps import sweep_points
 
-    invalid = _validate_fleet_flags(args)
-    if invalid is not None:
-        return invalid
     tasks = TASK_EMITTERS[args.sweep_name](**({} if args.seed is None else {"seed": args.seed}))
     if args.limit is not None:
         tasks = tasks[: args.limit]
     for task in tasks:
         task.overrides.update(_plane_overrides(args))
-    pool, cache, telemetry = _fleet_pieces(args)
     try:
-        points = run_point_tasks(tasks, pool=pool, cache=cache, telemetry=telemetry)
+        points = sweep_points(_run_tasks(args, tasks))
     except FleetError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 1
@@ -429,7 +473,6 @@ def _run_sweep(args) -> int:
         for point in points
     ]
     print(format_table([points[0].parameter] + metrics, rows, title=f"sweep: {args.sweep_name}"))
-    _finish_fleet(args, telemetry)
     if args.export:
         target = Path(args.export)
         target.mkdir(parents=True, exist_ok=True)
@@ -442,14 +485,9 @@ def _run_sweep(args) -> int:
 
 
 def _run_batch(args) -> int:
-    import json
-
     from repro.analysis.report import format_table
     from repro.errors import ConfigurationError
 
-    invalid = _validate_fleet_flags(args)
-    if invalid is not None:
-        return invalid
     directory = Path(args.directory)
     spec_paths = sorted(directory.glob("*.json"))
     if not spec_paths:
@@ -458,12 +496,11 @@ def _run_batch(args) -> int:
     tasks = []
     for path in spec_paths:
         try:
-            tasks.append(_spec_task(json.loads(path.read_text()), args))
-        except (OSError, json.JSONDecodeError, ConfigurationError, TypeError) as exc:
+            tasks.append(_spec_file_task(path, args))
+        except (OSError, ConfigurationError) as exc:
             print(f"invalid spec {path}: {exc}", file=sys.stderr)
             return 1
-    pool, cache, telemetry = _fleet_pieces(args)
-    results = pool.run(tasks, cache=cache, telemetry=telemetry)
+    results = _run_tasks(args, tasks)
     for result in results:
         print()
         if result.ok:
@@ -481,48 +518,20 @@ def _run_batch(args) -> int:
     ]
     print()
     print(format_table(["spec", "status", "wall_s", "attempts"], rows, title="batch summary"))
-    _finish_fleet(args, telemetry)
     return 0 if all(result.ok for result in results) else 1
 
 
-def _run_reproduce_fleet(args) -> int:
-    from repro.fleet import RunTask
-
-    invalid = _validate_fleet_flags(args)
-    if invalid is not None:
-        return invalid
-    tasks = [
-        RunTask(
-            kind="experiment",
-            name=name,
-            payload={"experiment": name},
-            overrides=_plane_overrides(args),
-        )
-        for name in EXPERIMENTS
-    ]
-    pool, cache, telemetry = _fleet_pieces(args)
-    results = pool.run(tasks, cache=cache, telemetry=telemetry)
-    failed = False
+def _run_reproduce(args) -> int:
+    """Every canonical experiment as one task; ``--quick`` quarters drift figures."""
+    tasks = []
+    for name, row in EXPERIMENTS.items():
+        quarter = row.duration_ns // 4 if args.quick and row.duration_ns else None
+        tasks.append(_task(args, "experiment", name, {"experiment": name}, None, quarter))
+    results = _run_tasks(args, tasks)
     for result in results:
         print(f"\n=== {result.name} ===")
-        if result.ok:
-            print(result.value["rendered"])
-        else:
-            failed = True
-            print(f"FAILED: {result.error}")
-    _finish_fleet(args, telemetry)
-    return 1 if failed else 0
-
-
-def _run_experiment(name: str, seed: Optional[int], duration_s: Optional[float]):
-    if EXPERIMENTS[name].duration_ns is None:
-        # fig1 / inc / ablation have no duration or seed knob.
-        if duration_s is not None:
-            print("note: this experiment has no duration parameter; --duration-s ignored")
-        if seed is not None:
-            print("note: this experiment runs with its built-in seed; --seed ignored")
-    duration_ns = None if duration_s is None else int(duration_s * SECOND)
-    return run_experiment(name, seed, duration_ns)
+        print(result.value["rendered"] if result.ok else f"FAILED: {result.error}")
+    return 0 if all(result.ok for result in results) else 1
 
 
 def _preset_spec(args, name: str, attack: str = "benign", **blocks) -> dict:
@@ -692,22 +701,17 @@ def _run_preset(args) -> int:
 
     from repro.errors import ConfigurationError
 
-    invalid = _validate_fleet_flags(args)
-    if invalid is not None:
-        return invalid
     spec_dict, planes = _PRESETS[args.command]
     try:
         task = _spec_task(spec_dict(args), args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    pool, cache, telemetry = _fleet_pieces(args)
-    result = pool.run([task], cache=cache, telemetry=telemetry)[0]
+    (result,) = _run_tasks(args, [task])
     if not result.ok:
         print(f"{args.command} run FAILED: {result.error}", file=sys.stderr)
         return 1
     print(_render_sections(result.value, planes))
-    _finish_fleet(args, telemetry)
     if args.json:
         report = result.value["planes"][args.command]["report"]
         path = Path(args.json)
@@ -723,9 +727,6 @@ def _run_hunt(args) -> int:
     from repro.fleet import FleetTelemetry
     from repro.hunt import HuntConfig, HuntEngine
 
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
     try:
         config = HuntConfig(
             seed=args.seed,
@@ -750,6 +751,27 @@ def _run_hunt(args) -> int:
     return 0
 
 
+def _run_list(args) -> int:
+    width = max(len(name) for name in EXPERIMENTS)
+    for name, row in sorted(EXPERIMENTS.items()):
+        span = "-" if row.duration_ns is None else f"{row.duration_ns / SECOND:.0f}s"
+        print(f"{name:<{width + 2}} {span:>8}  {row.description}")
+    return 0
+
+
+#: Subcommand -> handler (argparse admits no other command).
+_COMMANDS: dict[str, Callable] = {
+    "list": _run_list,
+    "run": _run_single,
+    "run-spec": _run_single,
+    "sweep": _run_sweep,
+    "batch": _run_batch,
+    "hunt": _run_hunt,
+    "reproduce": _run_reproduce,
+    **{name: _run_preset for name in _PRESETS},
+}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     export = getattr(args, "export", None)
@@ -761,100 +783,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     if duration_s is not None and not math.isfinite(duration_s):
         print(f"error: --duration-s must be a finite number, got {duration_s}", file=sys.stderr)
         return 2
-
-    if args.command == "list":
-        width = max(len(name) for name in EXPERIMENTS)
-        for name, row in sorted(EXPERIMENTS.items()):
-            span = "-" if row.duration_ns is None else f"{row.duration_ns / SECOND:.0f}s"
-            print(f"{name:<{width + 2}} {span:>8}  {row.description}")
-        return 0
-
-    if args.command == "run":
-        run, code = _serial_run(
-            args, lambda: _run_experiment(args.experiment, args.seed, args.duration_s)
-        )
-        if run.value is None:
-            return code
-        result = run.value
-        print(render_result(args.experiment, result))
-        if run.controllers:
-            from repro.membership import render_report
-
-            for controller in run.controllers:
-                print()
-                print(render_report(controller.report()))
-        if args.export:
-            from repro.analysis.export import export_experiment
-
-            if not hasattr(result, "experiment"):
-                print(f"note: {args.experiment} has no exportable series")
-            else:
-                paths = export_experiment(result, args.export)
-                print(f"\nwrote {len(paths)} CSV files to {args.export}/")
-        return code
-
-    if args.command == "sweep":
-        return _run_sweep(args)
-
-    if args.command == "batch":
-        return _run_batch(args)
-
-    if args.command == "run-spec":
-        from repro.errors import ConfigurationError
-        from repro.experiments.spec import ExperimentSpec
-
-        try:
-            spec = ExperimentSpec.load(args.spec_path)
-        except (OSError, ConfigurationError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        run, code = _serial_run(args, spec.run)
-        if run.value is None:
-            return code
-        print(_render_sections(spec.outcome(run.value), _SPEC_SECTIONS))
-        if args.export:
-            from repro.analysis.export import export_experiment
-            from repro.experiments.figures import DriftFigureResult
-
-            result = DriftFigureResult(experiment=run.value, duration_ns=spec.duration_ns)
-            paths = export_experiment(result, args.export)
-            print(f"\nwrote {len(paths)} CSV files to {args.export}/")
-        return code
-
-    if args.command in _PRESETS:
-        return _run_preset(args)
-
-    if args.command == "hunt":
-        return _run_hunt(args)
-
-    if args.command == "reproduce":
-        invalid = _validate_fleet_flags(args)
-        if invalid is not None:
-            return invalid
-        if args.jobs > 1:
-            return _run_reproduce_fleet(args)
-
-        import runpy
-
-        script = Path(__file__).resolve().parents[2] / "examples" / "reproduce_paper.py"
-
-        def reproduce_serial() -> bool:
-            if script.exists():
-                saved_argv = sys.argv
-                sys.argv = [str(script)] + (["--quick"] if args.quick else [])
-                try:
-                    runpy.run_path(str(script), run_name="__main__")
-                finally:
-                    sys.argv = saved_argv
-            else:  # installed without the examples tree: run the essentials
-                for name in ("fig1", "inc", "fig2", "fig6", "ablation"):
-                    print(f"\n=== {name} ===")
-                    print(render_result(name, _run_experiment(name, None, None)))
-            return True
-
-        return _serial_run(args, reproduce_serial)[1]
-
-    return 1  # pragma: no cover - argparse enforces valid commands
+    invalid = _validate_fleet_flags(args) if hasattr(args, "jobs") else None
+    if invalid is not None:
+        return invalid
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -29,7 +29,7 @@ from repro.core.clock import TrustedClock
 from repro.core.probes import ProbeEvent, ProbeHub
 from repro.core.states import NodeState, StateTimeline
 from repro.core.untaint import UntaintOutcome, apply_authority_untaint, apply_peer_untaint
-from repro.errors import CalibrationError, ProtocolError, ReproError
+from repro.errors import CalibrationError, FieldError, ProtocolError, ReproError
 from repro.hardware.aex import AexEvent
 from repro.hardware.machine import Machine
 from repro.hardware.monitor import IncMonitor, MonitorCalibration, PAPER_WINDOW_TICKS
@@ -125,6 +125,41 @@ class TriadNodeConfig:
     monitor_interval_ns: int = SECOND
     #: Smallest timestamp increment used for the monotonicity bump.
     min_increment_ns: int = 1
+
+    def __post_init__(self) -> None:
+        # The one rule set of these fields, whichever spec block sets them
+        # (``node_config`` or ``faults.retry``): a config that passes runs.
+        sleeps = self.calibration_sleeps_ns
+        self._require(
+            len(set(sleeps)) >= 2 and min(sleeps) >= 0,
+            "calibration_sleeps_ns",
+            f"must hold two or more distinct non-negative sleeps, got {sleeps!r}",
+        )
+        for name in ("calibration_rounds", "calibration_max_attempts"):
+            self._require(getattr(self, name) >= 1, name, "must be >= 1")
+        factor, jitter = self.retry_backoff_factor, self.retry_jitter
+        self._require(factor >= 1.0, "retry_backoff_factor", f"must be >= 1, got {factor!r}")
+        self._require(0.0 <= jitter <= 1.0, "retry_jitter", f"must be in [0, 1], got {jitter!r}")
+        base, cap = self.ta_retry_backoff_ns, self.retry_backoff_max_ns
+        self._require(base > 0, "ta_retry_backoff_ns", "must be positive")
+        self._require(cap > 0, "retry_backoff_max_ns", "must be positive")
+        self._require(cap >= base, "retry_backoff_max_ns", "cap below the base backoff")
+        self._require(
+            self.calibration_retry_backoff_ns >= 0,
+            "calibration_retry_backoff_ns",
+            "must be non-negative",
+        )
+        budget = self.ta_fetch_attempt_budget
+        self._require(
+            budget is None or budget >= 1,
+            "ta_fetch_attempt_budget",
+            "must be at least 1 (or null for unbounded)",
+        )
+
+    @staticmethod
+    def _require(condition: bool, field_name: str, reason: str) -> None:
+        if not condition:
+            raise FieldError(field_name, reason)
 
 
 @dataclass

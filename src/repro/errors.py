@@ -16,6 +16,16 @@ class ConfigurationError(ReproError):
     """An experiment or component was configured inconsistently."""
 
 
+class FieldError(ConfigurationError):
+    """A config field's value breaks its class's rules; ``field`` and
+    ``reason`` apart, so a spec block can name its own key for the field."""
+
+    def __init__(self, field: str, reason: str) -> None:
+        super().__init__(f"{field}: {reason}")
+        self.field = field
+        self.reason = reason
+
+
 class ProtocolError(ReproError):
     """A protocol participant received a message it cannot process."""
 
@@ -36,15 +46,17 @@ class OracleViolationError(ReproError):
     """A strict-mode oracle run observed unexpected invariant violations.
 
     Carries the offending records as plain dicts (see
-    :meth:`repro.oracle.Violation.to_dict`) so the exception pickles
-    cleanly across fleet worker process boundaries. Deterministic by
-    construction — the same task always violates the same way — so the
+    :meth:`repro.oracle.Violation.to_dict`) and, once a fleet task failed
+    on them, the rendered oracle reports (``reports``), so the exception
+    pickles cleanly across fleet worker process boundaries. Deterministic
+    by construction — the same task always violates the same way — so the
     fleet pool must not retry it.
     """
 
-    def __init__(self, message: str, violations: list[dict] | None = None) -> None:
+    def __init__(self, message: str, violations: list | None = None, reports: list | None = None):
         super().__init__(message)
         self.violations = violations or []
+        self.reports = reports or []
 
     def __reduce__(self):
-        return (self.__class__, (self.args[0], self.violations))
+        return (self.__class__, (self.args[0], self.violations, self.reports))

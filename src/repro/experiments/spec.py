@@ -97,7 +97,7 @@ from repro.attacks.scheduler import (
 )
 from repro.core.cluster import ClusterConfig, TriadCluster
 from repro.core.node import TriadNode, TriadNodeConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FieldError
 from repro.experiments.runner import Experiment
 from repro.hardened.node import HardenedNodeConfig, HardenedTriadNode
 from repro.hardware.aex import ExponentialAexDelays, TriadLikeAexDelays
@@ -285,7 +285,7 @@ class ExperimentSpec:
         self._timed += self._churn_actions()
         self._faults = None if self.faults is None else self._fault_plan()
         self._delay_model = None if self.network_delay is None else self._network_delay()
-        self._node_overrides = {} if self.node_config is None else self._node_config()
+        self._node_config_value = self._lower_node_config()
 
     def _network_delay(self):
         """Compile the ``network_delay`` block into a delay model."""
@@ -302,8 +302,24 @@ class ExperimentSpec:
                 raise ConfigurationError(f"network_delay.{key}: must be positive, got {value!r}")
         return build(params)
 
-    def _node_config(self) -> dict[str, Any]:
-        """Validate the ``node_config`` block into TriadNodeConfig field values."""
+    def _lower_node_config(self) -> TriadNodeConfig:
+        """The config every node is built with: the protocol's default, then
+        the ``node_config`` block, then ``faults.retry``; its rules' errors
+        name the block key that set the rejected field."""
+        overrides = {} if self.node_config is None else self._node_config_fields()
+        retry = {} if self._faults is None else self._faults.retry_overrides
+        base = HardenedNodeConfig() if self.protocol == "hardened" else TriadNodeConfig()
+        try:
+            return replace(base, **{**overrides, **retry})
+        except FieldError as exc:
+            if exc.field in retry:
+                from repro.faults.plan import retry_error
+
+                raise retry_error(exc) from None
+            raise ConfigurationError(f"node_config.{exc.field}: {exc.reason}") from None
+
+    def _node_config_fields(self) -> dict[str, Any]:
+        """Type-check the ``node_config`` block into TriadNodeConfig field values."""
         overrides = {}
         for key, value in entry_object("node_config", self.node_config, "block").items():
             if key not in _NODE_FIELDS:
@@ -358,6 +374,12 @@ class ExperimentSpec:
                 raise ConfigurationError(f"{where}: nodes must be a non-empty list")
             for each in [params] if nodes is None else [{**params, "node": n} for n in nodes]:
                 action = validate(where, t_ns, target, each, self._shape, heal_ns)
+                node = action.params.get("node")
+                if target == "aex-suppress" and self.environments.get(node) != "triad-like":
+                    raise ConfigurationError(
+                        f"{where}/{kind}: node {node} has no AEX source to control — give it "
+                        f"the 'triad-like' environment in the spec"
+                    )
                 actions.append((f"{where}/{kind}", action))
         return actions
 
@@ -475,17 +497,24 @@ class ExperimentSpec:
         unknown = set(raw) - _SPEC_KEYS
         if unknown:
             raise ConfigurationError(f"unknown spec keys: {sorted(unknown)}")
+        if "name" not in raw:
+            raise ConfigurationError("spec needs a name")
         return cls(**raw)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSpec":
+    @staticmethod
+    def parse(text: str) -> dict[str, Any]:
+        """The raw spec dict of a spec JSON text (not yet validated)."""
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"invalid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigurationError("spec JSON must be an object")
-        return cls.from_dict(raw)
+        return raw
+
+    @classmethod
+    def from_json(cls, text: str) -> "ExperimentSpec":
+        return cls.from_dict(cls.parse(text))
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentSpec":
@@ -504,9 +533,7 @@ class ExperimentSpec:
 
     def build(self) -> Experiment:
         """Wire the experiment (does not run it)."""
-        node_class, node_config = TriadNode, TriadNodeConfig()
-        if self.protocol == "hardened":
-            node_class, node_config = HardenedTriadNode, HardenedNodeConfig()
+        node_class = HardenedTriadNode if self.protocol == "hardened" else TriadNode
         # Shared-host clusters pin one monitoring core per node; specs may
         # deploy hundreds of nodes, so the host grows beyond the paper's
         # 32 cores when needed (identical machine for nodes <= 32).
@@ -517,7 +544,7 @@ class ExperimentSpec:
             initial_absent=tuple(sorted(self.churn.get("absent", []))) if self.churn else (),
             delay_model=self._delay_model,
             node_class=node_class,
-            node_config=replace(node_config, **self._node_overrides),
+            node_config=self._node_config_value,
         )
         sim = Simulator(seed=self.seed)
         # A membership block is an inner plane scope, winning over the policy's.
@@ -538,12 +565,6 @@ class ExperimentSpec:
         recorder = DriftRecorder(sim, cluster.nodes, interval_ns=interval_ns)
         experiment = Experiment(name=self.name, sim=sim, cluster=cluster, recorder=recorder)
         for tag, action in self._attacks:
-            node = action.params.get("node")
-            if action.kind == "aex-suppress" and self.environments.get(node) != "triad-like":
-                raise ConfigurationError(
-                    f"{tag}: node {node} has no AEX source to control — give it "
-                    f"the 'triad-like' environment in the spec"
-                )
             apply_action(experiment, action, tag)
         for tag, action in self._timed:
             apply_action(experiment, action, tag)
@@ -561,42 +582,49 @@ class ExperimentSpec:
         """Build and run to the configured duration."""
         return self.build().run(self.duration_ns)
 
-    def outcome(self, experiment: Experiment) -> dict[str, Any]:
-        """JSON-able result of a finished run of this spec.
-
-        ``rendered`` is the drift table; ``planes`` maps each attached
-        plane — ``service``, ``membership`` (the block's engine or the
-        policy's), ``faults`` (the recovery/MTTR report, carrying the
-        service SLOs when a service rode the faults) — to its ``report``
-        and ``rendered`` text.
-        """
-        planes: dict[str, dict[str, Any]] = {}
-        if experiment.service is not None:
-            service = experiment.service.report()
-            planes["service"] = {"report": service.to_dict(), "rendered": service.render()}
-        if experiment.membership is not None:
-            from repro.membership.engine import render_report
-
-            report = experiment.membership.report()
-            planes["membership"] = {"report": report, "rendered": render_report(report)}
-        if self._faults is not None:
-            from repro.faults import recovery_report, render_recovery_report
-
-            report = recovery_report(experiment, self._faults)
-            rendered = render_recovery_report(report)
-            if "service" in planes:
-                report["service"] = planes["service"]["report"]
-            planes["faults"] = {"report": report, "rendered": rendered}
+    def outcome(self, experiment: Experiment, export: bool = False) -> dict[str, Any]:
+        """JSON-able result of a finished run of this spec: the drift table
+        (``rendered``), :func:`plane_outcomes` (``planes``) and, with
+        ``export``, the series CSVs (:func:`~repro.analysis.export.experiment_csvs`)."""
         # Imported here: the figures import the canonical scenarios, which
         # are entries of this module's specs.
+        from repro.analysis.export import experiment_csvs
         from repro.experiments.figures import DriftFigureResult
 
         table = DriftFigureResult(experiment=experiment, duration_ns=self.duration_ns)
-        return {
+        value = {
             "spec": self.name,
             "rendered": table.render(
                 f"spec: {self.name} ({self.protocol}, {self.duration_s:.0f}s)"
             ),
-            "planes": planes,
+            "planes": plane_outcomes(experiment, self._faults),
             "sim_ns": self.duration_ns,
         }
+        if export:
+            value["export"] = experiment_csvs(table)
+        return value
+
+
+def plane_outcomes(experiment: Experiment, faults=None) -> dict[str, dict[str, Any]]:
+    """Each plane attached to a finished run, mapped to its ``report`` and
+    ``rendered`` text: ``service``, ``membership`` (the spec block's engine
+    or the policy's), and with a fault plan ``faults`` (the recovery/MTTR
+    report, carrying the service SLOs when a service rode the faults)."""
+    planes: dict[str, dict[str, Any]] = {}
+    if experiment.service is not None:
+        service = experiment.service.report()
+        planes["service"] = {"report": service.to_dict(), "rendered": service.render()}
+    if experiment.membership is not None:
+        from repro.membership.engine import render_report
+
+        report = experiment.membership.report()
+        planes["membership"] = {"report": report, "rendered": render_report(report)}
+    if faults is not None:
+        from repro.faults import recovery_report, render_recovery_report
+
+        report = recovery_report(experiment, faults)
+        rendered = render_recovery_report(report)
+        if "service" in planes:
+            report["service"] = planes["service"]["report"]
+        planes["faults"] = {"report": report, "rendered": rendered}
+    return planes

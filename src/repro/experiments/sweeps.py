@@ -13,7 +13,8 @@ run once per seed (jitter's 8 seeds make one point), so its wiring and
 oracle allowance are the spec's own. The ``*_tasks`` emitters
 (:data:`TASK_EMITTERS`, the CLI's sweeps) give the grids as ``sweep-point``
 tasks; :func:`run_point_tasks` runs them, at any ``jobs``, into the same
-:class:`SweepPoint` rows, whose ``metrics`` keys are the table's columns.
+:class:`SweepPoint` rows (:func:`sweep_points` reduces results run
+elsewhere, as the CLI's), whose ``metrics`` keys are the table's columns.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.errors import FleetError
 from repro.experiments.runner import Experiment
 from repro.experiments.scenarios import scenario_spec
 from repro.experiments.spec import ExperimentSpec
-from repro.fleet import FleetPool, FleetTelemetry, ResultCache, RunTask
+from repro.fleet import FleetPool, FleetTelemetry, ResultCache, RunTask, TaskResult
 from repro.sim.units import MICROSECOND, MILLISECOND, MINUTE, SECOND, exact_in
 
 #: Default grids (kept as module constants so emitters and CLI agree).
@@ -260,14 +261,19 @@ def run_point_tasks(
     cache: Optional[ResultCache] = None,
     telemetry: Optional[FleetTelemetry] = None,
 ) -> list[SweepPoint]:
-    """Execute ``sweep-point`` tasks through a pool; rows in task order.
+    """Execute ``sweep-point`` tasks through a pool; rows in task order."""
+    results = (pool or FleetPool(jobs=jobs)).run(tasks, cache=cache, telemetry=telemetry)
+    return sweep_points(results)
+
+
+def sweep_points(results: Sequence[TaskResult]) -> list[SweepPoint]:
+    """The points of finished ``sweep-point`` tasks, in task order.
 
     Raises :class:`FleetError` if any point failed (sweeps are
     all-or-nothing: a table with silently missing rows would be worse
     than no table).
     """
-    results = (pool or FleetPool(jobs=jobs)).run(tasks, cache=cache, telemetry=telemetry)
-    for task, result in zip(tasks, results):
+    for result in results:
         if not result.ok:
-            raise FleetError(f"sweep task {task.name!r} failed: {result.error}")
+            raise FleetError(f"sweep task {result.name!r} failed: {result.error}")
     return [SweepPoint(**result.value["point"]) for result in results]

@@ -17,7 +17,6 @@ node back in ``OK`` within ``recovery_deadline_s`` of it.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -31,7 +30,8 @@ from repro.attacks.scheduler import (
     syntax_keys,
     validate,
 )
-from repro.errors import ConfigurationError
+from repro.core.node import TriadNodeConfig
+from repro.errors import ConfigurationError, FieldError
 from repro.sim.units import MILLISECOND, SECOND
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -113,10 +113,8 @@ class FaultPlan:
 
 
 def apply_fault_plan(experiment: "Experiment", plan: FaultPlan) -> None:
-    """Override every node's retry policy, schedule the faults, arm recovery."""
-    if plan.retry_overrides:
-        for node in experiment.cluster.nodes:
-            node.config = dataclasses.replace(node.config, **plan.retry_overrides)
+    """Schedule the faults and arm recovery (``ExperimentSpec`` builds the
+    plan's ``retry_overrides`` into the node config of the cluster)."""
     for position, event in enumerate(plan.events):
         apply_action(experiment, event, f"faults[{position}]/{event.kind}")
     oracle = experiment.cluster.oracle
@@ -178,6 +176,7 @@ def _check_windows(events: list[TimedAction], duration_ns: int) -> None:
 
 
 def _validate_retry(raw: Any) -> dict[str, Any]:
+    """Convert a ``retry`` block to TriadNodeConfig fields and check them by its rules."""
     unknown = set(entry_object("faults.retry", raw, "block")) - set(_RETRY_FIELDS)
     if unknown:
         raise ConfigurationError(f"faults.retry: unknown keys {sorted(unknown)}")
@@ -185,38 +184,17 @@ def _validate_retry(raw: Any) -> dict[str, Any]:
     for key, value in raw.items():
         field_name, convert = _RETRY_FIELDS[key]
         try:
-            converted = convert(value)
+            overrides[field_name] = convert(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"faults.retry.{key}: {exc}") from exc
-        overrides[field_name] = converted
-    factor = overrides.get("retry_backoff_factor")
-    if factor is not None and not factor >= 1.0:
-        raise ConfigurationError(
-            f"faults.retry.backoff_factor: must be >= 1, got {factor!r}"
-        )
-    jitter = overrides.get("retry_jitter")
-    if jitter is not None and not 0.0 <= jitter <= 1.0:
-        raise ConfigurationError(
-            f"faults.retry.jitter: must be in [0, 1], got {jitter!r}"
-        )
-    base = overrides.get("ta_retry_backoff_ns")
-    if base is not None and base <= 0:
-        raise ConfigurationError("faults.retry.backoff_s: must be positive")
-    cap = overrides.get("retry_backoff_max_ns")
-    if cap is not None and cap <= 0:
-        raise ConfigurationError("faults.retry.max_backoff_s: must be positive")
-    if base is not None and cap is not None and cap < base:
-        raise ConfigurationError(
-            "faults.retry.max_backoff_s: cap below the base backoff"
-        )
-    calibration = overrides.get("calibration_retry_backoff_ns")
-    if calibration is not None and calibration < 0:
-        raise ConfigurationError(
-            "faults.retry.calibration_backoff_ms: must be non-negative"
-        )
-    budget = overrides.get("ta_fetch_attempt_budget", 1)
-    if budget is not None and budget < 1:
-        raise ConfigurationError(
-            "faults.retry.attempt_budget: must be at least 1 (or null for unbounded)"
-        )
+    try:
+        TriadNodeConfig(**overrides)
+    except FieldError as exc:
+        raise retry_error(exc) from None
     return overrides
+
+
+def retry_error(exc: FieldError) -> ConfigurationError:
+    """A rejected TriadNodeConfig retry field, named by its ``faults.retry`` key."""
+    (key,) = [key for key, (name, _) in _RETRY_FIELDS.items() if name == exc.field]
+    return ConfigurationError(f"faults.retry.{key}: {exc.reason}")

@@ -2,8 +2,9 @@
 
 ``FleetPool(jobs=N)`` fans a task list out over ``N`` worker processes;
 ``jobs=1`` degrades gracefully to plain in-process execution (no fork, no
-pickling — what the test suite and single-shot CLI calls use). Either
-way the contract is the same:
+pickling — what the test suite uses, and every CLI command at ``--jobs
+1``: ``run`` and ``run-spec`` always run that way). Either way the
+contract is the same:
 
 * **determinism** — results come back in task order, and each task is a
   pure function of its own content (fresh ``Simulator`` from the task's
@@ -30,24 +31,45 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.errors import FleetError, OracleViolationError
 from repro.fleet.cache import ResultCache
-from repro.fleet.tasks import (
-    RunTask,
-    TaskResult,
-    execute_task,
-    peak_rss_kb,
-    result_sim_ns,
-    result_violations,
-)
+from repro.fleet.tasks import RunTask, TaskResult, execute_task, peak_rss_kb, result_sim_ns
 from repro.fleet.telemetry import FleetTelemetry
 
 
 def default_start_method() -> str:
     """``fork`` where available (cheap workers), else ``spawn``."""
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+
+
+def _succeeded(task: RunTask, value: Any, **bookkeeping) -> TaskResult:
+    """A task's result from its value, which carries the oracle's findings."""
+    carried = value if isinstance(value, dict) else {}
+    return TaskResult(
+        task_hash=task.content_hash(),
+        name=task.name,
+        ok=True,
+        value=value,
+        sim_ns=result_sim_ns(value),
+        violations=[dict(item) for item in carried.get("violations", [])],
+        oracle_reports=list(carried.get("oracle_reports", [])),
+        **bookkeeping,
+    )
+
+
+def _failed(task: RunTask, error: str, exc: Optional[BaseException], **bookkeeping) -> TaskResult:
+    """A failed task's result; an oracle failure (``exc``) carries its findings."""
+    return TaskResult(
+        task_hash=task.content_hash(),
+        name=task.name,
+        ok=False,
+        error=error,
+        violations=list(getattr(exc, "violations", [])),
+        oracle_reports=list(getattr(exc, "reports", [])),
+        **bookkeeping,
+    )
 
 
 def _worker_execute(task: RunTask) -> dict:
@@ -62,7 +84,11 @@ def _worker_execute(task: RunTask) -> dict:
 
 
 class FleetPool:
-    """A configurable executor for batches of :class:`RunTask`."""
+    """A configurable executor for batches of :class:`RunTask`.
+
+    The one way the CLI simulates: each command builds its tasks and runs
+    them through :meth:`run`, in-process at ``jobs=1``.
+    """
 
     def __init__(
         self,
@@ -98,15 +124,7 @@ class FleetPool:
                 continue
             value = cache.get(task)
             if value is not None:
-                results[index] = TaskResult(
-                    task_hash=task.content_hash(),
-                    name=task.name,
-                    ok=True,
-                    value=value,
-                    sim_ns=result_sim_ns(value),
-                    from_cache=True,
-                    violations=result_violations(value),
-                )
+                results[index] = _succeeded(task, value, from_cache=True)
                 telemetry.on_result(results[index])
 
         pending = [i for i, r in enumerate(results) if r is None]
@@ -129,7 +147,6 @@ class FleetPool:
     # -- serial path -------------------------------------------------------------
 
     def _run_one_inprocess(self, task: RunTask, telemetry: FleetTelemetry) -> TaskResult:
-        task_hash = task.content_hash()
         attempts = 0
         while True:
             attempts += 1
@@ -139,29 +156,22 @@ class FleetPool:
             except Exception as exc:  # noqa: BLE001 — task errors become results
                 # Oracle violations are a pure function of the task: the
                 # rerun would violate identically, so don't burn retries.
-                deterministic = isinstance(exc, OracleViolationError)
-                if deterministic or attempts > self.retries:
-                    return TaskResult(
-                        task_hash=task_hash,
-                        name=task.name,
-                        ok=False,
-                        error=f"{type(exc).__name__}: {exc}",
+                if isinstance(exc, OracleViolationError) or attempts > self.retries:
+                    return _failed(
+                        task,
+                        f"{type(exc).__name__}: {exc}",
+                        exc,
                         wall_s=time.perf_counter() - started,
                         attempts=attempts,
-                        violations=list(getattr(exc, "violations", [])),
                         peak_rss_kb=peak_rss_kb(),
                     )
                 telemetry.retries += 1
             else:
-                return TaskResult(
-                    task_hash=task_hash,
-                    name=task.name,
-                    ok=True,
-                    value=value,
+                return _succeeded(
+                    task,
+                    value,
                     wall_s=time.perf_counter() - started,
-                    sim_ns=result_sim_ns(value),
                     attempts=attempts,
-                    violations=result_violations(value),
                     peak_rss_kb=peak_rss_kb(),
                 )
 
@@ -179,23 +189,27 @@ class FleetPool:
         attempts = {index: 0 for index in pending}
         executor: Optional[ProcessPoolExecutor] = None
 
-        def settle(
-            index: int, error: str, retryable: bool = True, violations: Optional[list] = None
-        ) -> None:
-            """Charge a failed attempt: retry if budget remains, else record."""
-            if not retryable or attempts[index] > self.retries:
-                results[index] = TaskResult(
-                    task_hash=tasks[index].content_hash(),
-                    name=tasks[index].name,
-                    ok=False,
-                    error=error,
-                    attempts=attempts[index],
-                    violations=list(violations or []),
-                )
+        def settle(index: int, error: str, exc: Optional[BaseException] = None) -> None:
+            """Charge a failed attempt: retry if budget remains, else record.
+
+            Oracle violations (``exc``) rerun identically: never retried.
+            """
+            if isinstance(exc, OracleViolationError) or attempts[index] > self.retries:
+                results[index] = _failed(tasks[index], error, exc, attempts=attempts[index])
                 telemetry.on_result(results[index])
             else:
                 telemetry.retries += 1
                 queue.append(index)
+
+        def record_ok(index: int, payload: dict) -> None:
+            results[index] = _succeeded(
+                tasks[index],
+                payload["value"],
+                wall_s=payload["wall_s"],
+                attempts=attempts[index],
+                peak_rss_kb=int(payload.get("peak_rss_kb", 0)),
+            )
+            telemetry.on_result(results[index])
 
         try:
             while queue:
@@ -222,7 +236,7 @@ class FleetPool:
                                 attempts[index] -= 1
                                 queue.append(index)
                             else:
-                                self._record_ok(tasks, index, payload, attempts, results, telemetry)
+                                record_ok(index, payload)
                         else:
                             future.cancel()
                             attempts[index] -= 1
@@ -239,15 +253,9 @@ class FleetPool:
                         settle(index, "worker process crashed")
                         rebuild = True
                     except Exception as exc:  # noqa: BLE001 — task raised normally
-                        settle(
-                            index,
-                            f"{type(exc).__name__}: {exc}",
-                            # Oracle violations rerun identically: no retry.
-                            retryable=not isinstance(exc, OracleViolationError),
-                            violations=list(getattr(exc, "violations", [])),
-                        )
+                        settle(index, f"{type(exc).__name__}: {exc}", exc)
                     else:
-                        self._record_ok(tasks, index, payload, attempts, results, telemetry)
+                        record_ok(index, payload)
 
                 if rebuild:
                     executor.shutdown(wait=False, cancel_futures=True)
@@ -255,26 +263,3 @@ class FleetPool:
         finally:
             if executor is not None:
                 executor.shutdown(wait=True, cancel_futures=True)
-
-    @staticmethod
-    def _record_ok(
-        tasks: Sequence[RunTask],
-        index: int,
-        payload: dict,
-        attempts: dict[int, int],
-        results: list[Optional[TaskResult]],
-        telemetry: FleetTelemetry,
-    ) -> None:
-        value = payload["value"]
-        results[index] = TaskResult(
-            task_hash=tasks[index].content_hash(),
-            name=tasks[index].name,
-            ok=True,
-            value=value,
-            wall_s=payload["wall_s"],
-            sim_ns=result_sim_ns(value),
-            attempts=attempts[index],
-            violations=result_violations(value),
-            peak_rss_kb=int(payload.get("peak_rss_kb", 0)),
-        )
-        telemetry.on_result(results[index])

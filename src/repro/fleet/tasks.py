@@ -14,10 +14,10 @@ objects. That buys three things at once:
 
 Executors are registered per ``kind`` with :func:`register_runner`; the
 built-in kinds are ``sweep-point``, ``spec``, ``hunt-genome`` and
-``experiment``. A ``spec`` task returns the drift table plus the report
-and rendering of every plane the spec attached (service, membership,
-faults recovery); the CLI's ``service``, ``membership`` and ``faults``
-subcommands are presets building such tasks. An executor returns a
+``experiment``. A ``spec`` or ``experiment`` task returns the drift
+table plus the report and rendering of every plane the run attached
+(service, membership, faults recovery), and with ``payload["export"]``
+its series CSVs; the CLI simulates only through such tasks. An executor returns a
 JSON-able dict (it must round-trip through ``json.dumps``/``loads``
 unchanged — the cache stores it that way) and should include a
 ``sim_ns`` entry so telemetry can report simulated seconds per wall
@@ -25,7 +25,8 @@ second.
 
 :func:`execute_task` runs every kind through the one plane runner,
 :func:`repro.oracle.policy.run_planes`, with the task's ``oracle`` and
-``membership`` overrides as the requested modes.
+``membership`` overrides as the requested modes, and returns the
+rendered oracle reports with the value (:attr:`TaskResult.oracle_reports`).
 """
 
 from __future__ import annotations
@@ -91,6 +92,9 @@ class TaskResult:
     from_cache: bool = False
     #: Oracle violation records (dicts) the task reported, if any.
     violations: list = field(default_factory=list)
+    #: Rendered report of every oracle that saw violations, then the
+    #: reason a strict oracle failed the task: what the CLI prints on stderr.
+    oracle_reports: list = field(default_factory=list)
     #: Peak resident-set size of the executing process (KiB; 0 when
     #: unknown, e.g. cache hits). In-process runs report the parent's
     #: peak, worker runs the worker's — either way a monotone high-water
@@ -146,9 +150,10 @@ def execute_task(task: RunTask) -> dict:
     modes the run gets (this is how they cross worker-process
     boundaries: they ride in the pickled task, not in inherited process
     state). Violations observed by any oracle the run created are
-    appended to the result value under ``"violations"``; in strict mode,
+    appended to the result value under ``"violations"``, and those
+    oracles' rendered reports under ``"oracle_reports"``; in strict mode,
     unexpected violations raise
-    :class:`~repro.errors.OracleViolationError`.
+    :class:`~repro.errors.OracleViolationError` carrying the reports.
     """
     from repro.oracle.policy import run_planes
 
@@ -158,11 +163,13 @@ def execute_task(task: RunTask) -> dict:
         membership=task.overrides.get("membership"),
         name=task.name,
     )
+    reports = [oracle.render_report() for oracle in run.oracles if oracle.violations]
     if run.failure is not None:
+        run.failure.reports = reports + [f"oracle: {run.failure}"]
         raise run.failure
     violations = [v.to_dict() for oracle in run.oracles for v in oracle.violations]
     if isinstance(run.value, dict) and violations:
-        return {**run.value, "violations": violations}
+        return {**run.value, "violations": violations, "oracle_reports": reports}
     return run.value
 
 
@@ -173,15 +180,6 @@ def result_sim_ns(value: Any) -> int:
         if isinstance(sim_ns, (int, float)):
             return int(sim_ns)
     return 0
-
-
-def result_violations(value: Any) -> list[dict]:
-    """Oracle violation records a result value carries (empty when none)."""
-    if isinstance(value, dict):
-        violations = value.get("violations")
-        if isinstance(violations, list):
-            return [dict(item) for item in violations if isinstance(item, dict)]
-    return []
 
 
 # -- built-in task kinds ---------------------------------------------------------
@@ -210,7 +208,7 @@ def _run_spec(task: RunTask) -> dict:
     from repro.experiments.spec import ExperimentSpec
 
     spec = ExperimentSpec.from_dict(dict(task.payload["spec"]))
-    return spec.outcome(spec.run())
+    return spec.outcome(spec.run(), export=bool(task.payload.get("export")))
 
 
 @register_runner("hunt-genome")
@@ -223,15 +221,24 @@ def _run_hunt_genome(task: RunTask) -> dict:
 
 @register_runner("experiment")
 def _run_experiment(task: RunTask) -> dict:
-    """Execute one canonical experiment (``repro.experiments.figures.EXPERIMENTS``)."""
-    from repro.experiments.figures import EXPERIMENTS, render_result, run_experiment
+    """Execute one canonical experiment (``repro.experiments.figures.EXPERIMENTS``);
+    only a drift figure has ``planes`` and (``payload["export"]``) CSVs to return."""
+    from repro.analysis.export import experiment_csvs
+    from repro.experiments.figures import EXPERIMENTS, DriftFigureResult, render_result
+    from repro.experiments.figures import run_experiment
+    from repro.experiments.spec import plane_outcomes
 
     name = task.payload.get("experiment")
     if name not in EXPERIMENTS:
         raise FleetError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
     default_duration = EXPERIMENTS[name].duration_ns
-    duration_ns = task.duration_ns or default_duration
+    duration_ns = default_duration if task.duration_ns is None else task.duration_ns
     result = run_experiment(name, task.seed, duration_ns)
+    value = {"experiment": name, "rendered": render_result(name, result), "planes": {}}
+    if isinstance(result, DriftFigureResult):
+        value["planes"] = plane_outcomes(result.experiment)
+        if task.payload.get("export"):
+            value["export"] = experiment_csvs(result)
     # fig1 / inc / ablation: built-in seed and span, no simulated time.
-    sim_ns = duration_ns if default_duration else 0
-    return {"experiment": name, "rendered": render_result(name, result), "sim_ns": sim_ns}
+    value["sim_ns"] = duration_ns if default_duration else 0
+    return value

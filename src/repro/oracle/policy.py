@@ -24,8 +24,9 @@ plane that call built. The allowance each oracle is judged against is
 its own: attacks and quarantines tell it (:meth:`InvariantOracle.allow`)
 at the point of cause, so no runner, task name or table grants any. The fleet's
 :func:`~repro.fleet.tasks.execute_task` (with the modes a task carries in
-its ``overrides``, so they cross process boundaries with the task) and
-the CLI's serial ``run``, ``run-spec`` and ``reproduce`` all go through it.
+its ``overrides``, so they cross process boundaries with the task) goes
+through it, and every CLI command reaches it that way: each runs fleet
+tasks, in-process at ``--jobs 1``.
 """
 
 from __future__ import annotations
@@ -160,11 +161,10 @@ def unexpected_error(label: str, unexpected: list["Violation"]) -> OracleViolati
 
 @dataclass
 class PlaneRun:
-    """What :func:`run_planes` observed: the value and every judged plane."""
+    """What :func:`run_planes` observed: the value and every judged oracle."""
 
     value: Any = None
     oracles: list[InvariantOracle] = field(default_factory=list)
-    controllers: list[MembershipController] = field(default_factory=list)
     #: Why the oracle failed the run, if it did: a strict abort raised
     #: inside it (``value`` is then None), or unexpected violations found
     #: by judging in strict mode.
@@ -198,7 +198,7 @@ def run_planes(
             run.value = fn()
         except OracleViolationError as exc:
             run.failure = exc
-        run.oracles, run.controllers = scope.drain()
+        run.oracles = scope.drain()[0]
     unexpected: list["Violation"] = []
     for item in run.oracles:
         if name and not item.name:

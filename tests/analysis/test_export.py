@@ -4,11 +4,12 @@ import pytest
 
 from repro.analysis.export import (
     export_availability_csv,
+    experiment_csvs,
     export_drift_csv,
-    export_experiment,
     export_frequencies_csv,
     export_jumps_csv,
     export_states_csv,
+    write_csvs,
 )
 from repro.errors import ConfigurationError
 from repro.experiments.figures import run_experiment
@@ -58,7 +59,7 @@ class TestCsvContent:
 
 class TestExportDirectory:
     def test_writes_five_files(self, result, tmp_path):
-        written = export_experiment(result, tmp_path / "out")
+        written = write_csvs(experiment_csvs(result), tmp_path / "out")
         assert len(written) == 5
         names = {path.name for path in written}
         assert names == {
@@ -75,9 +76,9 @@ class TestExportDirectory:
         blocker = tmp_path / "blocked"
         blocker.write_text("I am a file")
         with pytest.raises(ConfigurationError):
-            export_experiment(result, blocker)
+            write_csvs(experiment_csvs(result), blocker)
 
     def test_idempotent(self, result, tmp_path):
-        export_experiment(result, tmp_path)
-        written = export_experiment(result, tmp_path)
+        write_csvs(experiment_csvs(result), tmp_path)
+        written = write_csvs(experiment_csvs(result), tmp_path)
         assert len(written) == 5

@@ -149,12 +149,11 @@ class TestExecution:
         )
 
     def test_aex_onset_requires_triad_like_environment(self):
-        spec = minimal_spec(
-            environments={"1": "low-aex", "2": "triad-like", "3": "triad-like"},
-            attacks=[{"type": "aex-onset", "nodes": [1], "at_s": 5}],
-        )
         with pytest.raises(ConfigurationError, match="no AEX source"):
-            spec.build()
+            minimal_spec(
+                environments={"1": "low-aex", "2": "triad-like", "3": "triad-like"},
+                attacks=[{"type": "aex-onset", "nodes": [1], "at_s": 5}],
+            )
 
     def test_ta_blackhole_spec(self):
         spec = minimal_spec(

@@ -42,6 +42,13 @@ class TestRun:
         out = capsys.readouterr().out
         assert "ignored" in out
 
+    def test_run_membership_prints_the_verdict_journal_after_the_table(self, capsys):
+        assert main(["run", "fig6", "--duration-s", "30"]) == 0
+        table = capsys.readouterr().out
+        assert main(["run", "fig6", "--duration-s", "30", "--membership", "observe"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(table + "\nmembership: mode=observe")
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "not-an-experiment"])
@@ -117,6 +124,12 @@ class TestSweepFleetFlags:
         assert records[-1]["event"] == "summary"
         assert records[-1]["completed"] == 1
 
+    def test_sweep_prints_each_points_oracle_report(self, capsys):
+        argv = ["sweep", "attack-delay", "--limit", "1", "--oracle", "warn", "--no-cache"]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "oracle: 2 violation(s)" in err and "node-3 drift-bound" in err
+
     def test_sweep_rejects_jobs_below_one(self, capsys):
         assert main(["sweep", "jitter", "--limit", "1", "--jobs", "0"]) == 2
         assert "--jobs must be >= 1" in capsys.readouterr().err
@@ -128,6 +141,23 @@ class TestSweepFleetFlags:
     def test_reproduce_rejects_jobs_below_one(self, capsys):
         assert main(["reproduce", "--jobs", "0"]) == 2
         assert "--jobs must be >= 1" in capsys.readouterr().err
+
+
+class TestReproduce:
+    def test_quick_prints_the_same_bytes_at_any_jobs(self, capsys):
+        outs = []
+        for jobs in ("1", "2"):
+            assert main(["reproduce", "--quick", "--no-cache", "--jobs", jobs]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "=== fig6-hardened ===" in outs[0]
+
+    def test_quick_runs_each_drift_figure_for_a_quarter_of_its_duration(self, capsys):
+        assert main(["reproduce", "--quick", "--no-cache"]) == 0
+        sections = capsys.readouterr().out.split("\n=== ")
+        fig2 = next(section for section in sections if section.startswith("fig2 ===\n"))
+        assert main(["run", "fig2", "--duration-s", "450"]) == 0  # 30 min / 4
+        assert capsys.readouterr().out == fig2.split("\n", 1)[1]
 
 
 class TestBatch:
@@ -287,6 +317,11 @@ _BAD_SPECS = {
         },
         "down_ms",
     ),
+    # Rejected before anything runs, not when the cluster is built.
+    "aex-onset-without-aex-source": (
+        {"name": "x", "attacks": [{"type": "aex-onset", "nodes": [1], "at_s": 5}]},
+        "no AEX source",
+    ),
     # The cluster-wide keys name themselves (and the field or parameter).
     "node-config-unknown-field": (
         {"name": "x", "node_config": {"monitor_samples": 4}},
@@ -295,6 +330,32 @@ _BAD_SPECS = {
     "node-config-wrong-type": (
         {"name": "x", "node_config": {"monitor_enabled": "no"}},
         "node_config.monitor_enabled",
+    ),
+    # node_config is judged by the same TriadNodeConfig rules as faults.retry,
+    # and a config that passes them calibrates: nothing fails mid-run.
+    "node-config-backoff-factor-below-one": (
+        {"name": "x", "node_config": {"retry_backoff_factor": 0.5}},
+        "node_config.retry_backoff_factor",
+    ),
+    "node-config-jitter-above-one": (
+        {"name": "x", "node_config": {"retry_jitter": 3.0}},
+        "node_config.retry_jitter",
+    ),
+    "node-config-zero-attempt-budget": (
+        {"name": "x", "node_config": {"ta_fetch_attempt_budget": 0}},
+        "node_config.ta_fetch_attempt_budget",
+    ),
+    "node-config-zero-calibration-rounds": (
+        {"name": "x", "node_config": {"calibration_rounds": 0}},
+        "node_config.calibration_rounds",
+    ),
+    "node-config-one-calibration-sleep": (
+        {"name": "x", "node_config": {"calibration_sleeps_ns": [0]}},
+        "node_config.calibration_sleeps_ns",
+    ),
+    "node-config-zero-calibration-attempts": (
+        {"name": "x", "node_config": {"calibration_max_attempts": 0}},
+        "node_config.calibration_max_attempts",
     ),
     "network-delay-unknown-model": (
         {"name": "x", "network_delay": {"model": "pareto"}},

@@ -12,6 +12,11 @@ commands with ``sha256sum``.
 The full default grid of every sweep is pinned too, as the CSV that
 ``sweep <name> --export DIR`` writes: every row of each table. Those
 hashes were taken before sweep points became spec runs.
+
+So are the CSVs ``run --export`` and ``run-spec --export`` write and
+the oracle report ``run --oracle strict`` prints on stderr; those
+hashes were taken while ``run`` and ``run-spec`` still ran their
+experiment directly rather than as a fleet task.
 """
 
 import hashlib
@@ -66,3 +71,56 @@ def test_full_sweep_grid_csv_is_pinned(capsys, tmp_path, sweep):
     capsys.readouterr()
     csv = (tmp_path / f"sweep_{sweep}.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == GRID_CSVS[sweep]
+
+
+#: ``run fig2 --duration-s 30 --export DIR`` -> sha256 of each CSV in ``DIR``.
+RUN_EXPORT_CSVS = {
+    "availability.csv": "4f3a4b6e7cdb3cfcb7273173efbda741d5cc198a5276b13cd813ded4e8ed0e08",
+    "drift.csv": "2d96b9e3a4a583d49c91ef23da33d0dc1f22a8261ede54d60ba2bce219b89212",
+    "frequencies.csv": "b8dcc308c4ec4d01cfe97efed6cc6ec72db2aa1cca82b153668ec75fb4c036d1",
+    "jumps.csv": "9eef58e461de8ce270817c430816758739ecf41a9044dc95accaf02e60392375",
+    "states.csv": "9d59147439d8dfb2df3b8d9249c3e9c038451d74860cf4affadb59e82146c683",
+}
+
+#: A 10 s low-AEX spec, and ``run-spec SPEC --export DIR`` -> sha256 of each CSV.
+EXPORT_SPEC = (
+    '{"name": "cli-export-test", "duration_s": 10, '
+    '"environments": {"1": "low-aex", "2": "low-aex", "3": "low-aex"}}'
+)
+SPEC_EXPORT_CSVS = {
+    "availability.csv": "e1d7cea1a6b3195ab253794b7ae9855100dd014645e230e3a1823a22ed385da5",
+    "drift.csv": "8ead4c1d50d5d4eaa14446b0bc965c8f4b0d056d288572c35668da33f78fd218",
+    "frequencies.csv": "c646b8ddffeec015794d64fb3e109d61057bfa6050089770a943c9094c80b75d",
+    "jumps.csv": "d96a0427e984ecb2ee83112b12bdca76e7721ac6a89bd20035f85f3f0859cb3c",
+    "states.csv": "99b698090473095bf0cc71c706f475fbc1a033213007509e1d994705cdd6f6da",
+}
+
+
+def _csv_hashes(directory):
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.glob("*.csv"))
+    }
+
+
+def test_run_export_csvs_are_pinned(capsys, tmp_path):
+    argv = ["run", "fig2", "--duration-s", "30", "--export", str(tmp_path / "csv")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith(f"\nwrote 5 CSV files to {tmp_path / 'csv'}/\n")
+    assert _csv_hashes(tmp_path / "csv") == RUN_EXPORT_CSVS
+
+
+def test_run_spec_export_csvs_are_pinned(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(EXPORT_SPEC)
+    assert main(["run-spec", str(spec), "--export", str(tmp_path / "csv")]) == 0
+    assert capsys.readouterr().out.endswith(f"\nwrote 5 CSV files to {tmp_path / 'csv'}/\n")
+    assert _csv_hashes(tmp_path / "csv") == SPEC_EXPORT_CSVS
+
+
+def test_run_oracle_stderr_is_pinned(capsys):
+    assert main(["run", "fig4", "--duration-s", "30", "--oracle", "strict"]) == 0
+    err = capsys.readouterr().err
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "0e1309ef15f70e3898c95c1f1a2c3f3b9c2c66b28ac03fe43c2a8477fe9a4d6c"
+    )
