@@ -90,6 +90,10 @@ membership-smoke:
 	cmp out/membership-smoke/churn1000-j1.json out/membership-smoke/churn1000-j2.json
 	echo "c92821e183fccda44ead3d6a713e71baf2c123e25daf697e0674e5ddfbb3286b  out/membership-smoke/churn1000-j1.json" \
 		| sha256sum --check --strict -
+	python benchmarks/membership_curve.py --point --nodes 600 --duration-s 5 \
+		> out/membership-smoke/mesh600.json
+	python -c 'import json, sys; row = json.load(open(sys.argv[1])); print(row); sys.exit(row["peak_rss_mb"] > 250)' \
+		out/membership-smoke/mesh600.json
 	python -m repro membership --oracle strict --no-cache \
 		--json out/membership-smoke/propagation.json
 	python -m repro membership --attack benign --duration-s 15 --no-cache \

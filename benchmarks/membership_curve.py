@@ -7,6 +7,7 @@ size's own. ``setup_s`` is the spec build (cluster wiring included),
 ``sim_s_per_wall_s`` the simulated seconds per wall second of the run.
 
     PYTHONPATH=src python benchmarks/membership_curve.py --nodes 200 400 600 1000
+    PYTHONPATH=src python benchmarks/membership_curve.py --point --nodes 600 --duration-s 5
 """
 
 from __future__ import annotations
@@ -59,7 +60,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nodes", type=int, nargs="+", default=[200, 400, 600, 1000])
     parser.add_argument("--duration-s", type=float, default=5.0)
-    parser.add_argument("--point", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument(
+        "--point", action="store_true",
+        help="measure the first size in this process and print its row as JSON",
+    )
     args = parser.parse_args()
     if args.point:
         print(json.dumps(measure(args.nodes[0], args.duration_s)))

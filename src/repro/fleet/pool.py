@@ -9,13 +9,15 @@ contract is the same:
 * **determinism** — results come back in task order, and each task is a
   pure function of its own content (fresh ``Simulator`` from the task's
   seed), so serial and parallel runs produce identical values;
-* **bounded retry** — a task that raises is re-attempted up to
-  ``retries`` more times; a task whose worker *dies* (segfault,
-  ``os._exit``, OOM-kill) is charged an attempt and the whole pool is
-  rebuilt with fresh workers before anything is retried;
+* **retry only what can change** — a task that raises fails at once
+  (``attempts == 1``): it is a pure function of its content, so a rerun
+  would raise again. A task whose worker *dies* (segfault, ``os._exit``,
+  OOM-kill) is charged an attempt and re-attempted up to ``retries`` more
+  times, after the whole pool is rebuilt with fresh workers;
 * **per-task result deadline** — with ``timeout_s`` set, waiting more
-  than that on a task's result counts as a failed attempt (the pool is
-  also rebuilt, since the stuck worker would otherwise hold its slot);
+  than that on a task's result counts as a failed attempt, retried like a
+  worker death (the pool is also rebuilt, since the stuck worker would
+  otherwise hold its slot);
 * **cache integration** — with a :class:`~repro.fleet.cache.ResultCache`,
   hits skip execution entirely and fresh results are written back.
 
@@ -33,7 +35,7 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Optional, Sequence
 
-from repro.errors import FleetError, OracleViolationError
+from repro.errors import FleetError
 from repro.fleet.cache import ResultCache
 from repro.fleet.tasks import RunTask, TaskResult, execute_task, peak_rss_kb, result_sim_ns
 from repro.fleet.telemetry import FleetTelemetry
@@ -131,7 +133,7 @@ class FleetPool:
         if pending:
             if self.jobs == 1:
                 for index in pending:
-                    results[index] = self._run_one_inprocess(tasks[index], telemetry)
+                    results[index] = self._run_one_inprocess(tasks[index])
                     telemetry.on_result(results[index])
             else:
                 self._run_parallel(tasks, pending, results, telemetry)
@@ -146,34 +148,27 @@ class FleetPool:
 
     # -- serial path -------------------------------------------------------------
 
-    def _run_one_inprocess(self, task: RunTask, telemetry: FleetTelemetry) -> TaskResult:
-        attempts = 0
-        while True:
-            attempts += 1
-            started = time.perf_counter()
-            try:
-                value = execute_task(task)
-            except Exception as exc:  # noqa: BLE001 — task errors become results
-                # Oracle violations are a pure function of the task: the
-                # rerun would violate identically, so don't burn retries.
-                if isinstance(exc, OracleViolationError) or attempts > self.retries:
-                    return _failed(
-                        task,
-                        f"{type(exc).__name__}: {exc}",
-                        exc,
-                        wall_s=time.perf_counter() - started,
-                        attempts=attempts,
-                        peak_rss_kb=peak_rss_kb(),
-                    )
-                telemetry.retries += 1
-            else:
-                return _succeeded(
-                    task,
-                    value,
-                    wall_s=time.perf_counter() - started,
-                    attempts=attempts,
-                    peak_rss_kb=peak_rss_kb(),
-                )
+    def _run_one_inprocess(self, task: RunTask) -> TaskResult:
+        # No worker here to die or stall, so nothing is ever retried.
+        started = time.perf_counter()
+        try:
+            value = execute_task(task)
+        except Exception as exc:  # noqa: BLE001 — task errors become results
+            return _failed(
+                task,
+                f"{type(exc).__name__}: {exc}",
+                exc,
+                wall_s=time.perf_counter() - started,
+                attempts=1,
+                peak_rss_kb=peak_rss_kb(),
+            )
+        return _succeeded(
+            task,
+            value,
+            wall_s=time.perf_counter() - started,
+            attempts=1,
+            peak_rss_kb=peak_rss_kb(),
+        )
 
     # -- parallel path -----------------------------------------------------------
 
@@ -190,16 +185,16 @@ class FleetPool:
         executor: Optional[ProcessPoolExecutor] = None
 
         def settle(index: int, error: str, exc: Optional[BaseException] = None) -> None:
-            """Charge a failed attempt: retry if budget remains, else record.
-
-            Oracle violations (``exc``) rerun identically: never retried.
+            """Charge a failed attempt: retry a dead or stuck worker while
+            budget remains, else record. A task that raised (``exc``) would
+            raise again, so it is never retried.
             """
-            if isinstance(exc, OracleViolationError) or attempts[index] > self.retries:
-                results[index] = _failed(tasks[index], error, exc, attempts=attempts[index])
-                telemetry.on_result(results[index])
-            else:
+            if exc is None and attempts[index] <= self.retries:
                 telemetry.retries += 1
                 queue.append(index)
+            else:
+                results[index] = _failed(tasks[index], error, exc, attempts=attempts[index])
+                telemetry.on_result(results[index])
 
         def record_ok(index: int, payload: dict) -> None:
             results[index] = _succeeded(

@@ -18,11 +18,12 @@ network stack is modelled as returning a positive ``extra_delay_ns``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import ConfigurationError
-from repro.net.message import Datagram
+from repro.net.message import DROPPED_RING_SIZE, Datagram
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -71,8 +72,12 @@ class NetworkAdversary:
     def __init__(self, sim: "Simulator", scope_hosts: Optional[set[str]] = None) -> None:
         self.sim = sim
         self.scope_hosts = scope_hosts
-        self.observations: list[Observation] = []
-        self.interferences: list[tuple[Observation, Interference]] = []
+        #: The most recent observations and interferences (diagnostics),
+        #: bounded like the network's rings.
+        self.observations: deque[Observation] = deque(maxlen=DROPPED_RING_SIZE)
+        self.interferences: deque[tuple[Observation, Interference]] = deque(
+            maxlen=DROPPED_RING_SIZE
+        )
 
     def in_scope(self, datagram: Datagram) -> bool:
         """Whether this adversary's vantage point sees the datagram."""

@@ -22,16 +22,11 @@ from typing import TYPE_CHECKING, Optional, Sized
 from repro.errors import ConfigurationError
 from repro.net.adversary import NetworkAdversary
 from repro.net.delays import DelayModel, paper_lan_delay
-from repro.net.message import Address, Datagram
+from repro.net.message import DROPPED_RING_SIZE, Address, Datagram
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
-
-#: Capacity of the :attr:`Network.dropped` ring. Large enough to inspect
-#: recent loss in any test or post-mortem, small enough that a multi-hour
-#: loss-burst campaign stays O(1) in memory.
-DROPPED_RING_SIZE = 1024
 
 
 class Socket:
@@ -100,9 +95,12 @@ class Network:
         #: other outside. Hosts inside the same island still talk.
         self._partitions: dict[str, frozenset[str]] = {}
         self._rng = sim.rng.stream("network")
-        #: All datagrams ever sent (kept for analysis; sizes stay modest in
-        #: the paper's experiments — a handful of messages per AEX).
-        self.log: list[Datagram] = []
+        #: The most recent sends, bounded like :attr:`dropped`: a datagram
+        #: carries its sealed message, so a full history would keep every
+        #: message of the run alive. ``sent_count`` keeps the full tally;
+        #: perfbench's ``net.datagrams_logged`` counts what is retained.
+        self.log: deque[Datagram] = deque(maxlen=DROPPED_RING_SIZE)
+        self.sent_count = 0
         #: The most recent drops, bounded so loss-burst and DoS campaigns
         #: cannot grow memory without limit; ``dropped_count`` keeps the
         #: full tally and ``drop_counts`` the per-reason breakdown.
@@ -192,6 +190,7 @@ class Network:
             sent_at_ns=self.sim.now,
         )
         self.log.append(datagram)
+        self.sent_count += 1
 
         if self._down_hosts and (
             source.host in self._down_hosts or destination.host in self._down_hosts

@@ -20,6 +20,12 @@ from typing import Sized
 #: Process-wide datagram id counter (diagnostics only; never protocol-visible).
 _datagram_ids = itertools.count(1)
 
+#: Capacity of every diagnostic datagram ring: the network's recent sends
+#: and drops and an adversary's recent observations. Large enough to
+#: inspect recent traffic in any test or post-mortem, small enough that a
+#: multi-hour run or loss-burst campaign stays O(1) in memory.
+DROPPED_RING_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class Address:

@@ -1,5 +1,5 @@
-"""Tests for the fleet worker pool: serial path, parallelism, retries,
-crash recovery and timeouts.
+"""Tests for the fleet worker pool: serial path, parallelism, crash
+recovery and timeouts (the only failures that are retried).
 
 The test-only task kinds below are registered at module import time, so
 ``fork``-started workers inherit them; the parallel tests are skipped on
@@ -80,28 +80,34 @@ class TestSerial:
         assert all(r.ok and not r.from_cache and r.attempts == 1 for r in results)
 
     def test_failure_becomes_result_not_exception(self, tmp_path):
+        marker = tmp_path / "m"
         task = RunTask(
             kind="pool-test-fail-times",
             name="always-fails",
-            payload={"marker": str(tmp_path / "m"), "failures": 99},
+            payload={"marker": str(marker), "failures": 99},
         )
         [result] = FleetPool(jobs=1, retries=1).run([task])
         assert not result.ok
         assert "transient failure" in result.error
-        assert result.attempts == 2
+        assert result.attempts == 1
+        assert marker.read_text() == "1"
 
-    def test_retry_recovers_flaky_task(self, tmp_path):
+    def test_raising_task_is_not_retried(self, tmp_path):
+        """A task is a pure function of its content: one that raised would
+        raise again, so retry budget is spent only on dead workers."""
+        marker = tmp_path / "m"
         task = RunTask(
             kind="pool-test-fail-times",
             name="flaky",
-            payload={"marker": str(tmp_path / "m"), "failures": 1},
+            payload={"marker": str(marker), "failures": 1},
         )
         telemetry = FleetTelemetry()
         [result] = FleetPool(jobs=1, retries=2).run([task], telemetry=telemetry)
-        assert result.ok
-        assert result.value == {"recovered": True}
-        assert result.attempts == 2
-        assert telemetry.retries == 1
+        assert not result.ok
+        assert "transient failure #1" in result.error
+        assert result.attempts == 1
+        assert telemetry.retries == 0
+        assert marker.read_text() == "1"
 
     def test_cache_hits_skip_execution(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -121,19 +127,22 @@ class TestParallel:
         results = FleetPool(jobs=3).run(_echo_tasks(7))
         assert [r.value["echo"] for r in results] == list(range(7))
 
-    def test_task_exception_retried_then_reported(self, tmp_path):
+    def test_task_exception_reported_without_retry(self, tmp_path):
+        marker = tmp_path / "m"
         tasks = _echo_tasks(2) + [
             RunTask(
                 kind="pool-test-fail-times",
                 name="always-fails",
-                payload={"marker": str(tmp_path / "m"), "failures": 99},
+                payload={"marker": str(marker), "failures": 99},
             )
         ]
         telemetry = FleetTelemetry()
         results = FleetPool(jobs=2, retries=1).run(tasks, telemetry=telemetry)
         assert [r.ok for r in results] == [True, True, False]
-        assert results[2].attempts == 2
+        assert results[2].attempts == 1
         assert "transient failure" in results[2].error
+        assert telemetry.retries == 0
+        assert marker.read_text() == "1"
 
     def test_worker_crash_is_retried_on_fresh_pool(self, tmp_path):
         tasks = _echo_tasks(2) + [

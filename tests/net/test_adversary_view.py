@@ -20,6 +20,7 @@ from repro.net.channel import Network
 from repro.net.delays import ConstantDelay
 from repro.net.transport import SecureEndpoint
 from repro.sim import Simulator, units
+from tests.net.conftest import recording
 
 SOURCE = Path(repro.__file__).parent
 
@@ -93,6 +94,8 @@ def test_protocol_messages_are_156_bytes_on_the_wire_at_extreme_values():
     bob = SecureEndpoint(sim, network, "bob")
     alice.register_peer(bob)
     bob.register_peer(alice)
+    wire = []
+    network.send = recording(network.send, wire)
     sent = []
     for message_type in _message_types():
         for value in (0, -(2**63), 2**63 - 1, 2**64 - 1):
@@ -100,7 +103,7 @@ def test_protocol_messages_are_156_bytes_on_the_wire_at_extreme_values():
             sent.append(message_type(**{field.name: value for field in fields}))
             alice.send("bob", sent[-1])
     sim.run()
-    assert [datagram.size_bytes for datagram in network.log] == [156] * len(sent)
+    assert [datagram.size_bytes for datagram in wire] == [156] * len(sent)
     assert [envelope.message for envelope in bob.drain()] == sent
 
 

@@ -127,6 +127,23 @@ class TestDrops:
         assert net.dropped_count == total
         assert sum(net.drop_counts.values()) == total
 
+    def test_send_log_is_bounded_while_sent_count_stays_exact(self, sim, net):
+        from repro.net.channel import DROPPED_RING_SIZE
+
+        a = net.attach(Address("a"))
+        b = net.attach(Address("b"))
+        total = DROPPED_RING_SIZE + 500
+        sent = [a.send(b.address if i % 2 else Address("ghost"), b"x") for i in range(total)]
+        sim.run()
+        # The log keeps only the most recent sends, so a long run does not
+        # keep every datagram (and the message it carries) alive.
+        assert len(net.log) == DROPPED_RING_SIZE
+        assert net.log[0] is sent[500]
+        assert list(net.log) == sent[500:]
+        assert net.sent_count == total
+        assert b.received_count + net.dropped_count == net.sent_count
+        assert b.received_count == total // 2
+
 
 class TestAdversaryIntegration:
     def test_adversary_sees_metadata_not_plaintext(self, sim, net):
@@ -179,7 +196,26 @@ class TestAdversaryIntegration:
         a.send(b.address, b"unseen")
         sim.run()
         assert b.received_count == 1
-        assert adversary.observations == []
+        assert len(adversary.observations) == 0
+
+    def test_adversary_diagnostics_are_bounded(self, sim, net):
+        from repro.net.channel import DROPPED_RING_SIZE
+
+        adversary = RuleBasedAdversary(sim)
+        adversary.drop_flow("a", "b")
+        net.add_adversary(adversary)
+        a = net.attach(Address("a"))
+        b = net.attach(Address("b"))
+        total = DROPPED_RING_SIZE + 500
+        sent = [a.send(b.address, b"lost") for _ in range(total)]
+        sim.run()
+        assert net.dropped_count == total
+        assert len(adversary.observations) == DROPPED_RING_SIZE
+        assert len(adversary.interferences) == DROPPED_RING_SIZE
+        assert [o.datagram_id for o in adversary.observations] == [
+            d.datagram_id for d in sent[500:]
+        ]
+        assert adversary.interferences[-1][0] is adversary.observations[-1]
 
     def test_negative_adversary_delay_rejected(self):
         with pytest.raises(ConfigurationError):

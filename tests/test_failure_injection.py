@@ -16,6 +16,7 @@ from repro.core.states import NodeState
 from repro.hardware.aex import TriadLikeAexDelays
 from repro.net.delays import ConstantDelay, UniformDelay
 from repro.sim import Simulator, units
+from tests.net.conftest import recording
 
 
 def lossy_cluster(seed, drop_probability, delay_model=None):
@@ -93,13 +94,16 @@ class TestDuplication:
         """Replaying an old (stale, lower) peer response at an untainted
         node is ignored: gathers are closed after each untaint."""
         sim, cluster = lossy_cluster(seed=304, drop_probability=0.0)
+        sent = []
+        cluster.network.send = recording(cluster.network.send, sent)
         sim.run(until=10 * units.SECOND)
         node = cluster.node(1)
         cluster.monitoring_port(1).fire("aex")
         sim.run(until=12 * units.SECOND)
         assert node.stats.peer_untaints == 1
+        assert len(sent) == cluster.network.sent_count
         # Replay every datagram that ever went to node-1.
-        for datagram in list(cluster.network.log):
+        for datagram in list(sent):
             if datagram.destination.host == "node-1":
                 cluster.network.send(
                     datagram.source, datagram.destination, datagram.payload
