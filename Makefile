@@ -1,6 +1,6 @@
 # Convenience targets for the Triad reproduction.
 
-.PHONY: install test lint bench bench-kernel bench-membership bench-faults perfbench reproduce figures sweeps hunt-smoke service-smoke membership-smoke faults-smoke clean
+.PHONY: install test lint bench bench-kernel bench-membership bench-faults perfbench perfbench-pairs reproduce figures sweeps hunt-smoke service-smoke membership-smoke faults-smoke clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -39,6 +39,17 @@ bench-faults:
 # with the traced per-layer split; see perfbench/README.md.
 perfbench:
 	python3 perfbench/run.py --workload all --seed 1 --seconds 5 --trace 1
+
+# A speed claim: PAIRS alternated 25 s runs of a parent checkout and this
+# one, each side's median, quartiles and wins per metric and workload.
+#   make perfbench-pairs PARENT=../parent [WORKLOAD=membership-mesh] [SEED=1] [PAIRS=10]
+WORKLOAD ?= all
+SEED ?= 1
+PAIRS ?= 10
+perfbench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make perfbench-pairs PARENT=<checkout>"; exit 2; }
+	python3 benchmarks/ab_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+		--seed $(SEED) --seconds 25 --pairs $(PAIRS)
 
 reproduce:
 	python examples/reproduce_paper.py

@@ -10,14 +10,15 @@ Each datagram experiences:
    attacker can do both, and nothing else, because payloads are sealed;
 3. an optional uniform drop probability (honest UDP loss).
 
-Delivery is a scheduled simulator event; datagrams sent over the same link
-may be reordered if their sampled delays cross, faithfully modelling UDP.
+Delivery is a scheduled timeout whose callback hands the datagram straight to
+the destination socket's receiver; datagrams sent over the same link may be
+reordered if their sampled delays cross, faithfully modelling UDP.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Optional, Sized
+from typing import TYPE_CHECKING, Callable, Optional, Sized
 
 from repro.errors import ConfigurationError
 from repro.net.adversary import NetworkAdversary
@@ -29,14 +30,19 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
 
-class Socket:
-    """An endpoint bound to an address; supports send and event-based recv."""
+#: A socket's receiver: called with each datagram delivered to it.
+Receiver = Callable[[Datagram], None]
 
-    def __init__(self, network: "Network", address: Address) -> None:
+
+class Socket:
+    """An endpoint bound to an address: sends datagrams, hands arrivals to its receiver."""
+
+    def __init__(self, network: "Network", address: Address, receiver: Optional[Receiver]) -> None:
         self.network = network
         self.address = address
-        self._queue: deque[Datagram] = deque()
-        self._waiters: deque[Event] = deque()
+        #: Called with each datagram delivered here, at its delivery
+        #: instant; ``None`` discards it, as a UDP port nobody reads would.
+        self.receiver = receiver
         self.received_count = 0
         self.sent_count = 0
 
@@ -44,24 +50,6 @@ class Socket:
         """Transmit a datagram; returns it (for logging/diagnostics)."""
         self.sent_count += 1
         return self.network.send(self.address, destination, payload)
-
-    def recv(self) -> Event:
-        """Event that fires with the next :class:`Datagram` for this socket."""
-        event = Event(self.network.sim)
-        if self._queue:
-            event.succeed(self._queue.popleft())
-        else:
-            self._waiters.append(event)
-        return event
-
-    def _deliver(self, datagram: Datagram) -> None:
-        self.received_count += 1
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if not waiter.triggered:
-                waiter.succeed(datagram)
-                return
-        self._queue.append(datagram)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Socket {self.address} rx={self.received_count} tx={self.sent_count}>"
@@ -107,14 +95,16 @@ class Network:
         self.dropped: deque[Datagram] = deque(maxlen=DROPPED_RING_SIZE)
         self.dropped_count = 0
         self.drop_counts: dict[str, int] = {}
+        #: The delivery callback, bound once rather than once per datagram.
+        self._deliver = self._on_delivery
 
     # -- topology -----------------------------------------------------------
 
-    def attach(self, address: Address) -> Socket:
-        """Bind a new socket; addresses must be unique."""
+    def attach(self, address: Address, receiver: Optional[Receiver] = None) -> Socket:
+        """Bind a new socket delivering to ``receiver``; addresses must be unique."""
         if address in self._sockets:
             raise ConfigurationError(f"address {address} already attached")
-        socket = Socket(self, address)
+        socket = Socket(self, address, receiver)
         self._sockets[address] = socket
         return socket
 
@@ -218,8 +208,7 @@ class Network:
                 return datagram
             delay_ns += interference.extra_delay_ns
 
-        delivery = self.sim.timeout(delay_ns, value=datagram)
-        delivery.callbacks.append(self._on_delivery)
+        self.sim.timeout(delay_ns, value=datagram)._add_callback(self._deliver)
         return datagram
 
     def _on_delivery(self, event: Event) -> None:
@@ -240,4 +229,6 @@ class Network:
             # experiments can notice misconfiguration.
             self._drop(datagram, "unbound")
             return
-        socket._deliver(datagram)
+        socket.received_count += 1
+        if socket.receiver is not None:
+            socket.receiver(datagram)

@@ -70,9 +70,10 @@ class LogNormalDelay:
         self.median_ns = median_ns
         self.sigma = sigma
         self.floor_ns = floor_ns
+        self._log_median = np.log(median_ns)
 
     def sample(self, rng: np.random.Generator) -> int:
-        delay = rng.lognormal(mean=np.log(self.median_ns), sigma=self.sigma)
+        delay = rng.lognormal(mean=self._log_median, sigma=self.sigma)
         return max(int(delay), self.floor_ns)
 
 

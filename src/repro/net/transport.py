@@ -1,14 +1,17 @@
-"""Secure endpoints: sockets + per-peer AEAD keys + an unsealing pump.
+"""Secure endpoints: sockets + per-peer AEAD keys + one-hop delivery.
 
 Protocol code (nodes, the Time Authority) talks in terms of plaintext
 message objects addressed by peer *name*. A :class:`SecureEndpoint`:
 
 * seals outgoing messages with the key shared with the destination peer
   and puts them on the network;
-* runs a pump process that unseals each incoming datagram with the key of
-  the one peer listed at its source address (UDP gives no session
-  context, so the address is all there is to go on) and queues
-  :class:`Envelope` objects for consumers;
+* is its socket's receiver: at a datagram's delivery instant it opens the
+  datagram with the key of the one peer listed at its source address (UDP
+  gives no session context, so the address is all there is to go on) and
+  hands the :class:`Envelope` to the oldest pending :meth:`~SecureEndpoint.recv`,
+  or queues it when nobody is waiting. No process runs between the
+  network and the consumer, so a datagram costs one delivery timeout and
+  one wake-up of the consumer;
 * silently drops (but counts) datagrams from unknown addresses and those
   that fail authentication, which is the correct behaviour for a TEE
   receiving attacker-forged traffic.
@@ -29,20 +32,19 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
 from repro.errors import ConfigurationError, CryptoError
 from repro.net.channel import Network, Socket
 from repro.net.crypto import SecureChannelKey
-from repro.net.message import Address
-from repro.sim.events import Event
+from repro.net.message import Address, Datagram
+from repro.sim.events import ST_TRIGGERED, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """A decrypted, authenticated incoming message."""
 
     sender: str
@@ -100,7 +102,7 @@ class SecureEndpoint:
         self.network = network
         self.name = name
         self.address = Address(host=name, port=port)
-        self.socket: Socket = network.attach(self.address)
+        self.socket: Socket = network.attach(self.address, self._receive)
         self.directory = PeerDirectory() if directory is None else directory
         self._links: dict[str, PeerLink] = {}
         self._links_at: dict[Address, PeerLink] = {}
@@ -111,7 +113,6 @@ class SecureEndpoint:
         self._waiters: deque[Event] = deque()
         self.auth_failures = 0
         self.unknown_sender_drops = 0
-        self._pump = sim.process(self._pump_loop(), name=f"endpoint-pump/{name}")
 
     # -- peer management -------------------------------------------------------
 
@@ -212,34 +213,29 @@ class SecureEndpoint:
         self._inbox.clear()
         return drained
 
-    def _pump_loop(self):
-        while True:
-            datagram = yield self.socket.recv()
-            link = self._links_at.get(datagram.source)
-            if link is None:
-                name = self.directory.names.get(datagram.source)
-                if name is None or name == self.name:
-                    # Source address unknown: without a key there is nothing
-                    # to authenticate against; a TEE must ignore such traffic.
-                    self.unknown_sender_drops += 1
-                    continue
-                link = self._link_to(name)
-            if link.rotates and link.key.epoch != self.epoch:
-                self.rekey_peer(link.name, self._epoch_secret, self.epoch)
-            try:
-                message = link.key.open(datagram.payload)
-            except CryptoError:
-                self.auth_failures += 1
-                continue
-            envelope = Envelope(
-                sender=link.name, message=message, received_at_ns=self.sim.now
-            )
-            self._deliver(envelope)
-
-    def _deliver(self, envelope: Envelope) -> None:
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if not waiter.triggered:
+    def _receive(self, datagram: Datagram) -> None:
+        """Open one delivered datagram and hand its envelope on (the socket's receiver)."""
+        link = self._links_at.get(datagram.source)
+        if link is None:
+            name = self.directory.names.get(datagram.source)
+            if name is None or name == self.name:
+                # Source address unknown: without a key there is nothing
+                # to authenticate against; a TEE must ignore such traffic.
+                self.unknown_sender_drops += 1
+                return
+            link = self._link_to(name)
+        if link.rotates and link.key.epoch != self.epoch:
+            self.rekey_peer(link.name, self._epoch_secret, self.epoch)
+        try:
+            message = link.key.open(datagram.payload)
+        except CryptoError:
+            self.auth_failures += 1
+            return
+        envelope = Envelope(link.name, message, self.sim._now)
+        waiters = self._waiters
+        while waiters:
+            waiter = waiters.popleft()
+            if not waiter._state & ST_TRIGGERED:
                 waiter.succeed(envelope)
                 return
         self._inbox.append(envelope)

@@ -358,8 +358,13 @@ class Simulator:
                                 waiter._died(exc)
                                 nt = None
                             if nt is not None:
+                                # A fresh Timeout or an unprocessed plain
+                                # Event (every `recv()`) takes the waiter
+                                # slot directly: the two stores
+                                # `Event._add_callback` and `Process._loop`
+                                # would make.
                                 if (
-                                    nt.__class__ is Timeout
+                                    ((cls := nt.__class__) is Timeout or cls is Event)
                                     and nt.sim is self
                                     and not nt._state & (ST_PROCESSED | ST_DEAD)
                                     and nt._waiter is None

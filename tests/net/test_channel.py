@@ -20,15 +20,10 @@ def net(sim):
     return Network(sim, default_delay=ConstantDelay(units.milliseconds(1)))
 
 
-def recv_all(sim, socket, count):
+def recv_all(sim, socket):
+    """Make ``socket``'s receiver record each datagram with its delivery time."""
     received = []
-
-    def receiver():
-        for _ in range(count):
-            datagram = yield socket.recv()
-            received.append((sim.now, datagram))
-
-    sim.process(receiver())
+    socket.receiver = lambda datagram: received.append((sim.now, datagram))
     return received
 
 
@@ -36,7 +31,7 @@ class TestDelivery:
     def test_datagram_arrives_after_link_delay(self, sim, net):
         a = net.attach(Address("a"))
         b = net.attach(Address("b"))
-        received = recv_all(sim, b, 1)
+        received = recv_all(sim, b)
         a.send(b.address, b"hello")
         sim.run()
         assert received[0][0] == units.milliseconds(1)
@@ -45,7 +40,7 @@ class TestDelivery:
     def test_recv_before_send_blocks_until_arrival(self, sim, net):
         a = net.attach(Address("a"))
         b = net.attach(Address("b"))
-        received = recv_all(sim, b, 1)
+        received = recv_all(sim, b)
 
         def sender():
             yield sim.timeout(units.SECOND)
@@ -56,14 +51,24 @@ class TestDelivery:
         assert received[0][0] == units.SECOND + units.milliseconds(1)
 
     def test_queued_datagrams_drained_in_order(self, sim, net):
+        """Datagrams queued for one delivery instant arrive in send order."""
         a = net.attach(Address("a"))
         b = net.attach(Address("b"))
+        received = recv_all(sim, b)
         for payload in (b"1", b"2", b"3"):
             a.send(b.address, payload)
         sim.run()
-        received = recv_all(sim, b, 3)
+        assert [(t, d.payload) for t, d in received] == [
+            (units.milliseconds(1), payload) for payload in (b"1", b"2", b"3")
+        ]
+
+    def test_socket_without_receiver_counts_and_discards(self, sim, net):
+        a = net.attach(Address("a"))
+        b = net.attach(Address("b"))
+        a.send(b.address, b"unread")
         sim.run()
-        assert [d.payload for _, d in received] == [b"1", b"2", b"3"]
+        assert b.received_count == 1
+        assert net.dropped_count == 0
 
     def test_unbound_destination_counts_as_dropped(self, sim, net):
         a = net.attach(Address("a"))
@@ -80,7 +85,7 @@ class TestDelivery:
         a = net.attach(Address("a"))
         b = net.attach(Address("b"))
         net.set_link_delay("a", "b", ConstantDelay(units.SECOND))
-        received = recv_all(sim, b, 1)
+        received = recv_all(sim, b)
         a.send(b.address, b"slow")
         sim.run()
         assert received[0][0] == units.SECOND
@@ -91,7 +96,7 @@ class TestDelivery:
         b = net.attach(Address("b"))
         for i in range(30):
             a.send(b.address, bytes([i]))
-        received = recv_all(sim, b, 30)
+        received = recv_all(sim, b)
         sim.run()
         order = [d.payload[0] for _, d in received]
         assert sorted(order) == list(range(30))
@@ -170,7 +175,7 @@ class TestAdversaryIntegration:
         net.add_adversary(adversary)
         a = net.attach(Address("a"))
         b = net.attach(Address("b"))
-        received = recv_all(sim, b, 1)
+        received = recv_all(sim, b)
         a.send(b.address, b"delayed")
         sim.run()
         assert received[0][0] == units.milliseconds(101)

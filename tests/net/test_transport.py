@@ -8,7 +8,7 @@ from repro.net.crypto import SecureChannelKey
 from repro.net.delays import ConstantDelay
 from repro.net.message import Address
 from repro.net.transport import SecureEndpoint
-from repro.sim import Simulator, units
+from repro.sim import Interrupt, Simulator, units
 
 
 @pytest.fixture
@@ -87,6 +87,37 @@ class TestMessaging:
         alice, bob = pair
         with pytest.raises(ConfigurationError):
             alice.register_peer(bob)
+
+
+class TestConsumerRestart:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="open bug: an interrupted consumer's pending recv() stays first "
+        "in the endpoint's waiters and swallows the next envelope",
+    )
+    def test_restarted_consumer_receives_every_envelope(self, sim, pair):
+        """A crashed node's message loop is interrupted and a new one started
+        on the same endpoint; the envelopes that follow must reach it."""
+        alice, bob = pair
+        received = []
+
+        def consumer():
+            try:
+                while True:
+                    envelope = yield bob.recv()
+                    received.append(envelope.message)
+            except Interrupt:
+                return
+
+        first = sim.process(consumer())
+        sim.run(until=units.milliseconds(1))
+        first.interrupt()
+        sim.run(until=units.milliseconds(2))
+        sim.process(consumer())
+        alice.send("bob", 1)
+        alice.send("bob", 2)
+        sim.run()
+        assert received == [1, 2]
 
 
 class TestAuthentication:

@@ -9,18 +9,28 @@ schedules cover all three priorities, delays on both sides of 8192 ns and
 far beyond, same-tick scheduling from inside callbacks, scheduling between
 ``run(until=t)`` resumptions, cancellations (bursts large enough to trigger
 compaction mid-drain), and a final drain to empty.
+
+A second harness adds processes that wait on plain events, the way a
+protocol loop waits on ``SecureEndpoint.recv()``: the kernel resumes them
+inline and stores their next plain event in its waiter slot directly.
+Callbacks and other processes succeed those events (same tick or later),
+interrupt their waiters, and the interrupted processes re-await the same
+event or move on to a fresh one; each resume is a firing checked against
+the same reference.
 """
 
 import heapq
 import random
+from collections import Counter
 
 import pytest
 
-from repro.sim import Event, Simulator
+from repro.sim import Event, Interrupt, Simulator
 
 DELAYS = (0, 0, 1, 8191, 8192, 100_000, 3_000_000)
 EVENTS_PER_SEED = 3300
 BURST = 600  # cancelled timeouts per burst: above the 512 reaping threshold
+SLEEPERS = 32  # processes waiting on plain events
 
 
 class _Completion(Event):
@@ -93,9 +103,64 @@ class _Harness:
         return [tag for *_, tag in self.reference if tag not in self.cancelled]
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_firing_order_matches_reference_heap(seed):
-    harness = _Harness(seed)
+class _ProcessHarness(_Harness):
+    """The harness plus processes that wait on plain events.
+
+    A sleeper is listed in ``sleeping`` exactly while it waits on an
+    untriggered event that nobody has succeeded or interrupted yet, so
+    every wake-up the reference expects reaches a live waiter.
+    """
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed)
+        self.sleeping: dict[int, Event] = {}
+        self.counts: Counter = Counter()
+        self.processes = [self.sim.process(self.sleeper(pid)) for pid in range(SLEEPERS)]
+
+    def sleeper(self, pid: int):
+        event = None
+        while True:
+            if event is None:
+                event = Event(self.sim)
+            else:
+                self.counts["re-await"] += 1
+            self.sleeping[pid] = event
+            try:
+                tag = yield event
+            except Interrupt as interrupt:
+                if self.rng.random() < 0.3:
+                    event = None  # abandon it and wait on a fresh event
+                self.fire(interrupt.cause)
+                continue
+            event = None
+            self.fire(tag)
+
+    def mirror(self, delay: int) -> int:
+        """A priority-1 firing ``delay`` ns from now, in the reference."""
+        self.budget -= 1
+        self.seq += 1
+        tag = self.seq
+        heapq.heappush(self.reference, (self.sim.now + delay, 1, tag, tag))
+        return tag
+
+    def fire(self, tag: int) -> None:
+        super().fire(tag)
+        rng = self.rng
+        if self.budget <= 0 or not self.sleeping:
+            return
+        pid = rng.choice(sorted(self.sleeping))
+        event = self.sleeping.pop(pid)
+        if rng.random() < 0.2:
+            # The wake-up event `interrupt` succeeds now, at priority 1.
+            self.processes[pid].interrupt(self.mirror(0))
+            self.counts["interrupt"] += 1
+        else:
+            delay = rng.choice(DELAYS[:5])  # now or soon: sleepers cycle fast
+            event.succeed(self.mirror(delay), delay=delay)
+            self.counts["same-tick wake" if delay == 0 else "wake"] += 1
+
+
+def _drive(harness: _Harness) -> None:
     sim, rng = harness.sim, harness.rng
     for _ in range(20):
         harness.schedule()
@@ -110,3 +175,16 @@ def test_firing_order_matches_reference_heap(seed):
     assert len(harness.fired) >= EVENTS_PER_SEED // 2
     assert harness.live_reference() == []
     assert sim.peek() is None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_firing_order_matches_reference_heap(seed):
+    _drive(_Harness(seed))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_process_wakeups_match_reference_heap(seed):
+    harness = _ProcessHarness(seed)
+    _drive(harness)
+    for kind in ("wake", "same-tick wake", "interrupt", "re-await"):
+        assert harness.counts[kind] > 10, kind
