@@ -40,16 +40,17 @@ bench-faults:
 perfbench:
 	python3 perfbench/run.py --workload all --seed 1 --seconds 5 --trace 1
 
-# A speed claim: PAIRS alternated 25 s runs of a parent checkout and this
-# one, each side's median, quartiles and wins per metric and workload.
-#   make perfbench-pairs PARENT=../parent [WORKLOAD=membership-mesh] [SEED=1] [PAIRS=10]
-WORKLOAD ?= all
+# A speed claim: PAIRS alternated 25 s runs of the PARENT commit and this
+# tree on one workload, each side's median, quartiles and wins per metric,
+# then three traced runs a side (benchmarks/ab_pairs.py; its --json
+# appends the point to BENCH_perfbench.json).
+#   make perfbench-pairs PARENT=<commit> WORKLOAD=membership-mesh [SEED=1] [PAIRS=10]
 SEED ?= 1
 PAIRS ?= 10
 perfbench-pairs:
-	@test -n "$(PARENT)" || { echo "usage: make perfbench-pairs PARENT=<checkout>"; exit 2; }
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make perfbench-pairs PARENT=<commit> WORKLOAD=<workload>"; exit 2; }
 	python3 benchmarks/ab_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
-		--seed $(SEED) --seconds 25 --pairs $(PAIRS)
+		--seed $(SEED) --pairs $(PAIRS)
 
 reproduce:
 	python examples/reproduce_paper.py

@@ -34,14 +34,17 @@ if TYPE_CHECKING:  # pragma: no cover
 Receiver = Callable[[Datagram], None]
 
 
+def discard(datagram: Datagram) -> None:
+    """The receiver of a socket nobody reads: the datagram is counted, then lost."""
+
+
 class Socket:
     """An endpoint bound to an address: sends datagrams, hands arrivals to its receiver."""
 
-    def __init__(self, network: "Network", address: Address, receiver: Optional[Receiver]) -> None:
+    def __init__(self, network: "Network", address: Address, receiver: Receiver) -> None:
         self.network = network
         self.address = address
-        #: Called with each datagram delivered here, at its delivery
-        #: instant; ``None`` discards it, as a UDP port nobody reads would.
+        #: Called with each datagram delivered here, at its delivery instant.
         self.receiver = receiver
         self.received_count = 0
         self.sent_count = 0
@@ -100,7 +103,7 @@ class Network:
 
     # -- topology -----------------------------------------------------------
 
-    def attach(self, address: Address, receiver: Optional[Receiver] = None) -> Socket:
+    def attach(self, address: Address, receiver: Receiver = discard) -> Socket:
         """Bind a new socket delivering to ``receiver``; addresses must be unique."""
         if address in self._sockets:
             raise ConfigurationError(f"address {address} already attached")
@@ -230,5 +233,4 @@ class Network:
             self._drop(datagram, "unbound")
             return
         socket.received_count += 1
-        if socket.receiver is not None:
-            socket.receiver(datagram)
+        socket.receiver(datagram)

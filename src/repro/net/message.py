@@ -14,8 +14,8 @@ to infer it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sized
+from dataclasses import dataclass, field
+from typing import Sized
 
 #: Process-wide datagram id counter (diagnostics only; never protocol-visible).
 _datagram_ids = itertools.count(1)
@@ -38,25 +38,16 @@ class Address:
         return f"{self.host}:{self.port}"
 
 
+@dataclass(slots=True, eq=False)
 class Datagram:
     """One UDP datagram in flight."""
 
-    __slots__ = ("source", "destination", "payload", "sent_at_ns", "datagram_id")
-
-    def __init__(
-        self,
-        source: Address,
-        destination: Address,
-        payload: Sized,
-        sent_at_ns: int,
-        datagram_id: Optional[int] = None,
-    ) -> None:
-        self.source = source
-        self.destination = destination
-        #: A sealed envelope, or raw bytes on a bare socket.
-        self.payload = payload
-        self.sent_at_ns = sent_at_ns
-        self.datagram_id = next(_datagram_ids) if datagram_id is None else datagram_id
+    source: Address
+    destination: Address
+    #: A sealed envelope, or raw bytes on a bare socket.
+    payload: Sized
+    sent_at_ns: int
+    datagram_id: int = field(default_factory=lambda: next(_datagram_ids))
 
     @property
     def size_bytes(self) -> int:

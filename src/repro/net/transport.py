@@ -38,7 +38,7 @@ from repro.errors import ConfigurationError, CryptoError
 from repro.net.channel import Network, Socket
 from repro.net.crypto import SecureChannelKey
 from repro.net.message import Address, Datagram
-from repro.sim.events import ST_TRIGGERED, Event
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -231,11 +231,11 @@ class SecureEndpoint:
         except CryptoError:
             self.auth_failures += 1
             return
-        envelope = Envelope(link.name, message, self.sim._now)
+        envelope = Envelope(link.name, message, self.sim.now)
         waiters = self._waiters
         while waiters:
             waiter = waiters.popleft()
-            if not waiter._state & ST_TRIGGERED:
+            if not waiter.triggered:
                 waiter.succeed(envelope)
                 return
         self._inbox.append(envelope)

@@ -20,18 +20,17 @@ def net(sim):
     return Network(sim, default_delay=ConstantDelay(units.milliseconds(1)))
 
 
-def recv_all(sim, socket):
-    """Make ``socket``'s receiver record each datagram with its delivery time."""
+def attach_recording(sim, net, host):
+    """Attach a socket at ``host`` whose receiver records each datagram with its delivery time."""
     received = []
-    socket.receiver = lambda datagram: received.append((sim.now, datagram))
-    return received
+    socket = net.attach(Address(host), lambda datagram: received.append((sim.now, datagram)))
+    return socket, received
 
 
 class TestDelivery:
     def test_datagram_arrives_after_link_delay(self, sim, net):
         a = net.attach(Address("a"))
-        b = net.attach(Address("b"))
-        received = recv_all(sim, b)
+        b, received = attach_recording(sim, net, "b")
         a.send(b.address, b"hello")
         sim.run()
         assert received[0][0] == units.milliseconds(1)
@@ -39,8 +38,7 @@ class TestDelivery:
 
     def test_recv_before_send_blocks_until_arrival(self, sim, net):
         a = net.attach(Address("a"))
-        b = net.attach(Address("b"))
-        received = recv_all(sim, b)
+        b, received = attach_recording(sim, net, "b")
 
         def sender():
             yield sim.timeout(units.SECOND)
@@ -53,8 +51,7 @@ class TestDelivery:
     def test_queued_datagrams_drained_in_order(self, sim, net):
         """Datagrams queued for one delivery instant arrive in send order."""
         a = net.attach(Address("a"))
-        b = net.attach(Address("b"))
-        received = recv_all(sim, b)
+        b, received = attach_recording(sim, net, "b")
         for payload in (b"1", b"2", b"3"):
             a.send(b.address, payload)
         sim.run()
@@ -83,9 +80,8 @@ class TestDelivery:
 
     def test_per_link_delay_override(self, sim, net):
         a = net.attach(Address("a"))
-        b = net.attach(Address("b"))
+        b, received = attach_recording(sim, net, "b")
         net.set_link_delay("a", "b", ConstantDelay(units.SECOND))
-        received = recv_all(sim, b)
         a.send(b.address, b"slow")
         sim.run()
         assert received[0][0] == units.SECOND
@@ -93,10 +89,9 @@ class TestDelivery:
     def test_reordering_possible_with_jittery_delays(self, sim):
         net = Network(sim, default_delay=UniformDelay(0, units.SECOND))
         a = net.attach(Address("a"))
-        b = net.attach(Address("b"))
+        b, received = attach_recording(sim, net, "b")
         for i in range(30):
             a.send(b.address, bytes([i]))
-        received = recv_all(sim, b)
         sim.run()
         order = [d.payload[0] for _, d in received]
         assert sorted(order) == list(range(30))
@@ -174,8 +169,7 @@ class TestAdversaryIntegration:
         adversary.delay_flow("a", "b", units.milliseconds(100))
         net.add_adversary(adversary)
         a = net.attach(Address("a"))
-        b = net.attach(Address("b"))
-        received = recv_all(sim, b)
+        b, received = attach_recording(sim, net, "b")
         a.send(b.address, b"delayed")
         sim.run()
         assert received[0][0] == units.milliseconds(101)
