@@ -71,18 +71,14 @@ def test_network_message_throughput(benchmark):
         alice.register_peer(bob)
         bob.register_peer(alice)
 
-        def bob_loop():
-            for _ in range(500):
-                envelope = yield bob.recv()
-                bob.send("alice", envelope.message)
+        bob.consumer = bob.send  # echo each message to its sender
 
-        def alice_loop():
-            for i in range(500):
-                alice.send("bob", i)
-                yield alice.recv()
+        def alice_consumer(sender, message):
+            if message + 1 < 500:
+                alice.send("bob", message + 1)
 
-        sim.process(bob_loop())
-        sim.process(alice_loop())
+        alice.consumer = alice_consumer
+        alice.send("bob", 0)
         sim.run()
         return alice.socket.received_count
 

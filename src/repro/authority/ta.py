@@ -9,10 +9,13 @@ NTP(sec) server or a timestamping authority. Triad nodes contact it:
 * during **reference calibration**, with ``s = 0`` requests, to re-anchor
   the absolute timestamp after all peers were tainted simultaneously.
 
-The TA handles any number of concurrent requests (each gets its own
-handler process). Its clock is the simulation's reference time plus an
-optional fixed offset; the TA itself is trusted and not attackable in the
-paper's model — all attacks happen on the path to it.
+The TA is its endpoint's consumer: it handles each request at the
+request's delivery instant, replying at once for ``s = 0`` and from a
+timeout ``s`` later otherwise, so any number of requests are served
+concurrently with no process of their own. Its clock is the simulation's
+reference time plus an optional fixed offset; the TA itself is trusted
+and not attackable in the paper's model — all attacks happen on the path
+to it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ProtocolError
 from repro.messages import TimeRequest, TimeResponse
-from repro.net.transport import Envelope, SecureEndpoint
+from repro.net.transport import SecureEndpoint
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -63,7 +66,7 @@ class TimeAuthority:
         #: flapping). Clients see exactly what a dead server looks like:
         #: silence, then their own timeout.
         self.down = False
-        self.process = sim.process(self._serve(), name=f"time-authority/{endpoint.name}")
+        endpoint.consumer = self._on_request
 
     def set_down(self, down: bool = True) -> None:
         """Take the TA offline (or bring it back). Injection hook for faults."""
@@ -78,37 +81,36 @@ class TimeAuthority:
         """The TA's clock reading (reference time + configured offset)."""
         return self.sim.now + self.clock_offset_ns
 
-    # -- server loop -----------------------------------------------------------
+    # -- request handling ------------------------------------------------------
 
-    def _serve(self):
-        while True:
-            envelope = yield self.endpoint.recv()
-            if self.down:
-                self.stats.requests_dropped_down += 1
-                continue
-            self.sim.process(
-                self._handle(envelope), name=f"ta-handler/{envelope.sender}"
-            )
-
-    def _handle(self, envelope: Envelope):
-        message = envelope.message
+    def _on_request(self, sender: str, message) -> None:
+        """Answer one delivered request (the endpoint's consumer)."""
+        if self.down:
+            self.stats.requests_dropped_down += 1
+            return
         if not isinstance(message, TimeRequest):
             raise ProtocolError(
-                f"TA received unexpected message {type(message).__name__} from {envelope.sender}"
+                f"TA received unexpected message {type(message).__name__} from {sender}"
             )
         self.stats.requests_received += 1
-        self.stats.request_log.append((self.sim.now, envelope.sender, message.sleep_ns))
+        self.stats.request_log.append((self.sim.now, sender, message.sleep_ns))
         receive_time = self.now()
         sleep_ns = min(max(message.sleep_ns, 0), self.max_sleep_ns)
         if sleep_ns:
-            yield self.sim.timeout(sleep_ns)
+            self.sim.timeout(sleep_ns)._add_callback(
+                lambda _event: self._reply(sender, message, receive_time)
+            )
+        else:
+            self._reply(sender, message, receive_time)
+
+    def _reply(self, sender: str, request: TimeRequest, receive_time: int) -> None:
         transmit_time = self.now()
         self.endpoint.send(
-            envelope.sender,
+            sender,
             TimeResponse(
-                request_id=message.request_id,
+                request_id=request.request_id,
                 reference_time_ns=transmit_time,
-                sleep_ns=message.sleep_ns,
+                sleep_ns=request.sleep_ns,
                 receive_time_ns=receive_time,
                 transmit_time_ns=transmit_time,
             ),

@@ -660,7 +660,7 @@ def _faults_spec_dict(args) -> dict:
     else:  # crash-outage-partition / no-retry: the mixed headline timeline
         schedule = [
             {"t_s": 12.0, "kind": "node-crash", "node": crash_victim, "down_ms": 800},
-            {"t_s": 14.0, "kind": "ta-outage", "duration_ms": 3000},
+            {"t_s": 12.8, "kind": "ta-outage", "duration_ms": 3000},
             {"t_s": 20.0, "kind": "partition", "island": [isolated], "duration_ms": 2000},
             {
                 "t_s": 24.0,

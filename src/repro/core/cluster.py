@@ -284,7 +284,7 @@ class TriadCluster:
         down (crashed or dormant).
         """
         node = self.node(index)
-        if node.message_process is None:
+        if node.main_process is None:
             return
         node.crash(cause)
         self.network.set_host_down(node.name)
@@ -299,7 +299,7 @@ class TriadCluster:
         the node is already running.
         """
         node = self.node(index)
-        if node.message_process is not None:
+        if node.main_process is not None:
             return
         if self._present[node.name]:
             self.network.set_host_down(node.name, down=False)

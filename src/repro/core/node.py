@@ -2,8 +2,9 @@
 
 A :class:`TriadNode` bundles everything one enclave runs:
 
-* a **message loop** serving peer timestamp requests and routing TA/peer
-  responses to waiting protocol steps;
+* a **message handler**, its endpoint's consumer, serving peer timestamp
+  requests and routing TA/peer responses to waiting protocol steps at
+  each datagram's delivery instant;
 * a **main loop** driving the state machine — initial FullCalib, then
   Tainted → (peer untaint | RefCalib with the TA) forever, plus FullCalib
   again whenever the INC monitor raises an alert;
@@ -45,6 +46,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: node's threads; each loop recognises it and returns cleanly.
 CRASH_CAUSE = "enclave-crash"
 
+#: Sleeps of the background rate refinement, one sample each: the
+#: paper's (0 s, 1 s) regression, twice.
+REFINE_SLEEPS_NS = (0, SECOND) * 2
+
 
 class NodeUnavailable(ReproError):
     """The node cannot serve a timestamp right now (tainted/calibrating)."""
@@ -73,6 +78,11 @@ class TriadNodeConfig:
     calibration_sleeps_ns: tuple[int, ...] = (0, SECOND)
     #: Samples collected per sleep value in one calibration.
     calibration_rounds: int = 2
+    #: Whether each full calibration is followed by a background one with
+    #: the paper's sleeps (``REFINE_SLEEPS_NS``) whose rate replaces
+    #: F_calib (off: the paper's behaviour). A short calibration brings a
+    #: node up fast; this keeps its rate from staying coarse.
+    refine_rate: bool = False
     #: Retries allowed per calibration sample (AEX-interrupted or lost).
     calibration_max_attempts: int = 100
     #: How long to collect peer responses after an AEX before falling back.
@@ -169,7 +179,8 @@ class NodeStats:
     aex_count: int = 0
     #: (time_ns, cumulative_count) pairs — Fig. 6b's series.
     aex_times_ns: list[int] = field(default_factory=list)
-    #: Completed full calibrations, with the resulting F_calib (Hz).
+    #: Completed full calibrations and their refinements, with the
+    #: resulting F_calib (Hz).
     full_calibrations: list[tuple[int, float]] = field(default_factory=list)
     #: Time references adopted from the TA (Fig. 2b counts these).
     ta_references: int = 0
@@ -194,7 +205,7 @@ class NodeStats:
 
     @property
     def latest_frequency_hz(self) -> Optional[float]:
-        """F_calib from the most recent full calibration."""
+        """F_calib from the most recent full calibration or refinement."""
         if not self.full_calibrations:
             return None
         return self.full_calibrations[-1][1]
@@ -262,9 +273,9 @@ class TriadNode:
         #: and it never answers traffic, so the rest of the cluster sees
         #: exactly what it would see from a powered-off host.
         self.dormant = dormant
-        self.message_process = None
         self.main_process = None
         self.monitor_process = None
+        self.refine_process = None
         if not dormant:
             self.activate()
 
@@ -275,12 +286,12 @@ class TriadNode:
         subscribes its AEX handler, and enters the initial FullCalib just
         like a node constructed live.
         """
-        if self.message_process is not None:
+        if self.main_process is not None:
             return
         self.dormant = False
         self.machine.port(self.core_index).subscribe(self._on_aex)
+        self.endpoint.consumer = self._on_message
         sim = self.sim
-        self.message_process = sim.process(self._message_loop(), name=f"{self.name}/messages")
         self.main_process = sim.process(self._main_loop(), name=f"{self.name}/main")
         if self.config.monitor_enabled:
             self.monitor_process = sim.process(self._monitor_loop(), name=f"{self.name}/monitor")
@@ -291,20 +302,21 @@ class TriadNode:
         """Tear the enclave down with full TEE state loss (no-op if down).
 
         Every thread is interrupted with :data:`CRASH_CAUSE` and returns;
-        the AEX handler is unsubscribed; all in-flight correlation state,
-        monitor state, and the trusted clock's calibration are gone. The
+        the AEX and message handlers are unset; all in-flight correlation
+        state, monitor state, and the trusted clock's calibration are gone. The
         next :meth:`activate` is a cold boot — initial FullCalib from
         nothing, exactly like a node constructed live.
         """
-        if self.message_process is None:
+        if self.main_process is None:
             return
-        for process in (self.message_process, self.main_process, self.monitor_process):
+        for process in (self.main_process, self.monitor_process, self.refine_process):
             if process is not None and process.is_alive:
                 process.interrupt(CRASH_CAUSE)
         self.machine.port(self.core_index).unsubscribe(self._on_aex)
-        self.message_process = None
+        self.endpoint.consumer = None
         self.main_process = None
         self.monitor_process = None
+        self.refine_process = None
         self._pending.clear()
         self._gathers.clear()
         self._wake_event = None
@@ -501,8 +513,11 @@ class TriadNode:
         tsc_before = self.machine.tsc.read()
         self.endpoint.send(target, TimeRequest(request_id=request_id, sleep_ns=sleep_ns))
         timeout = self.sim.timeout(sleep_ns + self.config.ta_timeout_margin_ns)
-        yield self.sim.any_of([waiter, timeout])
-        del self._pending[request_id]
+        try:
+            yield self.sim.any_of([waiter, timeout])
+        finally:
+            # Also on an interrupt, so a superseded refinement leaves no waiter.
+            self._pending.pop(request_id, None)
         if not waiter.triggered:
             return None
         tsc_after = self.machine.tsc.read()
@@ -591,7 +606,11 @@ class TriadNode:
     # -- full calibration -----------------------------------------------------------------------
 
     def _full_calibration(self):
-        """FullCalib state: monitor baseline, TSC rate, then reference."""
+        """FullCalib state: monitor baseline, TSC rate, reference, then
+        the background rate refinement if ``refine_rate`` is set."""
+        refine = self.refine_process
+        if refine is not None and refine.is_alive:
+            refine.interrupt("superseded")
         self._phase = NodeState.FULL_CALIB
         self._set_state()
         try:
@@ -609,6 +628,30 @@ class TriadNode:
         finally:
             self._phase = None
             self._set_state()
+        if self.config.refine_rate:
+            self.refine_process = self.sim.process(
+                self._refine_rate(), name=f"{self.name}/refine"
+            )
+
+    def _refine_rate(self):
+        """Replace F_calib with one from ``REFINE_SLEEPS_NS`` samples.
+
+        Runs beside the main loop while the node serves on the full
+        calibration's rate. A crash or a new full calibration interrupts
+        it; an exhausted sample budget keeps the current rate.
+        """
+        samples: list[CalibrationSample] = []
+        try:
+            for sleep_ns in REFINE_SLEEPS_NS:
+                sample = yield from self._one_calibration_sample(sleep_ns)
+                if sample is None:
+                    return
+                samples.append(sample)
+        except Interrupt:
+            return
+        frequency = self.calibrator.estimate(samples)
+        self.clock.set_frequency(frequency)
+        self.stats.full_calibrations.append((self.sim.now, frequency))
 
     def _collect_calibration_samples(self):
         """Gather AEX-free (sleep, ΔTSC) samples for every configured sleep."""
@@ -616,10 +659,13 @@ class TriadNode:
         for _round in range(self.config.calibration_rounds):
             for sleep_ns in self.config.calibration_sleeps_ns:
                 sample = yield from self._one_calibration_sample(sleep_ns)
+                if sample is None:
+                    self._give_up_calibration(sleep_ns)
                 samples.append(sample)
         return samples
 
     def _one_calibration_sample(self, sleep_ns: int):
+        """One AEX-free sample at ``sleep_ns``, or None once attempts run out."""
         backoffs = 0
         for attempt in range(1, self.config.calibration_max_attempts + 1):
             aex_before = self.stats.aex_count
@@ -651,6 +697,10 @@ class TriadNode:
                 continue
             response, tsc_before, tsc_after = result
             return CalibrationSample(sleep_ns=sleep_ns, tsc_increment=tsc_after - tsc_before)
+        return None
+
+    def _give_up_calibration(self, sleep_ns: int) -> None:
+        """A FullCalib sample exhausted its attempts: park or fail."""
         if self.config.ta_fetch_attempt_budget is not None:
             self.parked = True
             self.stats.parks += 1
@@ -668,38 +718,27 @@ class TriadNode:
             f"(sleep={sleep_ns}ns) in {self.config.calibration_max_attempts} attempts"
         )
 
-    # -- message loop -------------------------------------------------------------------------------
+    # -- message handling -------------------------------------------------------------------------
 
-    def _message_loop(self):
-        try:
-            yield from self._run_messages()
-        except Interrupt as interrupt:
-            if interrupt.cause == CRASH_CAUSE:
-                return
-            raise
-
-    def _run_messages(self):
-        while True:
-            envelope = yield self.endpoint.recv()
-            message = envelope.message
-            if isinstance(message, PeerTimeRequest):
-                self._serve_peer_request(envelope.sender, message)
-            elif isinstance(message, TimeResponse):
-                waiter = self._pending.get(message.request_id)
-                if waiter is not None and not waiter.triggered:
-                    waiter.succeed(message)
-            elif isinstance(message, PeerTimeResponse):
-                gather = self._gathers.get(message.request_id)
-                if gather is not None:
-                    responses, done, expected = gather
-                    responses.append((envelope.sender, message))
-                    if len(responses) >= expected and not done.triggered:
-                        done.succeed()
-            else:
-                raise ProtocolError(
-                    f"{self.name} received unexpected {type(message).__name__} "
-                    f"from {envelope.sender}"
-                )
+    def _on_message(self, sender: str, message) -> None:
+        """Handle one delivered message (the endpoint's consumer while running)."""
+        if isinstance(message, PeerTimeRequest):
+            self._serve_peer_request(sender, message)
+        elif isinstance(message, TimeResponse):
+            waiter = self._pending.get(message.request_id)
+            if waiter is not None and not waiter.triggered:
+                waiter.succeed(message)
+        elif isinstance(message, PeerTimeResponse):
+            gather = self._gathers.get(message.request_id)
+            if gather is not None:
+                responses, done, expected = gather
+                responses.append((sender, message))
+                if len(responses) >= expected and not done.triggered:
+                    done.succeed()
+        else:
+            raise ProtocolError(
+                f"{self.name} received unexpected {type(message).__name__} from {sender}"
+            )
 
     # -- monitor loop ---------------------------------------------------------------------------------
 

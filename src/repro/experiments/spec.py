@@ -104,7 +104,7 @@ from repro.hardware.aex import ExponentialAexDelays, TriadLikeAexDelays
 from repro.net.delays import ConstantDelay, LogNormalDelay
 from repro.oracle.policy import plane_policy
 from repro.sim.kernel import Simulator
-from repro.sim.units import MICROSECOND, SECOND
+from repro.sim.units import MICROSECOND, MILLISECOND, SECOND
 
 #: Recognized protocol variants.
 PROTOCOLS = ("original", "hardened")
@@ -188,6 +188,16 @@ _FIELD_RULES = {
     ),
     type(None): (lambda v: v is None or integer(v) and v >= 0, "a non-negative integer or null"),
 }
+#: The fault-recovery bootstrap a ``faults.retry`` block turns on: four
+#: (0, 250 ms) calibration rounds instead of the paper's two (0, 1 s), so
+#: an AEX inside a sleep voids 250 ms, not a second, then the paper's
+#: (0, 1 s) × 2 in the background to refine the coarse rate
+#: (``docs/faults.md``).
+_RETRY_BOOTSTRAP = {
+    "calibration_sleeps_ns": (0, 250 * MILLISECOND),
+    "calibration_rounds": 4,
+    "refine_rate": True,
+}
 
 _CHURN_KEYS = {"absent", "schedule"}
 _CHURN_ENTRY_KEYS = {"t_s", "node", "action"}
@@ -231,7 +241,9 @@ class ExperimentSpec:
     #: ``{"schedule": [{"t_s", "kind", ...}], "recovery_deadline_s",
     #: "retry": {...}}`` — deterministic crash/restart, TA outages,
     #: partitions and loss bursts, plus the recovery contract the oracle
-    #: judges after the last fault heals.
+    #: judges after the last fault heals. A ``retry`` block also switches
+    #: the nodes to the fault-recovery calibration bootstrap
+    #: (``_RETRY_BOOTSTRAP``; ``node_config`` fields override it).
     faults: Optional[dict[str, Any]] = None
     #: One-way delay model of every link, ``constant`` (``delay_us``) or
     #: ``lognormal`` (``median_us``, ``sigma``); None: the paper's LAN profile.
@@ -303,14 +315,16 @@ class ExperimentSpec:
         return build(params)
 
     def _lower_node_config(self) -> TriadNodeConfig:
-        """The config every node is built with: the protocol's default, then
-        the ``node_config`` block, then ``faults.retry``; its rules' errors
+        """The config every node is built with: the protocol's default, the
+        fault-recovery bootstrap if ``faults.retry`` is given, then the
+        ``node_config`` block, then ``faults.retry``; its rules' errors
         name the block key that set the rejected field."""
         overrides = {} if self.node_config is None else self._node_config_fields()
         retry = {} if self._faults is None else self._faults.retry_overrides
+        bootstrap = _RETRY_BOOTSTRAP if self._faults is not None and "retry" in self.faults else {}
         base = HardenedNodeConfig() if self.protocol == "hardened" else TriadNodeConfig()
         try:
-            return replace(base, **{**overrides, **retry})
+            return replace(base, **{**bootstrap, **overrides, **retry})
         except FieldError as exc:
             if exc.field in retry:
                 from repro.faults.plan import retry_error

@@ -24,14 +24,13 @@ from repro.net.delays import (
     paper_lan_delay,
 )
 from repro.net.message import Address, Datagram
-from repro.net.transport import Envelope, PeerDirectory, PeerLink, SecureEndpoint
+from repro.net.transport import PeerDirectory, PeerLink, SecureEndpoint
 
 __all__ = [
     "Address",
     "ConstantDelay",
     "Datagram",
     "DelayModel",
-    "Envelope",
     "Interference",
     "LogNormalDelay",
     "Network",

@@ -8,13 +8,13 @@ message objects addressed by peer *name*. A :class:`SecureEndpoint`:
 * is its socket's receiver: at a datagram's delivery instant it opens the
   datagram with the key of the one peer listed at its source address (UDP
   gives no session context, so the address is all there is to go on) and
-  hands the :class:`Envelope` to the oldest pending :meth:`~SecureEndpoint.recv`,
-  or queues it when nobody is waiting. No process runs between the
-  network and the consumer, so a datagram costs one delivery timeout and
-  one wake-up of the consumer;
-* silently drops (but counts) datagrams from unknown addresses and those
+  passes ``(sender, message)`` to its :attr:`~SecureEndpoint.consumer`,
+  the one handler its owner set. The consumer runs inside the delivery
+  timeout, so a datagram costs that one kernel event and nothing more;
+* silently drops (but counts) datagrams from unknown addresses, those
   that fail authentication, which is the correct behaviour for a TEE
-  receiving attacker-forged traffic.
+  receiving attacker-forged traffic, and those that arrive while no
+  consumer is set (a crashed or not yet booted enclave).
 
 Who an endpoint may talk to is a :class:`PeerDirectory`. A cluster builds
 one per role and shares it, so wiring N endpoints costs O(N); a bare
@@ -30,26 +30,16 @@ fresh epoch secret to an endpoint is O(1) however many links it has.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import ConfigurationError, CryptoError
 from repro.net.channel import Network, Socket
 from repro.net.crypto import SecureChannelKey
 from repro.net.message import Address, Datagram
-from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
-
-
-class Envelope(NamedTuple):
-    """A decrypted, authenticated incoming message."""
-
-    sender: str
-    message: Any
-    received_at_ns: int
 
 
 @dataclass(slots=True)
@@ -109,10 +99,13 @@ class SecureEndpoint:
         #: Key epoch of the rotating links (0 = attestation-time keys).
         self.epoch = 0
         self._epoch_secret: Optional[bytes] = None
-        self._inbox: deque[Envelope] = deque()
-        self._waiters: deque[Event] = deque()
+        #: The owner's handler, called with ``(sender, message)`` for each
+        #: opened datagram at its delivery instant; while None, what is
+        #: opened is counted in ``unconsumed_drops`` and dropped.
+        self.consumer: Optional[Callable[[str, Any], None]] = None
         self.auth_failures = 0
         self.unknown_sender_drops = 0
+        self.unconsumed_drops = 0
 
     # -- peer management -------------------------------------------------------
 
@@ -198,23 +191,8 @@ class SecureEndpoint:
 
     # -- receiving -----------------------------------------------------------------
 
-    def recv(self) -> Event:
-        """Event firing with the next authenticated :class:`Envelope`."""
-        event = Event(self.sim)
-        if self._inbox:
-            event.succeed(self._inbox.popleft())
-        else:
-            self._waiters.append(event)
-        return event
-
-    def drain(self) -> list[Envelope]:
-        """Remove and return all queued envelopes without waiting."""
-        drained = list(self._inbox)
-        self._inbox.clear()
-        return drained
-
     def _receive(self, datagram: Datagram) -> None:
-        """Open one delivered datagram and hand its envelope on (the socket's receiver)."""
+        """Open one delivered datagram and pass it to the consumer (the socket's receiver)."""
         link = self._links_at.get(datagram.source)
         if link is None:
             name = self.directory.names.get(datagram.source)
@@ -231,14 +209,11 @@ class SecureEndpoint:
         except CryptoError:
             self.auth_failures += 1
             return
-        envelope = Envelope(link.name, message, self.sim.now)
-        waiters = self._waiters
-        while waiters:
-            waiter = waiters.popleft()
-            if not waiter.triggered:
-                waiter.succeed(envelope)
-                return
-        self._inbox.append(envelope)
+        consumer = self.consumer
+        if consumer is None:
+            self.unconsumed_drops += 1
+            return
+        consumer(link.name, message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SecureEndpoint {self.name!r} peers={self.peer_names}>"

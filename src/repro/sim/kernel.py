@@ -359,10 +359,10 @@ class Simulator:
                                 nt = None
                             if nt is not None:
                                 # A fresh Timeout or an unprocessed plain
-                                # Event (every `recv()`) takes the waiter
-                                # slot directly: the two stores
-                                # `Event._add_callback` and `Process._loop`
-                                # would make.
+                                # Event (such as a node's wake-up)
+                                # takes the waiter slot directly: the two
+                                # stores `Event._add_callback` and
+                                # `Process._loop` would make.
                                 if (
                                     ((cls := nt.__class__) is Timeout or cls is Event)
                                     and nt.sim is self

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.authority.ta import TimeAuthority
+from repro.errors import ProtocolError
 from repro.messages import TimeRequest, TimeResponse
 from repro.net.channel import Network
 from repro.net.delays import ConstantDelay
@@ -25,13 +26,12 @@ def world(request):
 def exchange(sim, client, request):
     box = {}
 
-    def run():
-        client.send("ta", request)
-        envelope = yield client.recv()
-        box["response"] = envelope.message
+    def consume(sender, message):
+        box["response"] = message
         box["at"] = sim.now
 
-    sim.process(run())
+    client.consumer = consume
+    client.send("ta", request)
     sim.run()
     return box
 
@@ -84,19 +84,56 @@ class TestConcurrency:
     def test_concurrent_requests_served_independently(self, world):
         sim, client, ta = world
         arrivals = []
-
-        def run():
-            client.send("ta", TimeRequest(request_id=1, sleep_ns=units.SECOND))
-            client.send("ta", TimeRequest(request_id=2, sleep_ns=0))
-            for _ in range(2):
-                envelope = yield client.recv()
-                arrivals.append((envelope.message.request_id, sim.now))
-
-        sim.process(run())
+        client.consumer = lambda sender, message: arrivals.append((message.request_id, sim.now))
+        client.send("ta", TimeRequest(request_id=1, sleep_ns=units.SECOND))
+        client.send("ta", TimeRequest(request_id=2, sleep_ns=0))
         sim.run()
         # The zero-sleep response overtakes the one-second-sleep response.
         assert arrivals[0][0] == 2
         assert arrivals[1][0] == 1
+
+
+class TestRequestHandling:
+    def test_reply_leaves_at_receive_time_plus_sleep(self, world):
+        """The TA handles a request at its delivery instant and answers
+        exactly the (clamped) sleep later, with no process in between."""
+        sim, client, ta = world
+        box = exchange(sim, client, TimeRequest(request_id=6, sleep_ns=250 * units.MILLISECOND))
+        response = box["response"]
+        assert response.receive_time_ns == units.milliseconds(1)
+        assert response.transmit_time_ns == response.receive_time_ns + 250 * units.MILLISECOND
+        assert box["at"] == response.transmit_time_ns + units.milliseconds(1)
+        assert ta.stats.request_log == [(units.milliseconds(1), "client", 250 * units.MILLISECOND)]
+
+    def test_requests_dropped_while_down(self, world):
+        sim, client, ta = world
+        ta.set_down()
+        box = exchange(sim, client, TimeRequest(request_id=7, sleep_ns=0))
+        assert box == {}
+        assert ta.stats.requests_dropped_down == 1
+        assert ta.stats.requests_received == 0
+        assert ta.stats.responses_sent == 0
+        ta.set_down(False)
+        box = exchange(sim, client, TimeRequest(request_id=8, sleep_ns=0))
+        assert box["response"].request_id == 8
+
+    def test_request_taken_before_outage_is_still_answered(self, world):
+        """Going down drops new requests; one already sleeping is answered."""
+        sim, client, ta = world
+        box = {}
+        client.consumer = lambda sender, message: box.setdefault("response", message)
+        client.send("ta", TimeRequest(request_id=9, sleep_ns=units.SECOND))
+        sim.run(until=units.milliseconds(2))
+        ta.set_down()
+        sim.run()
+        assert box["response"].request_id == 9
+        assert ta.stats.requests_dropped_down == 0
+
+    def test_unexpected_message_raises(self, world):
+        sim, client, ta = world
+        client.send("ta", "not a time request")
+        with pytest.raises(ProtocolError, match="unexpected message str from client"):
+            sim.run()
 
 
 class TestClockOffset:

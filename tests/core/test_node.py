@@ -155,3 +155,80 @@ class TestCalibrationRobustness:
         node = cluster.node(1)
         assert node.name == "node-1"
         assert sorted(node.peer_names) == ["node-2", "node-3"]
+
+
+class _RecordingPending(dict):
+    """A node's ``_pending`` table that keeps every waiter put in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.waiters = []
+
+    def __setitem__(self, request_id, waiter):
+        self.waiters.append(waiter)
+        super().__setitem__(request_id, waiter)
+
+
+class TestCrashRestart:
+    def test_first_ta_response_after_restart_reaches_its_waiter(self, quiet_cluster):
+        """A crash once left the interrupted message loop's receive pending
+        on the endpoint, and after the restart it swallowed the first
+        datagram: the TA's answer to the first calibration exchange, which
+        then timed out."""
+        sim, cluster = quiet_cluster
+        node = cluster.node(2)
+        cluster.crash_node(2)
+        sim.run(until=sim.now + 500 * units.MILLISECOND)
+        node._pending = pending = _RecordingPending()
+        cluster.restart_node(2)
+        sim.run(until=sim.now + 5 * units.SECOND)
+        assert node.state is NodeState.OK
+        # Two calibration exchanges and one reference fetch, none retried.
+        assert len(pending.waiters) == 3
+        assert all(waiter.triggered for waiter in pending.waiters)
+        assert node.stats.calibration_samples_discarded == 0
+        assert node.stats.ta_fetch_failures == 0
+
+
+def _run_until_ok(sim, node):
+    while node.state is not NodeState.OK:
+        sim.run(until=sim.now + units.MILLISECOND)
+
+
+class TestRateRefinement:
+    def test_background_calibration_replaces_the_rate(self):
+        sim, cluster = build_cluster(seed=20, refine_rate=True)
+        sim.run(until=5 * units.SECOND)
+        for node in cluster.nodes:
+            assert node.state is NodeState.OK
+            assert node.timeline.count_stays(NodeState.FULL_CALIB) == 1
+            (calibrated_at, _), (refined_at, refined) = node.stats.full_calibrations
+            assert refined_at > calibrated_at
+            assert node.clock.frequency_hz == refined
+            assert not node.refine_process.is_alive
+
+    def test_crash_stops_the_refinement(self):
+        sim, cluster = build_cluster(seed=20, refine_rate=True)
+        node = cluster.node(2)
+        _run_until_ok(sim, node)
+        refine = node.refine_process
+        assert refine.is_alive
+        cluster.crash_node(2)
+        sim.run(until=sim.now + units.SECOND)
+        assert not refine.is_alive
+        assert len(node.stats.full_calibrations) == 1
+        assert not node._pending
+
+    def test_a_new_full_calibration_supersedes_the_refinement(self):
+        sim, cluster = build_cluster(seed=20, refine_rate=True)
+        node = cluster.node(1)
+        _run_until_ok(sim, node)
+        first = node.refine_process
+        node._monitor_alert = True
+        node._signal_wake()
+        sim.run(until=sim.now + 5 * units.SECOND)
+        assert not first.is_alive
+        assert node.refine_process is not first
+        assert node.timeline.count_stays(NodeState.FULL_CALIB) == 2
+        # Two full calibrations, and only the second one's refinement.
+        assert len(node.stats.full_calibrations) == 3

@@ -202,6 +202,21 @@ class TestClusterWideKeys:
             assert node.config.monitor_calibration_samples == 4
             assert node.config.calibration_sleeps_ns == (0, 50_000_000)
 
+    def test_faults_retry_turns_on_the_calibration_bootstrap(self):
+        faults = {"schedule": [], "retry": {"backoff_s": 0.5}}
+        config = minimal_spec(faults=faults).build().cluster.nodes[0].config
+        assert config.calibration_sleeps_ns == (0, 250_000_000)
+        assert config.calibration_rounds == 4
+        assert config.refine_rate is True
+        # A node_config block wins, field by field.
+        spec = minimal_spec(faults=faults, node_config={"refine_rate": False})
+        config = spec.build().cluster.nodes[0].config
+        assert config.calibration_rounds == 4
+        assert config.refine_rate is False
+        # Without a retry block the paper's calibration is untouched.
+        config = minimal_spec(faults={"schedule": []}).build().cluster.nodes[0].config
+        assert (config.calibration_sleeps_ns, config.refine_rate) == ((0, 1_000_000_000), False)
+
     def test_node_config_overrides_the_hardened_config(self):
         spec = minimal_spec(protocol="hardened", node_config={"monitor_enabled": False})
         config = spec.build().cluster.nodes[0].config

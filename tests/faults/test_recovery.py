@@ -21,12 +21,15 @@ RETRY = {
 
 
 def _crash_spec(*, retry=RETRY, deadline_s=15.0):
-    # The crash's restart lands mid-TA-outage, so cold recalibration must
-    # ride the retry/backoff plane before it can anchor — that is what
-    # makes retry telemetry (and the bounded-budget park) observable.
+    # The crash's restart lands just before the TA outage, and on this seed
+    # AEXs void enough calibration samples that the cold recalibration
+    # still runs into the outage, so it must ride the retry/backoff plane
+    # before it can anchor — that is what makes retry telemetry (and the
+    # bounded-budget park) observable. (On seed 13 the fault-recovery
+    # bootstrap finishes at 13.9 s, before the outage.)
     return ExperimentSpec(
         name="faults-crash-restart",
-        seed=13,
+        seed=2,
         duration_s=30.0,
         nodes=3,
         environments={index: "triad-like" for index in range(1, 4)},
@@ -68,8 +71,9 @@ class TestCrashRestartRecovery:
         assert row["crashes"] == 1
         assert row["recovered"] is True
         assert row["ok_at_end"] is True
-        # Client-perspective MTTR: crash instant to first OK. A cold
-        # FullCalib takes ~10 s, so MTTR sits under the 15 s deadline.
+        # Client-perspective MTTR: crash instant to first OK. The cold
+        # FullCalib waits out the TA outage (~5 s), so MTTR sits under the
+        # 15 s deadline.
         assert row["mttr_ms"][0] is not None
         assert row["mttr_ms"][0] / 1000.0 <= 15.0
         assert report["mttr_max_ms"] == row["mttr_ms"][0]
@@ -166,9 +170,11 @@ class TestServiceDegradation:
             nodes=3,
             environments={index: "triad-like" for index in range(1, 4)},
             faults={
+                # The TA goes down as node-2 restarts, so its cold
+                # recalibration runs into the outage.
                 "schedule": [
                     {"t_s": 12.0, "kind": "node-crash", "node": 2, "down_ms": 800},
-                    {"t_s": 14.0, "kind": "ta-outage", "duration_ms": 3000},
+                    {"t_s": 12.8, "kind": "ta-outage", "duration_ms": 3000},
                 ],
                 "recovery_deadline_s": 15.0,
                 "retry": RETRY,
@@ -191,6 +197,9 @@ class TestServiceDegradation:
         # responses and degraded syncs both show up in the accounting.
         assert data["degraded"] > 0
         assert data["quorum_stats"]["degraded_syncs"] > 0
+        # The fault-recovery bootstrap's coarse rate is refined in the
+        # background, so the served timestamps keep the lease guard.
+        assert data["lease_violation_rate"] == 0.0
         recovery = _report(spec, experiment)
         assert recovery["recovered_all"] is True
 
@@ -221,10 +230,11 @@ class TestOracleAgreesWithReport:
             },
         )
 
-    def test_seed_6_both_name_the_late_nodes_at_the_deadline(self):
-        # The oracle named only node-1, at its t=10 s scan: node-2's first
-        # OK fell between the 9.05 s deadline and that scan.
-        spec = self._spec(seed=6, deadline_s=2.6)
+    def test_seed_110_both_name_the_late_nodes_at_the_deadline(self):
+        # A scan-time oracle would name only node-2, at its t=7 s scan:
+        # node-1's first OK (6.86 s) falls between the 6.8 s deadline and
+        # that scan. node-3 is OK again at 6.76 s.
+        spec = self._spec(seed=110, deadline_s=0.35)
         with oracle_policy("warn"):
             experiment = spec.run()
         report = _report(spec, experiment)
@@ -232,16 +242,17 @@ class TestOracleAgreesWithReport:
         assert late == ["node-1", "node-2"]
         violations = [v for v in report["violations"] if v["invariant"] == "recovery"]
         assert [v["node"] for v in violations] == late
-        assert {v["time_ns"] for v in violations} == {9_050_000_000}
+        assert {v["time_ns"] for v in violations} == {6_800_000_000}
 
     def test_seed_3_strict_fails_the_late_node(self):
-        # node-1's first OK after the heal lands past 11.65 s but before
-        # the oracle's next scan at 12 s; strict passed the run.
-        spec = self._spec(seed=3, deadline_s=5.2)
+        # node-1's first OK after the heal (7.07 s) lands past the 7.05 s
+        # deadline but before the oracle's next scan at 8 s; a scan-time
+        # strict oracle passed such a run.
+        spec = self._spec(seed=3, deadline_s=0.6)
         with oracle_policy("strict"):
             with pytest.raises(OracleViolationError) as excinfo:
                 spec.run()
         assert "node-1/recovery" in str(excinfo.value)
         assert [(v["node"], v["time_ns"]) for v in excinfo.value.violations] == [
-            ("node-1", 11_650_000_000)
+            ("node-1", 7_050_000_000)
         ]

@@ -83,10 +83,15 @@ class TestProbationCredit:
     correctly-by-evidence quarantined, then *repairs itself* — here via a
     crash-restart cold recalibration mid-quarantine. With a wall-epoch
     eviction clock the ``evict_after`` deadline expires while the node is
-    still recalibrating (serving nothing, convicting nobody) and the
+    down and recalibrating (serving nothing, convicting nobody) and the
     repaired node is evicted. Probation credit makes the clock adaptive —
     dirty epochs age, clean epochs refund, neutral epochs pause — so the
-    honest repairer survives while the attacker's eviction is unchanged."""
+    honest repairer survives while the attacker's eviction is unchanged.
+
+    The fault-recovery bootstrap calibrates in about a second, so node 3
+    is cut off at t = 3 s: node 5 alone takes AEXs from t = 1 s (and so
+    adopts node 3's timestamps before the cut), the other honest nodes
+    from t = 4 s, and node 5 crashes 3 s into its quarantine."""
 
     def _race(self, probation_credit: bool):
         from repro.experiments.spec import ExperimentSpec
@@ -100,7 +105,8 @@ class TestProbationCredit:
             environments={index: "triad-like" for index in range(1, 6)},
             attacks=[
                 {"type": "fminus", "victim": 3, "delay_ms": 100},
-                {"type": "aex-onset", "nodes": [1, 2, 4, 5], "at_s": 3},
+                {"type": "aex-onset", "nodes": [5], "at_s": 1},
+                {"type": "aex-onset", "nodes": [1, 2, 4], "at_s": 4},
             ],
             membership={
                 "mode": "enforce",
@@ -115,7 +121,7 @@ class TestProbationCredit:
             },
             faults={
                 "schedule": [
-                    {"t_s": 9.0, "kind": "node-crash", "node": 5, "down_ms": 500}
+                    {"t_s": 7.0, "kind": "node-crash", "node": 5, "down_ms": 500}
                 ],
                 "recovery_deadline_s": 15.0,
                 "retry": {"backoff_factor": 2.0, "jitter": 0.1, "backoff_s": 0.5},

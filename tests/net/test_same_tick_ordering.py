@@ -6,10 +6,19 @@ wake-ups would pass its digests unseen. A constant delay does it all the
 time: a node's request to its peers is answered by all of them at once.
 Below, a fifth to a third of the instants at which an endpoint receives
 anything bring it two or more datagrams. Each case hashes every node's
-``NodeStats`` and drift series. The constants were computed when each
-datagram still went through a per-endpoint pump process, before the
-network handed it straight to its endpoint, and must not move with any
+``NodeStats`` and drift series. The constants must not move with any
 change that claims to keep the protocol's behaviour.
+
+Four moved when messages came to be handled inside their delivery event
+(``docs/simulation.md``), each for a named cause:
+
+* ``crash-outage-3`` (all three delays): a crashed node's interrupted
+  message loop no longer leaves a stale receive behind that swallows the
+  first datagram after its restart;
+* ``enforce-mesh-6`` at 1000 µs: node-6's request reaches node-3 at
+  8.549 s, the nanosecond in which node-3's untaint returns it to OK. It
+  is now handled at delivery, ahead of that wake-up, while node-3 is still
+  tainted, so node-3 serves 69 peer requests, not 70.
 """
 
 import dataclasses
@@ -69,8 +78,8 @@ PINNED = {
         "33f38a7dd6a30ac562f632e7dc88a7aa4419eaba9b3725a6dc2103fb22a3a22d",
     ),
     (100, "crash-outage-3"): (
-        515,
-        "920ef06dfc60e33975ee0e57684cf9cafc31202ee2f21b000280e1bb5d2a0b6e",
+        547,
+        "183b3900867ef89e1d8c10000364b0422d76b983ecbb6c24a0c0a9b461e15fc9",
     ),
     (150, "plain-3"): (
         1083,
@@ -81,20 +90,20 @@ PINNED = {
         "8258477515dc13a58f743ec22aeed2231c90f80be7fc066756c1f67c9ef17ae1",
     ),
     (150, "crash-outage-3"): (
-        515,
-        "5129e036ce115603df8f3da073deebe854e68a295bed2fa3ac1239380c0b831b",
+        547,
+        "b8044ad9ef89b141ac98b03f5c6714b63056527f06c678d7eb48e68abe953911",
     ),
     (1000, "plain-3"): (
         1083,
         "0ebf51c71a707f861458a751687a735f911a6b6cfd993ab17650691f3438716a",
     ),
     (1000, "enforce-mesh-6"): (
-        1024,
-        "af68e4ac3b7d72c9169736294af355816504be78cb93c478ea392e1512d7ab52",
+        1022,
+        "3aa4aa1b04f9042b745ec5143c63ddb64b13407ef9a53a4e0f5475a52447375a",
     ),
     (1000, "crash-outage-3"): (
-        515,
-        "e86fcd286e7075e5f9c5e7cddb73eb920058a11a1bcaeadc5f5f31a79cd59f6e",
+        547,
+        "ad2c97f4b5b503737683052cb737bcca1c473b6648ee3c983294e6a9de5376fc",
     ),
 }
 

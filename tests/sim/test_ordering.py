@@ -11,7 +11,7 @@ far beyond, same-tick scheduling from inside callbacks, scheduling between
 compaction mid-drain), and a final drain to empty.
 
 A second harness adds processes that wait on plain events, the way a
-protocol loop waits on ``SecureEndpoint.recv()``: the kernel resumes them
+node's main loop waits on its wake-up event: the kernel resumes them
 inline and stores their next plain event in its waiter slot directly.
 Callbacks and other processes succeed those events (same tick or later),
 interrupt their waiters, and the interrupted processes re-await the same
