@@ -15,16 +15,14 @@ from tests.hardened.test_node import fast_hardened_config
 
 def build_multi_ta_cluster(seed, ta_count=3, hardened=True):
     sim = Simulator(seed=seed)
-    config = ClusterConfig(
-        node_class=HardenedTriadNode if hardened else ClusterConfig.node_class,
-        node_config=fast_hardened_config() if hardened else None,
-        delay_model=ConstantDelay(100 * units.MICROSECOND),
-        ta_count=ta_count,
+    protocol = (
+        {"node_class": HardenedTriadNode, "node_config": fast_hardened_config()}
+        if hardened
+        else {}
     )
-    if not hardened:
-        config = ClusterConfig(
-            delay_model=ConstantDelay(100 * units.MICROSECOND), ta_count=ta_count
-        )
+    config = ClusterConfig(
+        delay_model=ConstantDelay(100 * units.MICROSECOND), ta_count=ta_count, **protocol
+    )
     return sim, TriadCluster(sim, config)
 
 

@@ -43,12 +43,6 @@ class TestExamples:
         assert "lease double-grants" in out
         assert "S5 hardened" in out
 
-    def test_tee_time_showdown(self, capsys):
-        out = run_example("tee_time_showdown.py", capsys)
-        assert "AMD SecureTSC" in out
-        assert "TD-entry violation raised" in out
-        assert "cluster infected" in out
-
     @pytest.mark.slow
     def test_calibration_attack_lab(self, capsys):
         out = run_example("calibration_attack_lab.py", capsys)

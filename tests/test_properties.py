@@ -307,62 +307,6 @@ class TestStatsProperties:
         assert fit.intercept == pytest.approx(intercept, rel=1e-6, abs=1e-3)
 
 
-class TestT3eProperties:
-    @given(
-        max_uses=st.integers(min_value=1, max_value=20),
-        intervals_ms=st.lists(st.integers(min_value=0, max_value=200), min_size=5, max_size=40),
-        attack_delay_ms=st.integers(min_value=0, max_value=1000),
-        drift=st.floats(min_value=-0.325, max_value=0.325),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_t3e_monotonic_under_any_schedule(
-        self, max_uses, intervals_ms, attack_delay_ms, drift
-    ):
-        """T3E serves strictly increasing timestamps no matter the request
-        pattern, attack delay, or TPM drift configuration."""
-        from repro.t3e import T3eNode, TpmBus, TrustedPlatformModule
-
-        sim = Simulator(seed=1)
-        tpm = TrustedPlatformModule(sim, drift_rate=drift)
-        bus = TpmBus(sim, tpm)
-        bus.set_attack_delay(attack_delay_ms * 1_000_000)
-        node = T3eNode(sim, bus, max_uses=max_uses)
-
-        def app():
-            for interval in intervals_ms:
-                yield node.request_timestamp()
-                yield sim.timeout(interval * 1_000_000)
-
-        sim.process(app())
-        sim.run()
-        assert node.stats.monotonic()
-        assert node.stats.timestamps_served == len(intervals_ms)
-
-    @given(
-        latency_ms=st.integers(min_value=1, max_value=100),
-        attack_ms=st.integers(min_value=0, max_value=2000),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_tpm_staleness_identity(self, latency_ms, attack_ms):
-        """Reading staleness on arrival = inbound latency + attack delay."""
-        from repro.t3e import TpmBus, TrustedPlatformModule
-
-        sim = Simulator(seed=2)
-        bus = TpmBus(
-            sim, TrustedPlatformModule(sim), command_latency_ns=latency_ms * 1_000_000
-        )
-        bus.set_attack_delay(attack_ms * 1_000_000)
-        box = {}
-
-        def reader():
-            box["r"] = yield from bus.read_clock()
-
-        sim.process(reader())
-        sim.run()
-        inbound = latency_ms * 1_000_000 - latency_ms * 1_000_000 // 2
-        assert box["r"].staleness_on_arrival_ns == inbound + attack_ms * 1_000_000
-
-
 class TestRegistryProperties:
     reports = st.lists(
         st.tuples(
