@@ -69,7 +69,8 @@ hunt-smoke:
 	@echo "hunt-smoke: corpus manifests are byte-identical"
 
 # Pinned-seed service runs (1M sessions benign, 100k under the F−
-# propagation cascade), each at --jobs 1 and --jobs 2: the ServiceReport
+# propagation cascade, a 400k rps open-loop overload and a 2 s-think
+# closed loop), each at --jobs 1 and --jobs 2: the ServiceReport
 # JSON must be byte-identical for the same seed regardless of worker count.
 service-smoke:
 	python -m repro service --sessions 1000000 --duration-s 30 --quorum 3 \
@@ -84,6 +85,16 @@ service-smoke:
 		--seed 11 --attack fminus-propagation --no-cache --jobs 2 \
 		--json out/service-smoke/propagation-j2.json
 	cmp out/service-smoke/propagation-j1.json out/service-smoke/propagation-j2.json
+	python -m repro service --rate-rps 400000 --duration-s 30 --quorum 3 \
+		--seed 11 --no-cache --json out/service-smoke/overload-j1.json
+	python -m repro service --rate-rps 400000 --duration-s 30 --quorum 3 \
+		--seed 11 --no-cache --jobs 2 --json out/service-smoke/overload-j2.json
+	cmp out/service-smoke/overload-j1.json out/service-smoke/overload-j2.json
+	python -m repro service --arrival closed --think-ms 2000 --duration-s 30 \
+		--quorum 3 --seed 11 --no-cache --json out/service-smoke/closed-j1.json
+	python -m repro service --arrival closed --think-ms 2000 --duration-s 30 \
+		--quorum 3 --seed 11 --no-cache --jobs 2 --json out/service-smoke/closed-j2.json
+	cmp out/service-smoke/closed-j1.json out/service-smoke/closed-j2.json
 	@echo "service-smoke: reports are byte-identical across --jobs 1/2"
 
 # Membership control plane, pinned seeds: churn runs byte-identical

@@ -1,7 +1,8 @@
 """Per-node service front-ends: admission queue, batching, shedding.
 
 A :class:`FrontEnd` stands between one Triad node and its slice of the
-session population. Request handling is batch-granular: each tick it
+session population. Request handling is batch-granular: each
+:meth:`FrontEnd.tick` makes one pass that
 
 1. admits the workload's arrivals (shedding overflow beyond the queue
    capacity — open-loop overload has to go *somewhere*, and a bounded
@@ -12,6 +13,10 @@ session population. Request handling is batch-granular: each tick it
    delay per batch;
 4. stamps the drained batch with the quorum client's current estimate —
    or refuses the whole batch when no quorum anchor is available.
+
+Below saturation a tick admits one batch and drains it whole, so the
+pass is written for that case: a batch is apportioned across kinds only
+when it overflows the queue or the drain budget ends inside it.
 
 Queue entries are plain tuple batch records, ``(arrival_tick,
 n_timestamp, n_lease, n_timeout)``: requests never exist as objects, so
@@ -96,82 +101,97 @@ class FrontEnd:
         return self._depth
 
     def tick(self, tick_index: int, true_now_ns: int) -> None:
-        """Process one batch interval at true simulated instant ``true_now_ns``."""
-        self._admit(tick_index)
-        self._expire(tick_index)
-        self._drain(tick_index, true_now_ns)
+        """Admit, expire and drain one batch interval at true instant ``true_now_ns``."""
+        metrics = self.metrics
+        queue = self._queue
+        depth = self._depth
+        # Sessions answered this tick (shed, expired or drained), handed
+        # back to the workload once at the end.
+        completed = 0
 
-    # -- admission -----------------------------------------------------------------
+        # Admit the tick's arrivals; overflow past the room is shed.
+        n_ts, n_lease, n_to = self.workload.draw()
+        arrived = n_ts + n_lease + n_to
+        if arrived:
+            room = self.queue_capacity - depth
+            if arrived > room:
+                (n_ts, n_lease, n_to), shed = _split_proportional(
+                    (n_ts, n_lease, n_to), room
+                )
+                metrics.record_shed(shed)
+                # Shed sessions get an immediate error response: in the
+                # closed loop they return to thinking right away.
+                completed = arrived - n_ts - n_lease - n_to
+                arrived -= completed
+            if arrived:
+                queue.append((tick_index, n_ts, n_lease, n_to))
+                depth += arrived
 
-    def _admit(self, tick_index: int) -> None:
-        kinds = self.workload.draw()
-        total = kinds[0] + kinds[1] + kinds[2]
-        if total <= 0:
-            return
-        room = self.queue_capacity - self._depth
-        admitted, shed = _split_proportional(kinds, room)
-        shed_total = shed[0] + shed[1] + shed[2]
-        if shed_total:
-            self.metrics.record_shed(shed)
-            # Shed sessions get an immediate error response: in the closed
-            # loop they return to thinking right away.
-            self.workload.absorb(shed_total)
-        admitted_total = admitted[0] + admitted[1] + admitted[2]
-        if admitted_total:
-            self._queue.append((tick_index, admitted[0], admitted[1], admitted[2]))
-            self._depth += admitted_total
+        # Drop batches queued longer than the deadline (client timeouts).
+        deadline_ticks = self.deadline_ticks
+        while queue and tick_index - queue[0][0] > deadline_ticks:
+            _, e_ts, e_lease, e_to = queue.popleft()
+            metrics.record_expired((e_ts, e_lease, e_to))
+            expired = e_ts + e_lease + e_to
+            depth -= expired
+            completed += expired
 
-    # -- deadline expiry -----------------------------------------------------------
+        # Drain up to the service budget in FIFO order; the fractional
+        # credit carries over so a non-integer rate drains exactly.
+        credit = self._service_credit + self.service_per_tick
+        budget = int(credit)
+        d_ts = d_lease = d_to = 0
+        if budget > 0:
+            credit -= budget
+            wait_histogram = metrics.wait_histogram
+            while budget > 0 and queue:
+                arrival_tick, b_ts, b_lease, b_to = queue[0]
+                taken = b_ts + b_lease + b_to
+                if taken <= budget:
+                    queue.popleft()
+                else:
+                    (b_ts, b_lease, b_to), rest = _split_proportional(
+                        (b_ts, b_lease, b_to), budget
+                    )
+                    queue[0] = (arrival_tick, *rest)
+                    taken = budget
+                budget -= taken
+                d_ts += b_ts
+                d_lease += b_lease
+                d_to += b_to
+                wait_ns = (tick_index - arrival_tick) * self.tick_ns
+                wait_histogram[wait_ns] = wait_histogram.get(wait_ns, 0) + taken
+        self._service_credit = credit
 
-    def _expire(self, tick_index: int) -> None:
-        while self._queue:
-            tick, n_ts, n_lease, n_to = self._queue[0]
-            if tick_index - tick <= self.deadline_ticks:
-                break
-            self._queue.popleft()
-            count = n_ts + n_lease + n_to
-            self._depth -= count
-            self.metrics.record_expired((n_ts, n_lease, n_to))
-            self.workload.absorb(count)
-
-    # -- draining ------------------------------------------------------------------
-
-    def _drain(self, tick_index: int, true_now_ns: int) -> None:
-        self._service_credit += self.service_per_tick
-        budget = int(self._service_credit)
-        if budget <= 0:
-            return
-        self._service_credit -= budget
-
-        drained_kinds = [0, 0, 0]
-        drained_total = 0
-        while budget > 0 and self._queue:
-            tick, n_ts, n_lease, n_to = self._queue.popleft()
-            taken, rest = _split_proportional((n_ts, n_lease, n_to), budget)
-            taken_total = taken[0] + taken[1] + taken[2]
-            if rest != (0, 0, 0):
-                self._queue.appendleft((tick, rest[0], rest[1], rest[2]))
-            budget -= taken_total
-            self._depth -= taken_total
-            for index in range(3):
-                drained_kinds[index] += taken[index]
-            drained_total += taken_total
-            self.metrics.record_wait((tick_index - tick) * self.tick_ns, taken_total)
-        if drained_total == 0:
-            return
-
-        estimate = self.quorum_client.estimate()
-        kinds_tuple = (drained_kinds[0], drained_kinds[1], drained_kinds[2])
-        if estimate is None:
-            # No quorum agreement: every drained request gets an
-            # "unavailable" response — degraded availability, never a
-            # poisoned timestamp.
-            self.metrics.record_refused(kinds_tuple)
-        else:
-            self.metrics.record_served(
-                kinds_tuple,
-                estimate - true_now_ns,
-                self.lease_guard_ns,
-                degraded=self.quorum_client.anchor_degraded,
-            )
-        self.workload.absorb(drained_total)
+        drained = d_ts + d_lease + d_to
+        self._depth = depth - drained
+        if drained:
+            completed += drained
+            estimate = self.quorum_client.estimate()
+            if estimate is None:
+                # No quorum agreement: every drained request gets an
+                # "unavailable" response — degraded availability, never a
+                # poisoned timestamp.
+                metrics.record_refused((d_ts, d_lease, d_to))
+            else:
+                served = metrics.served
+                served[0] += d_ts
+                served[1] += d_lease
+                served[2] += d_to
+                if self.quorum_client.anchor_degraded:
+                    degraded = metrics.degraded
+                    degraded[0] += d_ts
+                    degraded[1] += d_lease
+                    degraded[2] += d_to
+                error_ns = estimate - true_now_ns
+                magnitude = abs(error_ns)
+                error_histogram = metrics.error_histogram
+                error_histogram[magnitude] = error_histogram.get(magnitude, 0) + drained
+                if error_ns < metrics.min_error_ns:
+                    metrics.min_error_ns = error_ns
+                if error_ns > metrics.max_error_ns:
+                    metrics.max_error_ns = error_ns
+                if magnitude > self.lease_guard_ns:
+                    metrics.lease_violations += d_lease
+        if completed:
+            self.workload.absorb(completed)

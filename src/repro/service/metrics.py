@@ -61,34 +61,6 @@ class FrontEndMetrics:
     def arrived_total(self) -> int:
         return sum(self.served) + sum(self.shed) + sum(self.expired) + sum(self.refused)
 
-    def record_served(
-        self,
-        kinds: tuple[int, int, int],
-        error_ns: int,
-        lease_guard_ns: int,
-        degraded: bool = False,
-    ) -> None:
-        """Account one tick's served batch against the anchor error."""
-        count = kinds[0] + kinds[1] + kinds[2]
-        if count <= 0:
-            return
-        for index in range(3):
-            self.served[index] += kinds[index]
-            if degraded:
-                self.degraded[index] += kinds[index]
-        magnitude = abs(error_ns)
-        self.error_histogram[magnitude] = self.error_histogram.get(magnitude, 0) + count
-        if error_ns < self.min_error_ns:
-            self.min_error_ns = error_ns
-        if error_ns > self.max_error_ns:
-            self.max_error_ns = error_ns
-        if magnitude > lease_guard_ns:
-            self.lease_violations += kinds[1]
-
-    def record_wait(self, wait_ns: int, count: int) -> None:
-        if count > 0:
-            self.wait_histogram[wait_ns] = self.wait_histogram.get(wait_ns, 0) + count
-
     def record_shed(self, kinds: tuple[int, int, int]) -> None:
         for index in range(3):
             self.shed[index] += kinds[index]

@@ -24,19 +24,16 @@ Two arrival models, the classic pair from queueing analysis:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.sim.units import MILLISECOND, SECOND
 
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
-
 class OpenLoopArrivals:
     """Poisson arrivals at a fixed aggregate rate, response-independent."""
 
-    def __init__(self, rng: "np.random.Generator", rate_rps: float, tick_ns: int) -> None:
+    def __init__(self, rng: np.random.Generator, rate_rps: float, tick_ns: int) -> None:
         if rate_rps <= 0:
             raise ConfigurationError(f"rate must be positive, got {rate_rps}")
         self._rng = rng
@@ -61,7 +58,7 @@ class ClosedLoopArrivals:
 
     def __init__(
         self,
-        rng: "np.random.Generator",
+        rng: np.random.Generator,
         sessions: int,
         think_ms: float,
         tick_ns: int,
@@ -101,18 +98,20 @@ class SessionWorkload:
 
     def __init__(
         self,
-        rng: "np.random.Generator",
+        rng: np.random.Generator,
         arrivals: OpenLoopArrivals | ClosedLoopArrivals,
         lease_fraction: float,
         timeout_fraction: float,
     ) -> None:
         self._rng = rng
         self._arrivals = arrivals
-        self._mix = [
-            1.0 - lease_fraction - timeout_fraction,
-            lease_fraction,
-            timeout_fraction,
-        ]
+        # Clamped: fractions that sum to 1 leave a share of about -1e-16,
+        # which the multinomial rejects. An ndarray skips numpy's
+        # per-draw list conversion and draws the same counts.
+        timestamp_fraction = max(1.0 - lease_fraction - timeout_fraction, 0.0)
+        self._mix = np.array(
+            [timestamp_fraction, lease_fraction, timeout_fraction], dtype=np.float64
+        )
 
     def draw(self) -> tuple[int, int, int]:
         """(timestamp, lease, timeout) request counts for the next tick."""

@@ -1,9 +1,13 @@
 """Front-end admission, shedding, expiry, and batch accounting."""
 
+import random
+from collections import deque
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.service.frontend import FrontEnd, _split_proportional
+from repro.service.metrics import FrontEndMetrics
 from repro.sim.units import MILLISECOND
 
 
@@ -184,3 +188,202 @@ class TestValidation:
             frontend([], queue_capacity=0)
         with pytest.raises(ConfigurationError, match="service rate"):
             frontend([], service_per_tick=0.0)
+
+
+class ScriptedQuorumSeries:
+    """Replays (estimate, degraded) answers and counts ``estimate()`` calls."""
+
+    def __init__(self, answers):
+        self.answers = list(answers)
+        self.calls = 0
+        self.anchor_degraded = False
+
+    def estimate(self):
+        estimate, self.anchor_degraded = self.answers[self.calls % len(self.answers)]
+        self.calls += 1
+        return estimate
+
+
+class ReferenceFrontEnd:
+    """The three-step admit / expire / drain front-end, kept as a model.
+
+    A direct transcription of the front-end before its tick became one
+    pass, with the per-kind recorders it called written out inline. The
+    production tick must account exactly what this does.
+    """
+
+    def __init__(self, workload, quorum_client, queue_capacity, service_per_tick,
+                 deadline_ticks, lease_guard_ns, tick_ns):
+        self.workload = workload
+        self.quorum_client = quorum_client
+        self.queue_capacity = queue_capacity
+        self.service_per_tick = service_per_tick
+        self.deadline_ticks = deadline_ticks
+        self.lease_guard_ns = lease_guard_ns
+        self.tick_ns = tick_ns
+        self.metrics = FrontEndMetrics(name="fe")
+        self.queue = deque()
+        self.queue_depth = 0
+        self.credit = 0.0
+
+    @staticmethod
+    def _add(counts, kinds):
+        for index in range(3):
+            counts[index] += kinds[index]
+
+    def tick(self, tick_index, true_now_ns):
+        self._admit(tick_index)
+        self._expire(tick_index)
+        self._drain(tick_index, true_now_ns)
+
+    def _admit(self, tick_index):
+        kinds = self.workload.draw()
+        if sum(kinds) <= 0:
+            return
+        admitted, shed = _split_proportional(kinds, self.queue_capacity - self.queue_depth)
+        if sum(shed):
+            self._add(self.metrics.shed, shed)
+            self.workload.absorb(sum(shed))
+        if sum(admitted):
+            self.queue.append((tick_index, *admitted))
+            self.queue_depth += sum(admitted)
+
+    def _expire(self, tick_index):
+        while self.queue and tick_index - self.queue[0][0] > self.deadline_ticks:
+            _, *kinds = self.queue.popleft()
+            self.queue_depth -= sum(kinds)
+            self._add(self.metrics.expired, kinds)
+            self.workload.absorb(sum(kinds))
+
+    def _drain(self, tick_index, true_now_ns):
+        metrics = self.metrics
+        self.credit += self.service_per_tick
+        budget = int(self.credit)
+        if budget <= 0:
+            return
+        self.credit -= budget
+        drained = [0, 0, 0]
+        while budget > 0 and self.queue:
+            tick, *kinds = self.queue.popleft()
+            taken, rest = _split_proportional(tuple(kinds), budget)
+            if sum(rest):
+                self.queue.appendleft((tick, *rest))
+            budget -= sum(taken)
+            self.queue_depth -= sum(taken)
+            self._add(drained, taken)
+            wait_ns = (tick_index - tick) * self.tick_ns
+            metrics.wait_histogram[wait_ns] = metrics.wait_histogram.get(wait_ns, 0) + sum(taken)
+        if sum(drained) == 0:
+            return
+        estimate = self.quorum_client.estimate()
+        if estimate is None:
+            self._add(metrics.refused, drained)
+        else:
+            error_ns = estimate - true_now_ns
+            self._add(metrics.served, drained)
+            if self.quorum_client.anchor_degraded:
+                self._add(metrics.degraded, drained)
+            magnitude = abs(error_ns)
+            metrics.error_histogram[magnitude] = (
+                metrics.error_histogram.get(magnitude, 0) + sum(drained)
+            )
+            metrics.min_error_ns = min(metrics.min_error_ns, error_ns)
+            metrics.max_error_ns = max(metrics.max_error_ns, error_ns)
+            if magnitude > self.lease_guard_ns:
+                metrics.lease_violations += drained[1]
+        self.workload.absorb(sum(drained))
+
+
+def run_pair(script, answers, queue_capacity, service_per_tick, deadline_ticks):
+    """Drive the tick and the reference model with one script; compare them."""
+    params = dict(
+        queue_capacity=queue_capacity,
+        service_per_tick=service_per_tick,
+        deadline_ticks=deadline_ticks,
+        lease_guard_ns=2 * MILLISECOND,
+        tick_ns=10 * MILLISECOND,
+    )
+    fe = FrontEnd(
+        name="fe",
+        workload=ScriptedWorkload(script),
+        quorum_client=ScriptedQuorumSeries(answers),
+        **params,
+    )
+    ref = ReferenceFrontEnd(ScriptedWorkload(script), ScriptedQuorumSeries(answers), **params)
+    for tick_index in range(1, len(script) + 4):
+        now = tick_index * 10 * MILLISECOND
+        fe.tick(tick_index, now)
+        ref.tick(tick_index, now)
+        assert fe.queue_depth == ref.queue_depth, tick_index
+    assert fe.metrics == ref.metrics
+    assert fe.workload.absorbed == ref.workload.absorbed
+    assert fe.quorum_client.calls == ref.quorum_client.calls
+    return fe
+
+
+def random_case(seed):
+    """A seeded script: under-load or overload, fractional or whole rates."""
+    rng = random.Random(seed)
+    service_per_tick = rng.choice([0.25, 0.5, 0.7, 1.0, 2.5, 7.0, 13.0, 40.0, 1000.0])
+    queue_capacity = rng.randint(1, 60)
+    mean = rng.choice([0.5, 3.0, 10.0, 40.0, 120.0])
+    script = []
+    for _ in range(rng.randint(1, 80)):
+        roll = rng.random()
+        if roll < 0.15:
+            kinds = (0, 0, 0)
+        elif roll < 0.25:
+            # A batch exactly the queue's capacity or the whole-tick budget.
+            size = rng.choice([queue_capacity, max(int(service_per_tick), 1)])
+            lease = rng.randint(0, size)
+            timeout = rng.randint(0, size - lease)
+            kinds = (size - lease - timeout, lease, timeout)
+        else:
+            kinds = tuple(int(rng.expovariate(1.0 / mean)) for _ in range(3))
+        script.append(kinds)
+    answers = [
+        (
+            None if rng.random() < 0.2 else rng.randint(-5, 5) * MILLISECOND,
+            rng.random() < 0.3,
+        )
+        for _ in range(rng.randint(1, 7))
+    ]
+    return script, answers, queue_capacity, service_per_tick, rng.randint(1, 4)
+
+
+class TestOnePassTickMatchesTheThreeStepModel:
+    def test_seeded_random_scripts(self):
+        reached = {"shed": 0, "expired": 0, "refused": 0, "degraded": 0, "partial": 0}
+        for seed in range(300):
+            fe = run_pair(*random_case(seed))
+            metrics = fe.metrics
+            for key in ("shed", "expired", "refused", "degraded"):
+                reached[key] += sum(getattr(metrics, key))
+            reached["partial"] += len(metrics.wait_histogram) > 1
+        # The scripts reach every path the one-pass tick folds together.
+        assert all(reached.values()), reached
+
+    @pytest.mark.parametrize("service_per_tick", [0.25, 0.5, 0.7])
+    def test_zero_budget_ticks_carry_credit(self, service_per_tick):
+        script = [(3, 1, 1), (0, 0, 0), (2, 2, 0), (0, 0, 0), (1, 0, 0)] * 4
+        run_pair(script, [(1 * MILLISECOND, False)], 100, service_per_tick, 6)
+
+    def test_batch_exactly_the_budget_drains_whole(self):
+        fe = run_pair([(5, 3, 2)] * 5, [(0, False)], 100, 10.0, 2)
+        assert fe.queue_depth == 0
+        assert fe.metrics.wait_histogram == {0: 50}
+        assert fe.quorum_client.calls == 5
+
+    def test_batch_exactly_the_capacity_is_admitted_whole(self):
+        fe = run_pair([(6, 2, 2), (6, 2, 2)], [(0, False)], 10, 0.5, 8)
+        assert fe.metrics.shed == [6, 2, 2]
+
+    def test_refusal_and_degraded_anchor(self):
+        answers = [(None, False), (3 * MILLISECOND, True), (None, True), (0, False)]
+        fe = run_pair([(4, 3, 3)] * 8, answers, 100, 1000.0, 2)
+        assert sum(fe.metrics.refused) == 40
+        assert fe.metrics.degraded == [8, 6, 6]
+
+    def test_no_drain_means_no_estimate(self):
+        fe = run_pair([(0, 0, 0)] * 3 + [(1, 0, 0)], [(0, False)], 5, 0.5, 1)
+        assert fe.quorum_client.calls == 1

@@ -58,6 +58,24 @@ class TestValidation:
         assert spec.build().service is None
 
 
+class TestKindMix:
+    def test_fractions_summing_to_one_run(self):
+        # 0.32 + 0.68 leaves a timestamp share of -1.1e-16 unless clamped.
+        spec = raw_spec(
+            duration_s=8.0,
+            service={
+                "sessions": 1000,
+                "quorum": 3,
+                "lease_fraction": 0.32,
+                "timeout_fraction": 0.68,
+            },
+        )
+        report = ExperimentSpec.from_dict(spec).run().service.report()
+        assert report.requests > 0
+        assert report.served_by_kind[0] == 0
+        assert report.lease_requests > 0
+
+
 class TestRoundTrip:
     def test_service_block_survives_to_json(self):
         spec = ExperimentSpec.from_dict(raw_spec())

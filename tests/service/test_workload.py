@@ -112,3 +112,36 @@ class TestSessionWorkload:
             timeout_fraction=0.5,
         )
         assert workload.draw() == (0, 0, 0)
+
+    @pytest.mark.parametrize("lease, timeout", [(0.32, 0.68), (0.07, 0.93), (0.0, 1.0), (1.0, 0.0)])
+    def test_fractions_summing_to_one_leave_no_timestamp_share(self, lease, timeout):
+        # 1.0 - 0.32 - 0.68 is -1.1e-16 in floating point; the share is
+        # clamped at zero instead of failing the multinomial draw.
+        workload = SessionWorkload(
+            rng(4),
+            OpenLoopArrivals(rng(5), rate_rps=5000.0, tick_ns=10 * MILLISECOND),
+            lease_fraction=lease,
+            timeout_fraction=timeout,
+        )
+        draws = [workload.draw() for _ in range(50)]
+        assert all(n_ts == 0 for n_ts, _, _ in draws)
+        assert sum(map(sum, draws)) > 0
+
+    def test_kind_split_draws_what_a_list_mix_draws(self):
+        counts = list(range(700))
+
+        class FixedArrivals:
+            def draw(self):
+                return counts.pop(0)
+
+        workload = SessionWorkload(
+            rng(6), FixedArrivals(), lease_fraction=0.1, timeout_fraction=0.1
+        )
+        reference = rng(6)
+        for count in range(700):
+            expected = (
+                (0, 0, 0)
+                if count == 0
+                else tuple(reference.multinomial(count, [0.8, 0.1, 0.1]).tolist())
+            )
+            assert workload.draw() == expected
