@@ -111,5 +111,6 @@ def test_pinned_specs_reach_their_paths():
     assert overload["shed"] > 0 and overload["wait_p50_ns"] > 0
     expiry = run_report("expiry")
     assert expiry["expired"] > 2_000_000
-    assert run_report("closed-loop")["arrival"] == "closed"
+    closed = run_report("closed-loop")
+    assert closed["arrival"] == "closed" and closed["shed"] > 0
     assert run_report("fractional-credit")["wait_p99_ns"] > 0
