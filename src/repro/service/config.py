@@ -16,6 +16,7 @@ from ``sessions / think_ms`` and the service's own response time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Any, Optional
 
@@ -28,6 +29,12 @@ ARRIVAL_MODELS = ("open", "closed")
 
 #: Request kinds the workload issues (the paper's three consumer apps).
 REQUEST_KINDS = ("timestamp", "lease", "timeout")
+
+#: Largest population numpy's binomial takes: counts are C longs (int64).
+MAX_COUNT = 2**63 - 1
+#: Largest mean numpy's Poisson sampler accepts (``MAX_COUNT`` less ten
+#: standard deviations); a larger per-tick mean raises in the run.
+MAX_POISSON_MEAN = MAX_COUNT - 10 * math.sqrt(MAX_COUNT)
 
 
 @dataclass
@@ -93,6 +100,11 @@ class ServiceConfig:
             self._require(finite(getattr(self, f.name)), f.name, "must be a finite number")
         self._require(self.sessions >= 1, "sessions", "need at least one session")
         self._require(
+            self.sessions <= MAX_COUNT,
+            "sessions",
+            f"must be at most 2**63 - 1 = {MAX_COUNT}, the largest count numpy draws",
+        )
+        self._require(
             self.arrival in ARRIVAL_MODELS,
             "arrival",
             f"unknown model {self.arrival!r}; choose from {ARRIVAL_MODELS}",
@@ -108,6 +120,14 @@ class ServiceConfig:
             self.anchor_staleness_ms > 0, "anchor_staleness_ms", "must be positive"
         )
         self._require(self.tick_ms > 0, "tick_ms", "must be positive")
+        if self.arrival == "open":
+            mean = self.aggregate_rate_rps * self.tick_ns / SECOND
+            self._require(
+                mean <= MAX_POISSON_MEAN,
+                "rate_rps" if self.rate_rps is not None else "per_session_rps",
+                f"{mean:.3g} arrivals per tick exceed numpy's Poisson limit "
+                f"of {MAX_POISSON_MEAN:.3g}",
+            )
         self._require(self.queue_capacity >= 1, "queue_capacity", "must be positive")
         self._require(self.service_rate_rps > 0, "service_rate_rps", "must be positive")
         self._require(self.deadline_ms > 0, "deadline_ms", "must be positive")

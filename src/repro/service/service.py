@@ -19,6 +19,7 @@ metrics into one deterministic :class:`ServiceReport`.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
@@ -27,7 +28,12 @@ from repro.service.config import ServiceConfig
 from repro.service.frontend import FrontEnd
 from repro.service.metrics import ServiceReport, build_report
 from repro.service.quorum import QuorumClient
-from repro.service.workload import ClosedLoopArrivals, OpenLoopArrivals, SessionWorkload
+from repro.service.workload import (
+    ClosedLoopArrivals,
+    OpenLoopArrivals,
+    SessionWorkload,
+    kind_mix,
+)
 from repro.sim.units import SECOND
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,29 +57,28 @@ class TimeService:
         self.frontends: list[FrontEnd] = []
         delay_model = paper_lan_delay()
         service_per_tick = config.service_rate_rps * config.tick_ns / SECOND
+        mix = kind_mix(config.lease_fraction, config.timeout_fraction)
         for index in range(node_count):
             node = cluster.nodes[index]
             rng = self.sim.rng.stream(f"service/{node.name}")
-            sessions = _share(config.sessions, node_count, index)
             if config.arrival == "open":
+                # Arrivals draw on a stream of their own, created at the
+                # first refill, so quorum syncs never reorder them.
                 arrivals = OpenLoopArrivals(
-                    rng,
-                    rate_rps=_share_rate(config.aggregate_rate_rps, node_count, index),
+                    functools.partial(self.sim.rng.stream, f"service/{node.name}/arrivals"),
+                    rate_rps=config.aggregate_rate_rps / node_count,
                     tick_ns=config.tick_ns,
+                    mix=mix,
                 )
             else:
                 arrivals = ClosedLoopArrivals(
                     rng,
-                    sessions=max(sessions, 1),
+                    sessions=max(_share(config.sessions, node_count, index), 1),
                     think_ms=config.think_ms,
                     tick_ns=config.tick_ns,
+                    mix=mix,
                 )
-            workload = SessionWorkload(
-                rng,
-                arrivals,
-                lease_fraction=config.lease_fraction,
-                timeout_fraction=config.timeout_fraction,
-            )
+            workload = SessionWorkload(arrivals)
             sources = [
                 cluster.nodes[(index + offset) % node_count]
                 for offset in range(config.quorum)
@@ -153,11 +158,6 @@ def _share(total: int, parts: int, index: int) -> int:
     if index < total % parts:
         share += 1
     return share
-
-
-def _share_rate(rate: float, parts: int, index: int) -> float:
-    del index
-    return rate / parts
 
 
 def _merge_quorum_stats(frontends: list[FrontEnd]) -> dict:

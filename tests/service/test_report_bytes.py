@@ -3,14 +3,18 @@
 The ``--jobs 1`` vs ``--jobs 2`` comparisons elsewhere only prove a run
 agrees with itself. These hashes pin the report against earlier code:
 any change to the accounting, the RNG draw order or the percentile
-convention moves them. ``benign`` and ``fminus-propagation`` were
-computed before the metrics moved from per-tick ``(value, count)``
-lists to count-keyed histograms; the other four were computed before
-the front-end's admit, expire and drain steps became one tick path, and
-reach what the first two do not: shedding with a standing backlog
+convention moves them. Besides the benign and F− propagation runs, the
+pins reach what those two do not: shedding with a standing backlog
 (``overload``), deadline expiry (``expiry``), the closed loop's
 completion feedback (``closed-loop``) and partial drains on a
 fractional service credit (``fractional-credit``).
+
+The five open-loop hashes were re-pinned when open-loop arrivals became
+per-kind Poisson rows drawn in batches on each front-end's own
+``service/<node>/arrivals`` stream (the same law as the earlier
+per-tick Poisson count split by a multinomial, by Poisson thinning, but
+other draws). ``closed-loop`` did not move: the closed loop still draws
+its binomial and multinomial per tick on ``service/<node>``.
 
 The specs are the ones ``repro service --seed 11`` builds, and the
 bytes are what ``--json`` writes, so the hashes equal the ones the CI
@@ -33,25 +37,25 @@ PINNED = {
         "benign",
         1_000_000,
         {},
-        "aa9e3c2891589640176fffa4ef530a7d8a61fb729a8ff1e9be7289c400335b4a",
+        "f8602074dfcde0a1e37f3599d2ce6ae0e06b7e896a3e5fd5d54ac81112265482",
     ),
     "fminus-propagation": (
         "fminus-propagation",
         100_000,
         {},
-        "73b29104919d60803f041f16bcb6674dfe51dbad819aa49500a5f31a65626ecb",
+        "fd141c0024ee194f00a3b6b7f394f33f87e3d115d3186721efe8bbba75b6e633",
     ),
     "overload": (
         "benign",
         1_000_000,
         {"rate_rps": 400_000.0},
-        "1504166df048b714e077f7478f630b22cb499679e569b20db2ed54d4ce6dcba9",
+        "fe727c2b58d51cead4bba6b330e64065959a99db2fc57bc7f43b0ca2a46d7426",
     ),
     "expiry": (
         "benign",
         1_000_000,
         {"rate_rps": 400_000.0, "queue_capacity": 5000, "deadline_ms": 20.0},
-        "f020f1cf4fb0cd05b8c4eee197ebb0d2f1609db9f8a68ce7112bb3b431de4d43",
+        "681771f117530583c9af7c7bb434955a5824ef8c29efc19e763cad3661638502",
     ),
     "closed-loop": (
         "benign",
@@ -63,7 +67,7 @@ PINNED = {
         "benign",
         1_000_000,
         {"rate_rps": 99_000.0, "service_rate_rps": 33_350.0},
-        "dba3a4fedb039b5f46e0e325ed8864f2492726e0ed362ba1773b4425aa25ea43",
+        "a8b8302e436d9fe3b6e9312333773326d3ba4c6c95ec1547850f9d3fac149a77",
     ),
 }
 

@@ -406,6 +406,20 @@ _BAD_SPECS = {
         {"name": "x", "service": {"sessions": 10, "per_session_rps": float("inf")}},
         "service.per_session_rps",
     ),
+    # Finite, but past what numpy draws: a per-tick Poisson mean above
+    # its ~9.2e18 limit, or a closed-loop population past int64.
+    "service-rate-rps-past-poisson-limit": (
+        {"name": "x", "service": {"sessions": 10, "rate_rps": 1e30}},
+        "service.rate_rps",
+    ),
+    "service-per-session-rps-past-poisson-limit": (
+        {"name": "x", "service": {"sessions": 10**9, "per_session_rps": 1e20}},
+        "service.per_session_rps",
+    ),
+    "service-sessions-past-int64": (
+        {"name": "x", "service": {"sessions": 10**20, "arrival": "closed"}},
+        "service.sessions",
+    ),
 }
 
 
@@ -451,6 +465,22 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""  # nothing ran
         assert captured.err == f"error: {key}: must be a finite number\n"
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["service", "--rate-rps", "1e30"], "service.rate_rps"),
+            (
+                ["service", "--arrival", "closed", "--sessions", "100000000000000000000"],
+                "service.sessions",
+            ),
+        ],
+    )
+    def test_preset_rejects_what_numpy_cannot_draw(self, capsys, argv, key):
+        assert main(argv + ["--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing ran
+        assert captured.err.startswith(f"error: {key}: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("case", ["run-spec-missing", "run-spec-directory", "batch-directory"])
     def test_unreadable_spec_path_is_one_error_line(self, capsys, tmp_path, case):
